@@ -7,12 +7,6 @@ type comp_activity = {
   input_changed : bool;
 }
 
-type report = {
-  changes : pred_change list;
-  activity : comp_activity list;
-  analysis : Stratify.t;
-}
-
 (* Net per-predicate deltas relative to the pre-update snapshot. A
    tuple sits in at most one of the two tables; re-adding a removed
    tuple cancels instead of double-booking. *)
@@ -20,6 +14,20 @@ type deltas = {
   added : (string, Relation.t) Hashtbl.t;
   removed : (string, Relation.t) Hashtbl.t;
 }
+
+type report = {
+  changes : pred_change list;
+  activity : comp_activity list;
+  analysis : Stratify.t;
+  deltas : deltas;
+}
+
+let iter_net tbl pred f =
+  match Hashtbl.find_opt tbl pred with Some r -> Relation.iter f r | None -> ()
+
+let iter_added (d : deltas) pred f = iter_net d.added pred f
+
+let iter_removed (d : deltas) pred f = iter_net d.removed pred f
 
 let delta_rel tbl pred ~arity =
   match Hashtbl.find_opt tbl pred with
@@ -2105,7 +2113,7 @@ let assemble_report ctx slots =
     Hashtbl.fold (fun pred (added, removed) acc -> { pred; added; removed } :: acc) tbl []
     |> List.sort (fun a b -> String.compare a.pred b.pred)
   in
-  { changes; activity; analysis = ctx.anal }
+  { changes; activity; analysis = ctx.anal; deltas = ctx.d }
 
 (* Tag every relation of every component — the store and its delta
    pair — with the owning component's writer tag, so that any mutation
@@ -2249,11 +2257,13 @@ let prime ?(engine = Plan.default_engine) db program =
    serializes fan-outs from concurrently running component tasks.
 
    When the conservative activation wavefront holds fewer than
-   [serial_threshold] tasks, the executor's domain spawn-and-join
-   costs more than the update itself (measured on the wide-48tc bench:
-   0.87x at 2 domains for a 96-task trace on a small host); such
-   updates run the plain serial walk instead — still sharded when
-   [shards > 1]. *)
+   [serial_threshold] tasks, dispatching them through the executor
+   costs more than the update itself, and such updates run the plain
+   serial walk instead — still sharded when [shards > 1]. The value
+   was sized (wide-48tc bench: 0.87x at 2 domains for a 96-task trace
+   on a small host) when every run also spawned and joined its worker
+   domains; runs now borrow a parked crew, which is cheaper, and the
+   threshold has not been re-tuned since. *)
 
 let serial_task_threshold = 8
 

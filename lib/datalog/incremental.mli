@@ -52,11 +52,25 @@ type comp_activity = {
           the paper's runtime have activated this task) *)
 }
 
+type deltas
+(** The net tuples one update added to and removed from each predicate
+    — the tuples behind {!report.changes}. Read-only: walk them with
+    {!iter_added} / {!iter_removed}. *)
+
 type report = {
   changes : pred_change list;  (** predicates with a net change, sorted *)
   activity : comp_activity list;  (** every component, evaluation order *)
   analysis : Stratify.t;
+  deltas : deltas;
 }
+
+val iter_added : deltas -> string -> (Relation.tuple -> unit) -> unit
+(** Every tuple the update added to the predicate (absent before, present
+    after). The tuples are the delta's own arrays: copy before retaining
+    ({!Relation.add} does). *)
+
+val iter_removed : deltas -> string -> (Relation.tuple -> unit) -> unit
+(** Every tuple the update removed from the predicate. *)
 
 type maint = Dred | Counting | Auto
 (** Maintenance algorithm. All restore exactly the same database; they
@@ -128,8 +142,9 @@ val prime : ?engine:Plan.engine -> Database.t -> Ast.program -> int
 val serial_task_threshold : int
 (** Default [serial_threshold] of {!apply_parallel}: activation
     wavefronts smaller than this run the serial walk — the executor's
-    domain spawn-and-join overhead exceeds the update cost on such
-    small task counts. *)
+    per-run dispatch overhead (waking its parked worker crew, the start
+    barrier, a scheduler critical section per batch) exceeds the update
+    cost on such small task counts. *)
 
 val apply_parallel :
   ?engine:Plan.engine ->
@@ -175,7 +190,7 @@ val apply_parallel :
     When the conservative wavefront holds fewer than [serial_threshold]
     (default {!serial_task_threshold}) active component tasks, the
     update runs the serial walk — still sharded when [shards > 1] —
-    instead of paying the executor's spawn-and-join overhead.
+    instead of paying the executor's dispatch overhead.
 
     [maint] (default {!Dred}) selects the per-component maintenance
     strategy, as in {!apply}; component-level parallelism (ownership +

@@ -64,6 +64,12 @@ let intern t c =
   Mutex.unlock t.lock;
   code
 
+let find t c =
+  Mutex.lock t.lock;
+  let code = Hashtbl.find_opt t.codes c in
+  Mutex.unlock t.lock;
+  code
+
 let const_of t code =
   if code < 0 || code >= Atomic.get t.count then
     invalid_arg (Printf.sprintf "Symbol.const_of: unknown code %d" code);

@@ -12,6 +12,10 @@ val create : unit -> t
 
 val intern : t -> Ast.const -> int
 
+val find : t -> Ast.const -> int option
+(** The code of an already-interned constant; never mints one, so a
+    read of an unknown constant leaves the table unchanged. *)
+
 val const_of : t -> int -> Ast.const
 (** @raise Invalid_argument on an unknown code. *)
 

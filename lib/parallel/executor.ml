@@ -70,6 +70,39 @@ let[@inline] tlog_push l task start finish =
   l.t_finish.(i) <- finish;
   l.t_len <- i + 1
 
+(* Long-lived worker domains. A [d]-domain run executes worker 0 on the
+   caller and workers 1..d-1 on an idle [d]-shard crew lent from this
+   pool and returned after the run, so back-to-back runs spawn no
+   domains. Each run borrows a crew of its own: concurrent runs (two
+   domains maintaining at once) never queue behind one another. The
+   pool is separate from the per-update shard crews of sharded
+   maintenance, whose fan-outs run from inside executor workers — a
+   shared crew would deadlock on its entry mutex. *)
+let idle_crews : (int, Shard_crew.t list) Hashtbl.t = Hashtbl.create 4
+
+let idle_lock = Mutex.create ()
+
+let with_crew d f =
+  Mutex.lock idle_lock;
+  let lent =
+    match Hashtbl.find_opt idle_crews d with
+    | Some (crew :: rest) ->
+      Hashtbl.replace idle_crews d rest;
+      Some crew
+    | Some [] | None -> None
+  in
+  Mutex.unlock idle_lock;
+  let crew =
+    match lent with Some crew -> crew | None -> Shard_crew.create ~shards:d
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock idle_lock;
+      Hashtbl.replace idle_crews d
+        (crew :: Option.value (Hashtbl.find_opt idle_crews d) ~default:[]);
+      Mutex.unlock idle_lock)
+    (fun () -> f crew)
+
 let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
     ?(obs = Obs.Trace.disabled) ~sched (trace : Workload.Trace.t) =
   if domains < 1 then invalid_arg "Executor.run: need at least one domain";
@@ -206,10 +239,10 @@ let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
      block per call, which is a cache miss on big traces *)
   let workv = Array.init n (fun u -> Workload.Trace.work trace u) in
   let soff, sdst, seid = Dag.Graph.csr_succ g in
-  (* Start barrier: every domain finishes spawning and runtime setup
-     before the epoch is taken by the last arriver, so the measured
-     makespan covers dispatch, not [Domain.spawn]. The mutex hand-off
-     publishes [epoch_ref] to all workers. *)
+  (* Start barrier: every worker is awake and set up before the epoch
+     is taken by the last arriver, so the measured makespan covers
+     dispatch, not waking the crew. The mutex hand-off publishes
+     [epoch_ref] to all workers. *)
   let arrived = ref 0 in
   let epoch_ref = ref 0.0 in
   let bmutex = Mutex.create () in
@@ -479,12 +512,21 @@ let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
   in
   (* Enter dispatch with an empty minor heap: setup (scheduler
      precompute, work table) leaves megabytes of garbage behind, and a
-     minor collection once the domains exist is a stop-the-world event
-     that must interrupt every one of them — collect while we are
-     still alone instead. *)
+     minor collection once the workers run is a stop-the-world event
+     that must interrupt every one of them — collect while the crew is
+     still parked instead. *)
   Gc.minor ();
-  let handles = List.init domains (fun wid -> Domain.spawn (fun () -> worker wid)) in
-  List.iter Domain.join handles;
+  (* a worker that raises (a scheduler bug, not a task body: those go
+     through [fail] already) must not leave its peers parked forever —
+     the crew's barrier waits for all of them *)
+  let worker wid =
+    try worker wid
+    with e ->
+      fail "worker %d raised: %s" wid (Printexc.to_string e);
+      raise e
+  in
+  if domains = 1 then worker 0
+  else with_crew domains (fun crew -> Shard_crew.run crew worker);
   (match Vatomic.get failure with
   | Some msg -> failwith ("Executor: " ^ msg)
   | None -> ());

@@ -64,8 +64,13 @@ val run :
   Workload.Trace.t ->
   result
 (** [run ~domains ~work_unit ~batch ~sched trace] executes the whole
-    active set on [domains] worker domains (default 4), spinning
-    [work_unit] real seconds per unit of task work (default [1e-4]).
+    active set on [domains] workers (default 4), spinning [work_unit]
+    real seconds per unit of task work (default [1e-4]). Worker 0 runs
+    on the calling domain; workers [1 .. domains-1] run on a crew of
+    long-lived domains ({!Shard_crew}) kept in a process-wide pool and
+    reused by later runs, so a run spawns no domain once the pool holds
+    a crew of its size. Concurrent runs borrow distinct crews. Idle
+    crews park and do not keep the process alive.
     [batch] (default 16, rounded up to a power of two) bounds both the
     per-worker ready-buffer and the number of tasks pulled from the
     scheduler per critical section.
@@ -81,7 +86,8 @@ val run :
     upstream reads. A body must confine its writes to state owned by
     its task; if it raises, the run is aborted (every worker exits at
     its next shared-state check) and {!run} raises [Failure] with the
-    task id and exception.
+    task id and exception. A run that raises leaves its crew usable
+    for the next run.
 
     [obs] (default {!Obs.Trace.disabled}) collects a timeline into the
     trace's per-worker rings: task spans (reusing the per-task log

@@ -20,7 +20,12 @@
 
     {!run} is serialized internally: concurrent callers (two component
     tasks fanning out at once) queue on the crew's mutex and their
-    fan-outs interleave at round granularity. *)
+    fan-outs interleave at round granularity.
+
+    {!Executor.run} uses crews too, for its workers [1 .. domains-1]:
+    a pool of long-lived crews, distinct from the per-update shard
+    crew, since component tasks call {!run} from inside executor
+    workers. *)
 
 type t
 

@@ -5,8 +5,9 @@
    iterations of an opaque inner loop fit in a microsecond, then check
    the monotonic clock only once per chunk of roughly that size. *)
 
-(* Written once by [calibrate] before any domain is spawned, then read
-   by every worker; a [Vatomic.Plain] cell rather than a bare ref so
+(* Written once by [calibrate] before the executor's workers start
+   (they receive their job through the crew's mutex hand-off), then
+   read by every worker; a [Vatomic.Plain] cell rather than a bare ref so
    the analysis build would flag any write that races the workers. *)
 let iters_per_usec = Prelude.Vatomic.Plain.make 0.0
 

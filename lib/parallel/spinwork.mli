@@ -7,7 +7,7 @@
 
 val calibrate : unit -> unit
 (** Measure the inner-loop rate if not yet measured (~5 ms). Call once
-    before spawning worker domains; [spin] self-calibrates otherwise,
+    before starting worker domains; [spin] self-calibrates otherwise,
     which would repeat the measurement in every domain. *)
 
 val spin : float -> unit

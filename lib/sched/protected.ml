@@ -73,7 +73,16 @@ let[@inline] locked t wid kind body =
   and m = o.Intf.messages
   and b = o.Intf.bucket_ops
   and f = o.Intf.bfs_steps in
-  let result = body t.inst in
+  (* a raising scheduler callback must not leave the lock held: the
+     executor aborts the run, and every peer has to get past this lock
+     to see that *)
+  let result =
+    match body t.inst with
+    | r -> r
+    | exception e ->
+      Mutex.unlock t.lock;
+      raise e
+  in
   credit t wid ~q ~s ~m ~b ~f;
   Mutex.unlock t.lock;
   if traced then begin

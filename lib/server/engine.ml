@@ -1,14 +1,18 @@
 (* Epoch engine: admission queue -> one Incr_sched.update per commit
-   -> immutable published snapshot. See the .mli for the lifecycle;
-   the key invariants here are
+   -> the snapshot patched with that commit's net deltas. See the .mli
+   for the lifecycle; the key invariants here are
 
-   - queries only ever read the published snapshot (frozen relation
-     copies) and the append-only symbol table, so the background
-     commit domain owns the live database exclusively;
+   - queries only ever read the snapshot (relations of its own, never
+     the live database's) and the append-only symbol table, so the
+     commit domain owns the live database exclusively while a
+     background commit runs;
+   - the snapshot is written only by [publish] and read only by
+     [query]/[submit], all on the one client thread, and [publish]
+     runs only after the commit's run has finished;
    - the obs rings are written by at most one party at a time: the
-     maintenance run inside the commit (caller thread or background
+     maintenance run inside the commit (caller thread or commit
      domain), or the engine's own srv spans, emitted strictly before a
-     run starts / after its domain is joined. *)
+     run starts / after its outcome was collected. *)
 
 type op = Add | Del
 
@@ -22,12 +26,6 @@ type commit_stats = {
   latency_s : float;
 }
 
-type snapshot = {
-  snap_epoch : int;
-  rels : (string, Datalog.Relation.t) Hashtbl.t;
-  published_ns : int;  (* ring stamp of publication, for srv-epoch *)
-}
-
 type job = {
   target : int;
   job_ops : int;
@@ -35,8 +33,7 @@ type job = {
   job_dels : int;
   request : float;  (* Mclock at the commit request *)
   start_ns : int;  (* ring stamp at run start, for srv-commit *)
-  done_ : bool Atomic.t;
-  handle : (Datalog.To_trace.t * float, exn) result Domain.t;
+  outcome : (Datalog.To_trace.t * float) Commit_domain.pending;
 }
 
 type t = {
@@ -48,7 +45,9 @@ type t = {
   idb : (string, unit) Hashtbl.t;
   pending : (string, op) Hashtbl.t;
   mutable pending_order : string list;  (* first-seen order, reversed *)
-  mutable snapshot : snapshot;
+  snapshot : (string, Datalog.Relation.t) Hashtbl.t;
+      (* the published epoch [epoch]; patched in place by [publish] *)
+  mutable published_ns : int;  (* ring stamp of publication, for srv-epoch *)
   mutable epoch : int;
   mutable ncommits : int;
   mutable inflight : job option;
@@ -83,8 +82,8 @@ let create ?(maint = Datalog.Incremental.Dred) ?(domains = 1) ?(shards = 1)
     idb;
     pending = Hashtbl.create 64;
     pending_order = [];
-    snapshot =
-      { snap_epoch = 0; rels = freeze_all session.db; published_ns = 0 };
+    snapshot = freeze_all session.db;
+    published_ns = 0;
     epoch = 0;
     ncommits = 0;
     inflight = None;
@@ -106,7 +105,7 @@ let db t = t.session.db
 let snapshot_facts t =
   Hashtbl.fold
     (fun _ rel acc -> acc + Datalog.Relation.cardinality rel)
-    t.snapshot.rels 0
+    t.snapshot 0
 
 (* ---- admission ---- *)
 
@@ -126,7 +125,7 @@ let submit t side text =
         (Printf.sprintf "%s is derived; only base facts can be updated"
            atom.pred)
     else begin
-      match Hashtbl.find_opt t.snapshot.rels atom.pred with
+      match Hashtbl.find_opt t.snapshot atom.pred with
       | Some rel
         when Datalog.Relation.arity rel <> List.length atom.args ->
         Error
@@ -161,42 +160,36 @@ let run_batch t ~additions ~deletions =
   Incr_sched.update ~maint:t.maint ~domains:t.domains ~shards:t.shards
     ~obs:t.obs t.session ~additions ~deletions
 
-(* Publish the post-commit snapshot for [target]: re-freeze only the
-   predicates the report says changed, share every other frozen view
-   with the superseded snapshot. Caller thread only, after the run has
-   quiesced. *)
+(* Publish epoch [target]: patch the snapshot with the run's net
+   deltas, removing and adding exactly the tuples that changed, so the
+   cost is O(|delta|) plus one lookup per live predicate (a batch may
+   introduce a base predicate the snapshot has never seen). Client
+   thread only, after the run has finished: queries run on the same
+   thread, so none observes a half-patched snapshot. *)
 let publish t ~(report : Datalog.Incremental.report) ~target ~start_ns =
+  List.iter
+    (fun (name, rel) ->
+      if not (Hashtbl.mem t.snapshot name) then
+        Hashtbl.replace t.snapshot name
+          (Datalog.Relation.create ~arity:(Datalog.Relation.arity rel)))
+    (Datalog.Database.predicates t.session.db);
   let changed =
     List.fold_left
       (fun acc (c : Datalog.Incremental.pred_change) ->
+        let rel = Hashtbl.find t.snapshot c.pred in
+        Datalog.Incremental.iter_removed report.deltas c.pred (fun tup ->
+            ignore (Datalog.Relation.remove rel tup));
+        Datalog.Incremental.iter_added report.deltas c.pred (fun tup ->
+            ignore (Datalog.Relation.add rel tup));
         acc + c.added + c.removed)
       0 report.changes
   in
-  let dirty = Hashtbl.create 16 in
-  List.iter
-    (fun (c : Datalog.Incremental.pred_change) ->
-      Hashtbl.replace dirty c.pred ())
-    report.changes;
-  let old = t.snapshot in
-  let rels = Hashtbl.create 32 in
-  List.iter
-    (fun (name, rel) ->
-      let frozen =
-        if Hashtbl.mem dirty name then Datalog.Relation.copy rel
-        else
-          match Hashtbl.find_opt old.rels name with
-          | Some view -> view
-          | None -> Datalog.Relation.copy rel
-      in
-      Hashtbl.replace rels name frozen)
-    (Datalog.Database.predicates t.session.db);
   let r = ring t in
   let now = Obs.Ring.now_ns r in
-  Obs.Ring.emit r ~kind:Obs.Event.srv_epoch ~a:old.snap_epoch
-    ~b:old.published_ns;
+  Obs.Ring.emit r ~kind:Obs.Event.srv_epoch ~a:t.epoch ~b:t.published_ns;
   Obs.Ring.emit_at r ~t_ns:now ~kind:Obs.Event.srv_commit ~a:target
     ~b:start_ns;
-  t.snapshot <- { snap_epoch = target; rels; published_ns = now };
+  t.published_ns <- now;
   t.epoch <- target;
   t.ncommits <- t.ncommits + 1;
   changed
@@ -222,18 +215,11 @@ let start_async t ~request =
   let r = ring t in
   Obs.Ring.emit r ~kind:Obs.Event.srv_admit ~a:(nadds + ndels) ~b:target;
   let start_ns = Obs.Ring.now_ns r in
-  let done_ = Atomic.make false in
-  let handle =
-    Domain.spawn (fun () ->
-        let r =
-          try
-            let t0 = Prelude.Mclock.now () in
-            let tt = run_batch t ~additions ~deletions in
-            Ok (tt, Prelude.Mclock.now () -. t0)
-          with e -> Error e
-        in
-        Atomic.set done_ true;
-        r)
+  let outcome =
+    Commit_domain.start (fun () ->
+        let t0 = Prelude.Mclock.now () in
+        let tt = run_batch t ~additions ~deletions in
+        (tt, Prelude.Mclock.now () -. t0))
   in
   t.inflight <-
     Some
@@ -244,14 +230,13 @@ let start_async t ~request =
         job_dels = ndels;
         request;
         start_ns;
-        done_;
-        handle;
+        outcome;
       }
 
-(* Join one inflight job, publish it, and auto-start the coalesced
+(* Collect one inflight job, publish it, and auto-start the coalesced
    follow-up if one was requested. Blocks if the job is still running. *)
 let harvest t (j : job) =
-  let result = Domain.join j.handle in
+  let result = Commit_domain.wait j.outcome in
   t.inflight <- None;
   (match result with
   | Ok (tt, run_s) ->
@@ -278,7 +263,7 @@ let take_completed t =
 
 let drain t =
   (match t.inflight with
-  | Some j when Atomic.get j.done_ -> harvest t j
+  | Some j when Commit_domain.is_done j.outcome -> harvest t j
   | Some _ | None -> ());
   take_completed t
 
@@ -333,9 +318,8 @@ let query t text =
   match Datalog.Parser.parse_atom text with
   | exception Datalog.Parser.Error { col; message; _ } ->
     Error (Printf.sprintf "bad pattern (column %d): %s" col message)
-  | pattern ->
-    let snap = t.snapshot in
-    (match Hashtbl.find_opt snap.rels pattern.pred with
+  | pattern -> (
+    match Hashtbl.find_opt t.snapshot pattern.pred with
     | None -> Error (Printf.sprintf "unknown predicate %s" pattern.pred)
     | Some rel ->
       let arity = Datalog.Relation.arity rel in
@@ -350,12 +334,18 @@ let query t text =
         Error
           (Printf.sprintf "%s has arity %d, not %d" pattern.pred arity nargs)
       else begin
-        (* nargs = 0: bare predicate, match every fact *)
+        (* nargs = 0: bare predicate, match every fact. A constant the
+           symbol table has never seen matches nothing, and looking it
+           up must not mint it: reads alone would grow the table. *)
         let syms = Datalog.Database.symbols t.session.db in
+        let unknown = ref false in
         let const_code =
           Array.map
             (function
-              | Datalog.Ast.Const c -> Some (Datalog.Symbol.intern syms c)
+              | Datalog.Ast.Const c ->
+                let code = Datalog.Symbol.find syms c in
+                if code = None then unknown := true;
+                code
               | Datalog.Ast.Var _ | Datalog.Ast.Agg _ -> None)
             args
         in
@@ -391,16 +381,27 @@ let query t text =
               groups;
           !ok
         in
-        let facts =
-          Datalog.Relation.fold
-            (fun acc tup ->
-              if matches tup then
-                Datalog.Database.tuple_to_atom t.session.db pattern.pred tup
-                :: acc
-              else acc)
-            [] rel
+        let keep acc tup =
+          if matches tup then
+            Datalog.Database.tuple_to_atom t.session.db pattern.pred tup
+            :: acc
+          else acc
         in
-        Ok (List.sort Stdlib.compare facts, snap.snap_epoch)
+        (* a bound constant probes the snapshot's index on its column,
+           built on first use and kept current by [publish] *)
+        let facts =
+          if !unknown then []
+          else
+            match
+              Array.find_mapi
+                (fun col code -> Option.map (fun value -> (col, value)) code)
+                const_code
+            with
+            | Some (col, value) ->
+              Datalog.Relation.fold_matching rel ~col ~value keep []
+            | None -> Datalog.Relation.fold keep [] rel
+        in
+        Ok (List.sort Stdlib.compare facts, t.epoch)
       end)
 
 let export t path =

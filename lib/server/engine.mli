@@ -1,20 +1,30 @@
-(** Epoch engine behind [dms serve]: admission queue, commit runs,
-    immutable post-commit snapshots.
+(** Epoch engine behind [dms serve]: admission queue, commit runs, one
+    snapshot patched in place at every publication.
 
-    {b Epoch lifecycle.} Epoch 0 is the initial materialization. Each
-    commit drains the admission queue, runs one
-    {!Incr_sched.update} maintenance pass over the live database, and
-    {e publishes} epoch [N+1]: an immutable snapshot (frozen
-    {!Datalog.Relation} copies) that all queries are served from. Only
-    relations the commit actually changed are re-copied — unchanged
-    predicates share the previous epoch's frozen view, so snapshot
-    cost is proportional to the change, not the database.
+    {b Epoch lifecycle.} Epoch 0 is the initial materialization, frozen
+    into the snapshot by copying every relation once ({!create}). Each
+    commit drains the admission queue, runs one {!Incr_sched.update}
+    maintenance pass over the live database, and {e publishes} epoch
+    [N+1]: the snapshot, which all queries are served from, is patched
+    with the pass's net deltas ({!Datalog.Incremental.report.deltas}) —
+    exactly the tuples that left each relation are removed and the
+    tuples that joined it are added. Publishing therefore costs what the
+    change costs, not what the store holds, and the snapshot's lazily
+    built column indexes survive from epoch to epoch: a query with a
+    bound constant probes the index on the first bound column instead of
+    scanning the relation.
 
-    {b Snapshot discipline.} Queries never touch the live database,
-    so a background commit may mutate it freely while readers on the
-    current epoch see bit-identical results. The only shared mutable
-    structure a query reads is the symbol table, whose interning is
-    append-only and domain-safe.
+    {b Snapshot discipline.} The snapshot owns its relations; they never
+    alias the live database's. Queries never touch the live database,
+    so a background commit may mutate it freely while readers keep
+    seeing epoch [N]. The snapshot itself is safe without a lock because
+    of the threading contract below: it is written only by publication
+    and read only by queries and admission, all on the one client
+    thread, and publication only ever happens there — in {!commit},
+    {!drain} or {!await}, after the run it publishes has finished. The
+    only shared mutable structure a query reads is the symbol table,
+    and it reads it without minting: an unknown constant in a pattern
+    matches nothing.
 
     {b Admission batching.} [insert]/[remove] are validated at submit
     time (syntax, groundedness, extensional predicate, arity) and
@@ -26,8 +36,10 @@
     queueing and one run serves them all when the inflight epoch
     publishes — the paper's amortization knob, live.
 
-    Threading model: one client thread calls everything here; the only
-    concurrency is the single background commit domain. *)
+    Threading model: one client thread calls everything here. The only
+    concurrency is a background commit's run on the process's single
+    long-lived commit domain ({!Commit_domain}), which touches the live
+    database and nothing the client thread reads. *)
 
 type t
 
@@ -98,8 +110,8 @@ val commit : t -> commit_stats list
 
 val commit_async : t -> [ `Started of int | `Coalesced ]
 (** Request a background commit. [`Started e]: no commit was inflight,
-    the queue was drained and a domain is now maintaining toward epoch
-    [e]. [`Coalesced]: a commit is already running; this request (and
+    the queue was drained and the commit domain is now maintaining
+    toward epoch [e]. [`Coalesced]: a commit is already running; this request (and
     any ops queued meanwhile) will be served by one follow-up commit
     started automatically when the inflight one publishes. *)
 
@@ -120,7 +132,7 @@ val query : t -> string -> (Datalog.Ast.atom list * int, string) result
     named variable forces equality; a bare predicate name matches
     every fact. Errors: pattern syntax, unknown predicate, arity
     mismatch, aggregate terms. Safe while a commit is inflight — the
-    snapshot is immutable. *)
+    snapshot changes only when the client thread publishes. *)
 
 val db : t -> Datalog.Database.t
 (** The live database — for parity checks against a reference run.

@@ -233,6 +233,27 @@ let serve_stdio_async_session () =
          ]
        ~needles:[ "ok commit running epoch 1"; "ok bye" ])
 
+(* the commit domain and the executor's worker crews outlive every
+   commit; parked, they must not hold the process past [quit] *)
+let serve_async_domains_exits_promptly () =
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (serve_session
+       ~extra_args:[ "--async"; "--domains"; "2" ]
+       ~script:
+         [
+           "insert edge(\"c\", \"d\")";
+           "commit";
+           "insert edge(\"d\", \"e\")";
+           "commit";
+           "query path(\"a\", X)";
+           "quit";
+         ]
+       ~needles:[ "ok commit running epoch 1"; "ok bye" ]);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed > 10.0 then
+    Alcotest.failf "serve --async --domains 2 took %.1f s to exit" elapsed
+
 let unknown_scheduler_fails () =
   let status, out = run_capture [ "run"; "tight:5"; "-s"; "bogus" ] in
   check_bool "nonzero exit" true (status <> Unix.WEXITED 0);
@@ -261,6 +282,8 @@ let () =
           test `Quick "analyze rejects bad programs" analyze_rejects_bad_program;
           test `Quick "serve stdio session" serve_stdio_session;
           test `Quick "serve async stdio session" serve_stdio_async_session;
+          test `Quick "serve async on 2 domains exits promptly"
+            serve_async_domains_exits_promptly;
           test `Quick "unknown scheduler fails" unknown_scheduler_fails;
           test `Quick "bad trace spec fails" bad_trace_fails;
         ] );

@@ -323,6 +323,133 @@ let parallel_maintenance_smoke () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "parallel maintenance diverged: %s" e
 
+(* ---- long-lived worker domains ---- *)
+
+(* Workers 1..d-1 of a run live on a pooled crew that later runs
+   reuse: a failed run, a change of size, concurrent callers and
+   nested shard crews must all leave the pool usable. *)
+
+let valid_run ~domains what =
+  let trace = Workload.Pathological.unit_layers ~width:12 ~layers:5 ~fanout:3 ~seed:9 in
+  let r = run_checked ~domains ~work_unit:0.0 trace Sched.Level_based.factory in
+  check_int what r.Parallel.Executor.tasks_activated r.Parallel.Executor.tasks_executed
+
+(* Run [f] on a fresh domain and fail the test, instead of hanging the
+   suite, if it has not returned within [seconds]. *)
+let within ~seconds what f =
+  let finished = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        Fun.protect ~finally:(fun () -> Atomic.set finished true) f)
+  in
+  let deadline = Unix.gettimeofday () +. seconds in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.01
+  done;
+  if not (Atomic.get finished) then Alcotest.failf "%s: no result after %.0f s" what seconds;
+  Domain.join d
+
+let crew_survives_raising_runs () =
+  List.iter
+    (fun domains ->
+      (* a raising task body *)
+      let run_task ~wid:_ u = if u = 3 then failwith "boom" in
+      (match
+         Parallel.Executor.run ~domains ~work_unit:0.0 ~run_task
+           ~sched:Sched.Level_based.factory (Workload.Pathological.deep_chain ~n:8)
+       with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "expected the body's failure");
+      valid_run ~domains (Printf.sprintf "d=%d after a raising body" domains);
+      (* a raising scheduler: the worker itself raises, on any domain *)
+      let raising =
+        {
+          Sched.Intf.fname = "raising";
+          make =
+            (fun g ->
+              let inst = Sched.Level_based.factory.Sched.Intf.make g in
+              {
+                inst with
+                Sched.Intf.on_completed =
+                  (fun u -> if u = 3 then failwith "sched boom" else inst.on_completed u);
+              });
+        }
+      in
+      within ~seconds:30.0 "raising scheduler" (fun () ->
+          match
+            Parallel.Executor.run ~domains ~work_unit:0.0 ~sched:raising (Workload.Pathological.deep_chain ~n:8)
+          with
+          | exception Failure _ -> ()
+          | _ -> Alcotest.fail "expected the scheduler's failure");
+      valid_run ~domains (Printf.sprintf "d=%d after a raising scheduler" domains))
+    [ 2; 4 ]
+
+let crew_alternating_sizes () =
+  for i = 1 to 10 do
+    let domains = if i mod 2 = 0 then 4 else 2 in
+    valid_run ~domains (Printf.sprintf "run %d on %d domains" i domains)
+  done
+
+let concurrent_runs () =
+  let caller () =
+    for _ = 1 to 5 do
+      valid_run ~domains:2 "concurrent run"
+    done
+  in
+  within ~seconds:60.0 "two concurrent callers" (fun () ->
+      let d1 = Domain.spawn caller and d2 = Domain.spawn caller in
+      Domain.join d1;
+      Domain.join d2)
+
+(* many independent closures: enough active component tasks that the
+   update goes through the executor, not the serial walk *)
+let wide_src =
+  String.concat ""
+    (List.init 10 (fun g ->
+         Printf.sprintf
+           "e%d(\"a\",\"b\"). e%d(\"b\",\"c\"). e%d(\"c\",\"d\").\n\
+            p%d(X,Y) :- e%d(X,Y).\np%d(X,Z) :- p%d(X,Y), e%d(Y,Z).\n"
+           g g g g g g g g))
+
+let wide_adds = List.init 10 (fun g -> Datalog.Parser.parse_atom (Printf.sprintf {|e%d("d","a")|} g))
+
+let wide_dels = List.init 10 (fun g -> Datalog.Parser.parse_atom (Printf.sprintf {|e%d("a","b")|} g))
+
+let wide_load program =
+  let db = Datalog.Database.create () in
+  ignore (Datalog.Eval.run db program);
+  db
+
+let wide_update db program ~shards ~sanitize =
+  ignore
+    (Datalog.Incremental.apply_parallel ~domains:2 ~shards ~serial_threshold:1 ~sanitize db
+       program ~additions:wide_adds ~deletions:wide_dels)
+
+let sharded_executor_no_deadlock () =
+  let program = Datalog.Parser.parse wide_src in
+  let serial = wide_load program and par = wide_load program in
+  ignore (Datalog.Incremental.apply serial program ~additions:wide_adds ~deletions:wide_dels);
+  within ~seconds:60.0 "apply_parallel ~domains:2 ~shards:2" (fun () ->
+      wide_update par program ~shards:2 ~sanitize:false);
+  match Datalog.Eval.databases_agree serial par with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "sharded parallel maintenance diverged: %s" e
+
+let sanitizer_tag_clean_between_runs () =
+  let program = Datalog.Parser.parse wide_src in
+  wide_update (wide_load program) program ~shards:1 ~sanitize:true;
+  (* every worker of the next run starts with no writer tag *)
+  let tagged = Atomic.make 0 in
+  let run_task ~wid:_ _ =
+    if Datalog.Relation.Sanitize.writer () <> None then Atomic.incr tagged
+  in
+  ignore
+    (Parallel.Executor.run ~domains:2 ~work_unit:0.0 ~run_task
+       ~sched:Sched.Level_based.factory
+       (Workload.Pathological.unit_layers ~width:12 ~layers:5 ~fanout:3 ~seed:9));
+  check_int "no task saw a writer tag" 0 (Atomic.get tagged);
+  check_bool "caller has no writer tag" true (Datalog.Relation.Sanitize.writer () = None)
+
 let agrees_with_simulator_counts () =
   let trace = Workload.Pathological.broom ~spine:15 ~fan:20 in
   let r = run_checked trace Sched.Hybrid.factory in
@@ -356,6 +483,14 @@ let () =
         [
           test `Quick "frozen relation: concurrent reads" frozen_relation_concurrent_reads;
           test `Quick "2-domain maintenance parity" parallel_maintenance_smoke;
+        ] );
+      ( "crew",
+        [
+          test `Quick "raising runs leave the crew usable" crew_survives_raising_runs;
+          test `Quick "runs alternate 2 and 4 domains" crew_alternating_sizes;
+          test `Quick "two domains run at once" concurrent_runs;
+          test `Quick "2 domains x 2 shards completes" sharded_executor_no_deadlock;
+          test `Quick "sanitizer tag clean between runs" sanitizer_tag_clean_between_runs;
         ] );
       ( "stress",
         [

@@ -213,6 +213,26 @@ let snapshot_isolation () =
   check_bool "new snapshot reflects the deletion" true (after <> before);
   check_int "v0 lost its outgoing edge" 0 (List.length after)
 
+(* ---- the commit domain ---- *)
+
+let commit_domain_survives_raise () =
+  let failing = Server.Commit_domain.start (fun () -> failwith "job boom") in
+  (match Server.Commit_domain.wait failing with
+  | Error (Failure m) -> check_string "the job's own exception" "job boom" m
+  | Error e -> Alcotest.failf "unexpected exception %s" (Printexc.to_string e)
+  | Ok () -> Alcotest.fail "a raising job must report its exception");
+  check_bool "finished" true (Server.Commit_domain.is_done failing);
+  (* the same domain serves the next job, in submission order *)
+  let order = ref [] in
+  let jobs =
+    List.init 3 (fun i -> Server.Commit_domain.start (fun () -> order := i :: !order; i))
+  in
+  List.iteri
+    (fun i job ->
+      check_bool "next job runs" true (Server.Commit_domain.wait job = Ok i))
+    jobs;
+  check_bool "fifo" true (List.rev !order = [ 0; 1; 2 ])
+
 (* ---- engine: query patterns ---- *)
 
 let query_patterns () =
@@ -235,6 +255,187 @@ let query_patterns () =
   match Server.Engine.query e "edge(\"a\")" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "arity mismatch must error"
+
+(* ---- engine: the snapshot tracks the live database ---- *)
+
+(* Transitive closure with a negated and an aggregated consumer, over
+   a random update stream. *)
+let tracked_rules =
+  "path(X,Y) :- edge(X,Y).\n\
+   path(X,Z) :- path(X,Y), edge(Y,Z).\n\
+   node(X) :- edge(X,Y).\n\
+   node(Y) :- edge(X,Y).\n\
+   cut(X,Y) :- node(X), node(Y), !path(X,Y), X != Y.\n\
+   outdeg(X, cnt(Y)) :- edge(X,Y).\n"
+
+(* The published snapshot must equal the live database after every
+   commit: every predicate's bare-predicate [query] against
+   [Incr_sched.query] on the live database, once the commit settled. *)
+let snapshot_matches_live e session ~what =
+  ignore (Server.Engine.await e);
+  List.iter
+    (fun (pred, _) ->
+      let facts, epoch = facts_of e pred in
+      check_int (what ^ ": snapshot is the current epoch")
+        (Server.Engine.epoch e) epoch;
+      let live =
+        List.map
+          (fun a -> Format.asprintf "%a" Datalog.Ast.pp_atom a)
+          (Incr_sched.query session pred)
+      in
+      if facts <> live then
+        Alcotest.failf "%s: snapshot %s has %d facts, live database %d" what
+          pred (List.length facts) (List.length live))
+    (Datalog.Database.predicates session.Incr_sched.db)
+
+let snapshot_tracks_live_db () =
+  let stream =
+    Workload.Synthetic.Update_stream.generate
+      {
+        Workload.Synthetic.Update_stream.nodes = 10;
+        span = 3;
+        base_edges = 14;
+        batches = 6;
+        batch_ops = 4;
+        delete_fraction = 0.5;
+        seed = 17;
+      }
+  in
+  let source =
+    String.concat "" (List.map (fun f -> f ^ ".\n") stream.base) ^ tracked_rules
+  in
+  let maint_name = function
+    | Datalog.Incremental.Dred -> "dred"
+    | Datalog.Incremental.Counting -> "counting"
+    | Datalog.Incremental.Auto -> "auto"
+  in
+  List.iter
+    (fun maint ->
+      List.iter
+        (fun async ->
+          List.iter
+            (fun domains ->
+              let what =
+                Printf.sprintf "%s %s d=%d" (maint_name maint)
+                  (if async then "async" else "sync")
+                  domains
+              in
+              let session = Incr_sched.materialize source in
+              let e = Server.Engine.create ~maint ~domains session in
+              let submit side fact =
+                match Server.Engine.submit e side fact with
+                | Ok () -> ()
+                | Error m -> Alcotest.failf "%s: submit %s: %s" what fact m
+              in
+              let commit () =
+                if async then begin
+                  ignore (Server.Engine.commit_async e);
+                  while Server.Engine.inflight e do
+                    ignore (Server.Engine.drain e);
+                    Domain.cpu_relax ()
+                  done
+                end
+                else ignore (Server.Engine.commit e)
+              in
+              snapshot_matches_live e session ~what:(what ^ " epoch 0");
+              List.iteri
+                (fun i (adds, dels) ->
+                  List.iter (submit `Insert) adds;
+                  List.iter (submit `Remove) dels;
+                  (* a base predicate the snapshot has never seen *)
+                  if i = 2 then submit `Insert "label(\"v1\", \"x\")";
+                  commit ();
+                  snapshot_matches_live e session
+                    ~what:(Printf.sprintf "%s batch %d" what i))
+                stream.steps;
+              (* a batch that empties every relation: without edges
+                 nothing is derived either *)
+              let current pred = fst (facts_of e pred) in
+              List.iter (submit `Remove) (current "edge" @ current "label");
+              commit ();
+              snapshot_matches_live e session ~what:(what ^ " emptied");
+              check_int (what ^ ": edge emptied") 0
+                (List.length (current "edge"));
+              List.iter
+                (fun pred ->
+                  check_int (what ^ ": " ^ pred ^ " emptied") 0
+                    (List.length (current pred)))
+                [ "path"; "node"; "cut"; "outdeg"; "label" ])
+            [ 1; 2 ])
+        [ false; true ])
+    [ Datalog.Incremental.Dred; Datalog.Incremental.Counting;
+      Datalog.Incremental.Auto ]
+
+(* ---- engine: indexed answers equal scanned answers ---- *)
+
+(* A pattern with a bound constant is answered from an index on the
+   first bound column, every other pattern by a scan. The reference
+   here filters the bare-predicate answer (a scan) by the pattern, so
+   both must agree — before and after deletions, which the snapshot
+   applies in place to relations whose indexes already exist. *)
+let indexed_matches_scanned () =
+  let e =
+    make_engine
+      ~source:
+        "t(\"a\",\"b\",\"c\"). t(\"a\",\"a\",\"b\"). t(\"b\",\"a\",\"a\").\n\
+         t(\"c\",\"b\",\"b\"). t(\"a\",\"c\",\"c\"). t(\"b\",\"b\",\"b\").\n\
+         u(X,Z) :- t(X,Y,Z).\n"
+      ()
+  in
+  let patterns =
+    [
+      ("t(\"a\", X, Y)", [ Some "a"; None; None ], []);
+      ("t(X, \"b\", Y)", [ None; Some "b"; None ], []);
+      ("t(X, Y, \"b\")", [ None; None; Some "b" ], []);
+      ("t(\"a\", X, \"c\")", [ Some "a"; None; Some "c" ], []);
+      ("t(X, X, Y)", [ None; None; None ], [ (0, 1) ]);
+      ("t(\"b\", X, X)", [ Some "b"; None; None ], [ (1, 2) ]);
+      ("t(_, _, \"a\")", [ None; None; Some "a" ], []);
+      ("t(_, _, _)", [ None; None; None ], []);
+      ("t(\"zz\", X, Y)", [ Some "zz"; None; None ], []);
+      ("t(X, \"zz\", Y)", [ None; Some "zz"; None ], []);
+    ]
+  in
+  let syms () =
+    Datalog.Symbol.count (Datalog.Database.symbols (Server.Engine.db e))
+  in
+  let check_all ~when_ =
+    let all = fst (facts_of e "t") in
+    let args fact =
+      (* t("x", "y", "z"). -> ["x"; "y"; "z"] *)
+      String.split_on_char ',' (String.sub fact 2 (String.length fact - 3))
+      |> List.map (fun s ->
+             let s = String.trim s in
+             String.sub s 1 (String.length s - 2))
+    in
+    List.iter
+      (fun (pattern, consts, equal) ->
+        let expected =
+          List.filter
+            (fun fact ->
+              let a = Array.of_list (args fact) in
+              List.for_all2
+                (fun c v -> match c with Some c -> c = v | None -> true)
+                consts (Array.to_list a)
+              && List.for_all (fun (i, j) -> a.(i) = a.(j)) equal)
+            all
+        in
+        let before = syms () in
+        let got, _ = facts_of e pattern in
+        check_int (when_ ^ ": reads mint no symbol: " ^ pattern) before (syms ());
+        if got <> expected then
+          Alcotest.failf "%s: %s answered %s, scan says %s" when_ pattern
+            (String.concat " " got) (String.concat " " expected))
+      patterns
+  in
+  check_all ~when_:"epoch 0";
+  List.iter
+    (fun f -> ignore (Server.Engine.submit e `Remove f))
+    [ "t(\"a\",\"b\",\"c\")"; "t(\"b\",\"a\",\"a\")"; "t(\"b\",\"b\",\"b\")" ];
+  ignore (Server.Engine.submit e `Insert "t(\"c\",\"c\",\"a\")");
+  ignore (Server.Engine.commit e);
+  check_all ~when_:"after deletions";
+  check_int "three facts left plus one" 4 (List.length (fst (facts_of e "t")))
 
 (* ---- repl ---- *)
 
@@ -311,7 +512,11 @@ let () =
           test `Quick "deletion maintains" deletion_maintains;
           test `Quick "async commits coalesce" async_coalesces;
           test `Quick "snapshot isolation mid-flight" snapshot_isolation;
+          test `Quick "commit domain survives a raising job"
+            commit_domain_survives_raise;
           test `Quick "query patterns" query_patterns;
+          test `Quick "snapshot tracks the live database" snapshot_tracks_live_db;
+          test `Quick "indexed answers equal scanned" indexed_matches_scanned;
         ] );
       ( "repl",
         [
