@@ -37,7 +37,7 @@ bench:
 bench-datalog:
 	dune exec bench/main.exe -- datalog
 
-# real parallel DRed maintenance (Incremental.apply_parallel) vs the
+# real parallel DRed maintenance (Incremental.apply ~domains) vs the
 # serial walk at 2/4/8 worker domains, with a database-parity assert
 # on every configuration; writes BENCH_maintain_par.json
 bench-maintain-par:

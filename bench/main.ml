@@ -586,7 +586,7 @@ let datalog_smoke () = datalog_core ~smoke:true ()
 
 (* The paper's Table III quantity, finally measured for real: wall
    clock of DRed maintenance when the condensation components run as
-   actual tasks on P worker domains (Incremental.apply_parallel, one
+   actual tasks on P worker domains (Incremental.apply ~domains, one
    task per component, LevelBased scheduling) vs the serial walk —
    same compiled engine on both sides, so the ratio isolates the
    scheduling. Workloads: the datalog-section programs plus a wide
@@ -649,12 +649,8 @@ let mp_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ?serial_threshold ~domains
   List.iter
     (fun (adds, dels) ->
       let r =
-        if domains <= 1 && shards <= 1 then
-          Datalog.Incremental.apply ~engine ~obs db program ~additions:adds
-            ~deletions:dels
-        else
-          Datalog.Incremental.apply_parallel ~engine ~domains ~shards
-            ?serial_threshold ~obs db program ~additions:adds ~deletions:dels
+        Datalog.Incremental.apply ~engine ~domains ~shards ?serial_threshold ~obs db
+          program ~additions:adds ~deletions:dels
       in
       List.iter
         (fun (c : Datalog.Incremental.pred_change) ->
@@ -781,7 +777,7 @@ let maintain_par_smoke () = maintain_par_core ~smoke:true ()
 (* The complement of maintain-par: a workload that is ONE big SCC, so
    component-level task parallelism has nothing to chew on and any
    speedup must come from the sharded phase rounds inside the
-   component (Incremental.apply_parallel ~shards). A dense transitive
+   component (Incremental.apply ~shards). A dense transitive
    closure with a negation stratum on top: edge deletions trigger deep
    overdelete/rederive cascades whose per-round delta is large enough
    to split. The grid runs every shards x domains combination with
@@ -1026,15 +1022,11 @@ let mc_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ~maint program steps =
   List.iter
     (fun (adds, dels) ->
       let r =
-        if shards > 1 then
-          (* counting composes with sharded phase rounds: any warning
-             here (a downgrade) would invalidate the row *)
-          Datalog.Incremental.apply_parallel ~engine ~maint ~domains:1 ~shards
-            ~on_warn:(fun m -> failwith ("maintain-count: unexpected warning: " ^ m))
-            ~obs db program ~additions:adds ~deletions:dels
-        else
-          Datalog.Incremental.apply ~engine ~maint ~obs db program ~additions:adds
-            ~deletions:dels
+        (* counting composes with sharded phase rounds: any warning
+           here (a refused ownership check) would invalidate the row *)
+        Datalog.Incremental.apply ~engine ~maint ~shards
+          ~on_warn:(fun m -> failwith ("maintain-count: unexpected warning: " ^ m))
+          ~obs db program ~additions:adds ~deletions:dels
       in
       List.iter
         (fun (c : Datalog.Incremental.pred_change) ->

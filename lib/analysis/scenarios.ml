@@ -18,7 +18,7 @@
      counters — activations delivered before the [completed] bump, and
      the executor's read-completed-first termination test;
    - [comp_ownership]: the component-ownership protocol of
-     Incremental.apply_parallel — plain relation writes confined to
+     Incremental.apply ~domains — plain relation writes confined to
      the owning task, downstream reads gated on the scheduler's
      release rather than on mere activation;
    - [shard_ownership]: the (component, shard) buffer-ownership rule
@@ -290,7 +290,7 @@ let plain_race ~locked =
 
 (* ---- 6. parallel maintenance: component ownership --------------- *)
 
-(* The protocol behind Incremental.apply_parallel: each DRed task
+(* The protocol behind Incremental.apply ~domains: each DRed task
    mutates only its own component's relations (plain, unsynchronized
    writes) and reads upstream relations only after the scheduler has
    released it — i.e. after every upstream task's completion has been

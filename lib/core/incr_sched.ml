@@ -54,7 +54,7 @@ let update ?work_unit ?maint ?domains ?shards ?sanitize ?trace ?obs session
   | None, Some path ->
     (* one ring per executor worker, plus one per crew worker (shard
        [j >= 1] emits on ring [domains + j - 1], see
-       {!Datalog.Incremental.apply_parallel}) *)
+       {!Datalog.Incremental.apply}) *)
     let nd = max 1 (Option.value domains ~default:1) in
     let ns = max 1 (Option.value shards ~default:1) in
     let obs = Obs.Trace.create ~domains:(nd + ns - 1) () in

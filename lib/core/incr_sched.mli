@@ -92,7 +92,7 @@ val update :
     that many worker domains; [shards] (default 1) > 1 additionally
     fans each component's maintenance phase rounds — DRed's delete and
     insert rounds, counting's propagation rounds — out over that many
-    shard tasks (see {!Datalog.Incremental.apply_parallel}). [trace] records
+    shard tasks (see {!Datalog.Incremental.apply}). [trace] records
     the maintenance run's per-worker timeline — one ring per executor
     worker plus one per extra shard — and writes it to the given path
     as Chrome trace_event JSON (chrome://tracing or Perfetto; task
@@ -100,7 +100,7 @@ val update :
     spans) — summarize it with [dms trace] or
     {!Obs.Export.summary_of_json}. [obs] instead records into
     caller-owned rings (sized for [domains + shards - 1] writers, see
-    {!Datalog.Incremental.apply_parallel}) and leaves export to the
+    {!Datalog.Incremental.apply}) and leaves export to the
     caller — the update server threads one trace through many commits
     this way; when both are given [obs] wins and [trace] is ignored. *)
 

@@ -10,7 +10,7 @@
     condensation component. Three consumers:
 
     - {!check_ownership} turns the component-ownership rule of
-      {!Incremental.apply_parallel} — a task writes only its own
+      {!Incremental.apply} — a task writes only its own
       component's relations and reads only upstream ones — from a
       trusted convention into a verified property;
     - the {e advisor} ({!comp_info.verdict}) drives [--maint auto],

@@ -37,10 +37,18 @@ let delta_rel tbl pred ~arity =
     Hashtbl.add tbl pred r;
     r
 
-let nonempty tbl pred =
-  match Hashtbl.find_opt tbl pred with
-  | Some r -> Relation.cardinality r > 0
-  | None -> false
+let card tbl pred =
+  match Hashtbl.find_opt tbl pred with Some r -> Relation.cardinality r | None -> 0
+
+let nonempty tbl pred = card tbl pred > 0
+
+(* add [tup] to [pred]'s relation in a delta-shaped table, created on
+   first use; [true] iff new *)
+let add_to tbl pred tup =
+  Relation.add (delta_rel tbl pred ~arity:(Array.length tup)) tup
+
+let any_live tbl =
+  Hashtbl.fold (fun _ r acc -> acc || Relation.cardinality r > 0) tbl false
 
 let record_add (d : deltas) pred ~arity tup =
   let removed = delta_rel d.removed pred ~arity in
@@ -85,19 +93,13 @@ let check_edb (anal : Stratify.t) (a : Ast.atom) =
    advisor ({!Analyze}) to pick per component. Whatever the selector,
    maintenance runs with one *resolved* strategy per condensation
    component; [Dred]/[Counting] resolve uniformly, [Auto] per the
-   advisor. *)
+   advisor (which picks DRed everywhere under the interpretive
+   engine). *)
 type maint = Dred | Counting | Auto
 
 let default_warn msg = Printf.eprintf "warning: %s\n%!" msg
 
-(* Resolve the per-component strategies. Counting composes with
-   sharded phase rounds since the count/level side tables shard the
-   same way the tuple stores do (per-shard signed-delta buffers,
-   merged in shard order); no downgrade is needed for [shards > 1]
-   anymore. The interpretive engine still cannot serve counting (no
-   split-view or witness mode) — that combination is rejected up
-   front by [check_maint_engine]. *)
-let resolve_strategies ~engine ~shards:_ ~on_warn:_ anal program maint =
+let resolve_strategies ~engine anal program maint =
   let n = anal.Stratify.condensation.Dag.Scc.count in
   match maint with
   | Dred -> Array.make n Analyze.Dred
@@ -105,6 +107,49 @@ let resolve_strategies ~engine ~shards:_ ~on_warn:_ anal program maint =
   | Auto ->
     let az = Analyze.run ~engine ~anal program in
     Array.init n (fun c -> az.Analyze.comps.(c).Analyze.verdict)
+
+(* [base] with the [plus] tuples restored and the [minus] tuples
+   hidden, per predicate: the update's old view (plus = net removed,
+   minus = net added), or one counting cascade round's pre-round
+   state (a death round restores its deaths, a birth round hides its
+   births). Invariants: [plus] is disjoint from [base] (its tuples
+   were just removed) and [minus] is contained in [base] (just added /
+   still present), so membership is plus-hit, else minus-miss, else
+   base. *)
+let overlay_view ~plus ~minus (base : Matcher.view) =
+  let find tbl p =
+    match Hashtbl.find_opt tbl p with
+    | Some r when Relation.cardinality r > 0 -> Some r
+    | Some _ | None -> None
+  in
+  {
+    Matcher.mem =
+      (fun p tup ->
+        (match find plus p with Some r -> Relation.mem r tup | None -> false)
+        || ((match find minus p with
+            | Some r -> not (Relation.mem r tup)
+            | None -> true)
+           && base.Matcher.mem p tup));
+    iter_matching =
+      (fun p ~col ~value f ->
+        (match find minus p with
+        | Some m ->
+          base.Matcher.iter_matching p ~col ~value (fun t ->
+              if not (Relation.mem m t) then f t)
+        | None -> base.Matcher.iter_matching p ~col ~value f);
+        match find plus p with
+        | Some r -> Relation.iter_matching r ~col ~value f
+        | None -> ());
+    iter =
+      (fun p f ->
+        (match find minus p with
+        | Some m -> base.Matcher.iter p (fun t -> if not (Relation.mem m t) then f t)
+        | None -> base.Matcher.iter p f);
+        match find plus p with Some r -> Relation.iter f r | None -> ());
+  }
+
+(* An overlay side that hides or restores nothing; never written. *)
+let no_overlay : (string, Relation.t) Hashtbl.t = Hashtbl.create 1
 
 (* ---- the update context -----------------------------------------
 
@@ -116,7 +161,7 @@ let resolve_strategies ~engine ~shards:_ ~on_warn:_ anal program maint =
    relations and delta relations of component [c]'s own predicates —
    every body predicate is upstream or same-component by construction
    of the dependency graph — which is the ownership rule that makes
-   running components in parallel safe (see {!apply_parallel}). *)
+   running components in parallel safe (see [apply]). *)
 type ctx = {
   db : Database.t;
   program : Ast.program;
@@ -133,11 +178,10 @@ type ctx = {
   new_view : Matcher.view;
 }
 
-let make_ctx ?(shards = 1) ?(sanitize = false) ?(on_warn = default_warn) ~engine
-    ~maint db program =
+let make_ctx ?(sanitize = false) ?(on_warn = default_warn) ~engine ~maint db program =
   Aggregate.validate program;
   let anal = Stratify.analyze program in
-  let strategy = resolve_strategies ~engine ~shards ~on_warn anal program maint in
+  let strategy = resolve_strategies ~engine anal program maint in
   Matcher.register db program;
   let symbols = Database.symbols db in
   let card pred =
@@ -151,52 +195,7 @@ let make_ctx ?(shards = 1) ?(sanitize = false) ?(on_warn = default_warn) ~engine
      by [record_add]/[record_remove] (a tuple sits in at most one table,
      cancellation on re-add) makes this identity hold at every point
      during processing, so no O(database) snapshot copy is needed. *)
-  let old_view =
-    let added p = Hashtbl.find_opt d.added p in
-    let removed p = Hashtbl.find_opt d.removed p in
-    let non_empty = function
-      | Some r when Relation.cardinality r > 0 -> Some r
-      | Some _ | None -> None
-    in
-    {
-      Matcher.mem =
-        (fun p tup ->
-          let in_removed =
-            match removed p with Some r -> Relation.mem r tup | None -> false
-          in
-          in_removed
-          ||
-          let in_added =
-            match added p with Some r -> Relation.mem r tup | None -> false
-          in
-          (not in_added)
-          && (match Database.find db p with
-             | Some r -> Relation.mem r tup
-             | None -> false));
-      iter_matching =
-        (fun p ~col ~value f ->
-          (match Database.find db p with
-          | Some r -> (
-            match non_empty (added p) with
-            | Some a ->
-              Relation.iter_matching r ~col ~value (fun t ->
-                  if not (Relation.mem a t) then f t)
-            | None -> Relation.iter_matching r ~col ~value f)
-          | None -> ());
-          match non_empty (removed p) with
-          | Some r -> Relation.iter_matching r ~col ~value f
-          | None -> ());
-      iter =
-        (fun p f ->
-          (match Database.find db p with
-          | Some r -> (
-            match non_empty (added p) with
-            | Some a -> Relation.iter (fun t -> if not (Relation.mem a t) then f t) r
-            | None -> Relation.iter f r)
-          | None -> ());
-          match removed p with Some r -> Relation.iter f r | None -> ());
-    }
-  in
+  let old_view = overlay_view ~plus:d.removed ~minus:d.added new_view in
   { db; program; anal; engine; strategy; sanitize; on_warn; symbols; card;
     make_exec; d; old_view; new_view }
 
@@ -343,45 +342,13 @@ let flipped_for pr i =
 
 (* ---- counting maintenance helpers ------------------------------- *)
 
-(* [base] with the [plus] tuples restored and the [minus] tuples
-   hidden, per predicate — the same overlay shape as the global old
-   view, but over one cascade round's delta: a death round enumerates
-   with [plus] = this round's deaths (the pre-round state), a birth
-   round with [minus] = this round's births. Invariants: [plus] is
-   disjoint from [base] (its tuples were just removed) and [minus] is
-   contained in [base] (just added / still present), so membership is
-   plus-hit, else minus-miss, else base. *)
-let overlay_view ~plus ~minus (base : Matcher.view) =
-  let find tbl p =
-    match Hashtbl.find_opt tbl p with
-    | Some r when Relation.cardinality r > 0 -> Some r
-    | Some _ | None -> None
-  in
-  {
-    Matcher.mem =
-      (fun p tup ->
-        (match find plus p with Some r -> Relation.mem r tup | None -> false)
-        || ((match find minus p with
-            | Some r -> not (Relation.mem r tup)
-            | None -> true)
-           && base.Matcher.mem p tup));
-    iter_matching =
-      (fun p ~col ~value f ->
-        (match find minus p with
-        | Some m ->
-          base.Matcher.iter_matching p ~col ~value (fun t ->
-              if not (Relation.mem m t) then f t)
-        | None -> base.Matcher.iter_matching p ~col ~value f);
-        match find plus p with
-        | Some r -> Relation.iter_matching r ~col ~value f
-        | None -> ());
-    iter =
-      (fun p f ->
-        (match find minus p with
-        | Some m -> base.Matcher.iter p (fun t -> if not (Relation.mem m t) then f t)
-        | None -> base.Matcher.iter p f);
-        match find plus p with Some r -> Relation.iter f r | None -> ());
-  }
+(* Does the rule read its own component positively (recursion)? *)
+let is_recursive comp_preds (r : Ast.rule) =
+  List.exists
+    (function
+      | Ast.Pos a -> Hashtbl.mem comp_preds a.Ast.pred
+      | Ast.Neg _ | Ast.Cmp _ -> false)
+    r.Ast.body
 
 (* The single in-component positive body atom of a linear recursive
    rule, as (original position, predicate); [None] for exit rules and
@@ -429,13 +396,7 @@ let linear_pos comp_preds (r : Ast.rule) =
    them keyed by head predicate; the caller stamps them synced once
    store and counts agree. *)
 let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
-  let is_rec (r : Ast.rule) =
-    List.exists
-      (function
-        | Ast.Pos a -> Hashtbl.mem pc.comp_preds a.Ast.pred
-        | Ast.Neg _ | Ast.Cmp _ -> false)
-      r.Ast.body
-  in
+  let is_rec = is_recursive pc.comp_preds in
   let counts_of : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun pr ->
@@ -461,19 +422,6 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
     prs;
   let rec_prs = List.filter (fun pr -> is_rec pr.rule) prs in
   if rec_prs <> [] then begin
-    let arity_of pred =
-      match Database.find ctx.db pred with
-      | Some rel -> Relation.arity rel
-      | None -> invalid_arg "Incremental.recount: unregistered predicate"
-    in
-    let fresh_rel tbl pred =
-      match Hashtbl.find_opt tbl pred with
-      | Some r -> r
-      | None ->
-        let r = Relation.create ~arity:(arity_of pred) in
-        Hashtbl.add tbl pred r;
-        r
-    in
     let leveled : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
     let pinned : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
     let is_pinned pred tup =
@@ -507,10 +455,6 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
             else view.Matcher.iter p f);
       }
     in
-    let no_overlay : (string, Relation.t) Hashtbl.t = Hashtbl.create 1 in
-    let live tbl =
-      Hashtbl.fold (fun _ r acc -> acc || Relation.cardinality r > 0) tbl false
-    in
     let sup_cell_level pred tup =
       match Hashtbl.find_opt counts_of pred with
       | Some c -> (
@@ -526,15 +470,15 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
         Relation.counts_iter
           (fun tup cell ->
             if cell.Relation.level = 0 then begin
-              ignore (Relation.add (fresh_rel leveled pred) tup);
-              ignore (Relation.add (fresh_rel !round pred) tup)
+              ignore (add_to leveled pred tup);
+              ignore (add_to !round pred tup)
             end)
           c)
       counts_of;
     let r = ref 0 in
     let continue_ = ref true in
     while !continue_ do
-      if live !round then begin
+      if any_live !round then begin
         incr r;
         let cur = !round in
         let next = Hashtbl.create 4 in
@@ -571,7 +515,7 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
                              [r]; staged so it joins the leveled set
                              only at round end *)
                           if s < !r then cell.Relation.low <- cell.Relation.low + 1;
-                          ignore (Relation.add (fresh_rel next hpred) h)
+                          ignore (add_to next hpred h)
                         end)
                       pr.ex
                   | Some _ | None -> ())
@@ -589,7 +533,7 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
                 | Some cell ->
                   if cell.Relation.level = max_int then cell.Relation.level <- !r
                 | None -> ());
-                ignore (Relation.add (fresh_rel leveled pred) tup))
+                ignore (add_to leveled pred tup))
               srel)
           next;
         round := next
@@ -607,9 +551,9 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
                   | None -> false
                 in
                 if not already then begin
-                  ignore (Relation.add (fresh_rel pinned pred) tup);
-                  ignore (Relation.add (fresh_rel leveled pred) tup);
-                  ignore (Relation.add (fresh_rel fresh pred) tup);
+                  ignore (add_to pinned pred tup);
+                  ignore (add_to leveled pred tup);
+                  ignore (add_to fresh pred tup);
                   any := true
                 end))
           pc.comp_preds;
@@ -708,15 +652,159 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
     let prs = prs_by_shard.(0) in
     let input_changed = input_changed_of (List.map (fun pr -> pr.rule) prs) in
     let work = ref 0 in
-    let keep_new (r : Ast.rule) =
-      let rel = head_rel r in
-      fun tup -> not (Relation.mem rel tup)
+    let nshards = match shard_ctx with Some sc -> sc.nshards | None -> 1 in
+    (* Driving tuples of a round fired at the external trigger
+       positions: positive literals over upstream predicates read
+       [pos], negated literals (through their flipped plans) read
+       [neg]. *)
+    let ext_size ~pos ~neg =
+      List.fold_left
+        (fun acc pr ->
+          List.fold_left
+            (fun acc lit ->
+              match lit with
+              | Ast.Pos a when not (Hashtbl.mem comp_preds a.Ast.pred) ->
+                acc + card pos a.Ast.pred
+              | Ast.Neg a -> acc + card neg a.Ast.pred
+              | Ast.Pos _ | Ast.Cmp _ -> acc)
+            acc pr.rule.Ast.body)
+        0 prs
     in
-    (* ---- Phase B: rederivation over the new state ----
-       Shared by both drivers; serial either way — after overdeletion
-       the phase is empty for insert-only batches, and its fixpoint
-       mutates [overdeleted] mid-enumeration. *)
-    let rederive overdeleted =
+    (* One phase round's enumerations, fanned out over the shards. Job
+       [s] enumerates through shard [s]'s plan set, restricted by the
+       [?shard] filter to its hash slice of the driving delta, against
+       state frozen for the round, and returns what it derived; the
+       caller merges the results in shard order 0..k-1, so every
+       relation's insertion order is a pure function of the
+       derivations. Without a shard context this is the k = 1 case:
+       one job on the caller, no filter, no [shard] span. With k
+       shards the jobs run on the crew once the round has [size] >=
+       4·k driving tuples (below that the round-trip costs more than
+       it buys) and inline otherwise; each job writes only its own
+       result slot and records a [shard] span on its shard's ring. *)
+    let fanout ~size job =
+      match shard_ctx with
+      | None -> [| job 0 ~shard:None ~work |]
+      | Some sc ->
+        let k = sc.nshards in
+        let out = Array.make k None and works = Array.make k 0 in
+        let run s =
+          let ring_s = if s = 0 then ring else sc.shard_rings.(s) in
+          let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
+          let w = ref 0 in
+          out.(s) <- Some (job s ~shard:(Some (s, k)) ~work:w);
+          works.(s) <- !w;
+          if Obs.Ring.enabled ring_s then
+            Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
+        in
+        if size >= 4 * k then Parallel.Shard_crew.run sc.crew run
+        else
+          for s = 0 to k - 1 do
+            run s
+          done;
+        Array.iter (fun w -> work := !work + w) works;
+        Array.map Option.get out
+    in
+    (* ---- DRed: one round loop for phases A (overdelete) and C
+       (insert) ----
+       Round 0 fires every rule at its external trigger positions
+       ([ext_size]'s [pos]/[neg] deltas); each later round cascades
+       the tuples the previous round staged through the in-component
+       positive positions, until a round stages nothing. Enumerations
+       read [view] through {!Plan.exec_rule_deferred}, pre-filtered by
+       [keep]; the merge hands each candidate to [stage], which
+       applies it to the store and says whether it was new. Duplicates
+       across rules or shards are dropped there. *)
+    let dred_phase ~view ~pos ~neg ~keep ~stage =
+      let round ~size fire =
+        let bufs =
+          fanout ~size (fun s ~shard ~work ->
+              let acc = ref [] in
+              let exec (r : Ast.rule) ex delta =
+                Plan.exec_rule_deferred ~view ~delta ?shard ~work ~keep:(keep r)
+                  ~on_derived:(fun tup -> acc := (r, tup) :: !acc)
+                  ex
+              in
+              List.iter (fire s exec) prs_by_shard.(s);
+              List.rev !acc)
+        in
+        let next = Hashtbl.create 4 in
+        Array.iter
+          (List.iter (fun ((r : Ast.rule), tup) ->
+               if stage r tup then begin
+                 let pred = r.Ast.head.Ast.pred in
+                 let sd =
+                   match Hashtbl.find_opt next pred with
+                   | Some sd -> sd
+                   | None ->
+                     let sd =
+                       Relation.Sharded.create ~arity:(Array.length tup) ~shards:nshards
+                     in
+                     Hashtbl.add next pred sd;
+                     sd
+                 in
+                 ignore (Relation.Sharded.add sd tup)
+               end))
+          bufs;
+        next
+      in
+      let rec cascade prev =
+        let size =
+          Hashtbl.fold (fun _ sd n -> n + Relation.Sharded.cardinality sd) prev 0
+        in
+        if size > 0 then
+          cascade
+            (round ~size (fun s exec pr ->
+                 List.iteri
+                   (fun i lit ->
+                     match lit with
+                     | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
+                       match Hashtbl.find_opt prev a.Ast.pred with
+                       | Some sd ->
+                         let slice = Relation.Sharded.shard sd s in
+                         if Relation.cardinality slice > 0 then
+                           exec pr.rule pr.ex (i, slice)
+                       | None -> ())
+                     | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
+                   pr.rule.Ast.body))
+      in
+      cascade
+        (round ~size:(ext_size ~pos ~neg) (fun _ exec pr ->
+             List.iteri
+               (fun i lit ->
+                 match lit with
+                 | Ast.Pos a
+                   when (not (Hashtbl.mem comp_preds a.Ast.pred))
+                        && nonempty pos a.Ast.pred ->
+                   exec pr.rule pr.ex (i, Hashtbl.find pos a.Ast.pred)
+                 | Ast.Neg a when nonempty neg a.Ast.pred ->
+                   let fr, fex = flipped_for pr i in
+                   exec fr fex (i, Hashtbl.find neg a.Ast.pred)
+                 | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
+               pr.rule.Ast.body))
+    in
+    let run_phases_dred () =
+      (* ---- Phase A: overdeletion against the old state. Removing
+         from the live relation while recording into [d.removed]
+         cancels out under the old view, which therefore stays fixed
+         for the whole phase. ---- *)
+      phase_begin ();
+      let overdeleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+      dred_phase ~view:ctx.old_view ~pos:d.removed ~neg:d.added
+        ~keep:(fun r -> Relation.mem (head_rel r))
+        ~stage:(fun r tup ->
+          let pred = r.Ast.head.Ast.pred and arity = head_arity r in
+          if Relation.remove (head_rel r) tup then begin
+            record_remove d pred ~arity tup;
+            ignore (Relation.add (delta_rel overdeleted pred ~arity) tup);
+            true
+          end
+          else false);
+      phase_end Obs.Event.dred_delete;
+      (* ---- Phase B: rederivation over the new state ----
+         Serial at any shard count: the phase is empty for insert-only
+         batches, and its fixpoint mutates [overdeleted] mid-
+         enumeration. *)
       phase_begin ();
       let changed = ref true in
       while !changed do
@@ -731,8 +819,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
                 ~on_derived:(fun tup ->
                   if Relation.mem o tup then begin
                     let pred = r.Ast.head.Ast.pred in
-                    let rel = Database.relation ctx.db pred ~arity:(head_arity r) in
-                    if Relation.add rel tup then begin
+                    if Relation.add (head_rel r) tup then begin
                       record_add d pred ~arity:(head_arity r) tup;
                       ignore (Relation.remove o tup);
                       changed := true
@@ -742,361 +829,19 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
             | Some _ | None -> ())
           prs
       done;
-      phase_end Obs.Event.dred_rederive
-    in
-    let run_phases_serial () =
-      (* ---- Phase A: overdeletion against the old state ---- *)
-      phase_begin ();
-      let overdeleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-      let overdelete (r : Ast.rule) tup =
-        let pred = r.Ast.head.Ast.pred in
-        let rel = Database.relation ctx.db pred ~arity:(head_arity r) in
-        if Relation.remove rel tup then begin
-          record_remove d pred ~arity:(head_arity r) tup;
-          ignore (Relation.add (delta_rel overdeleted pred ~arity:(head_arity r)) tup)
-        end
-      in
-      (* round 0: external triggers. All staging callbacks here and in
-         phases B/C mutate state the enumeration is reading — the head
-         relation probed by recursive rules, and the net-delta overlay
-         [old_view] iterates — so every exec goes through
-         {!Plan.exec_rule_deferred}: derive first against frozen state,
-         apply after the walk. The deferral does not change the old
-         view: overdeletion removes from the live relation and records
-         into [d.removed], which cancel out under the overlay. *)
-      let round = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
-      let stage_round (r : Ast.rule) tup =
-        let pred = r.Ast.head.Ast.pred in
-        let rel = Database.relation ctx.db pred ~arity:(head_arity r) in
-        if Relation.mem rel tup then begin
-          (* not yet overdeleted this phase *)
-          overdelete r tup;
-          ignore (Relation.add (delta_rel !round pred ~arity:(head_arity r)) tup)
-        end
-      in
-      List.iter
-        (fun pr ->
-          let r = pr.rule in
-          List.iteri
-            (fun i lit ->
-              match lit with
-              | Ast.Pos a when nonempty d.removed a.Ast.pred ->
-                Plan.exec_rule_deferred ~view:ctx.old_view
-                  ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                  ~work
-                  ~keep:(Relation.mem (head_rel r))
-                  ~on_derived:(stage_round r) pr.ex
-              | Ast.Neg a when nonempty d.added a.Ast.pred ->
-                let fr, fex = flipped_for pr i in
-                Plan.exec_rule_deferred ~view:ctx.old_view
-                  ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                  ~work
-                  ~keep:(Relation.mem (head_rel fr))
-                  ~on_derived:(stage_round fr) fex
-              | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-            r.Ast.body)
-        prs;
-      (* cascade within the component *)
-      while Hashtbl.length !round > 0 do
-        let prev = !round in
-        round := Hashtbl.create 4;
-        List.iter
-          (fun pr ->
-            let r = pr.rule in
-            List.iteri
-              (fun i lit ->
-                match lit with
-                | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                  match Hashtbl.find_opt prev a.Ast.pred with
-                  | Some delta when Relation.cardinality delta > 0 ->
-                    Plan.exec_rule_deferred ~view:ctx.old_view ~delta:(i, delta) ~work
-                      ~keep:(Relation.mem (head_rel r))
-                      ~on_derived:(stage_round r) pr.ex
-                  | Some _ | None -> ())
-                | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-              r.Ast.body)
-          prs;
-        (* tuples staged this round that were already overdeleted in a
-           previous round were filtered by [stage_round]'s mem check *)
-        ()
-      done;
-      phase_end Obs.Event.dred_delete;
-      rederive overdeleted;
+      phase_end Obs.Event.dred_rederive;
       (* ---- Phase C: insertion against the new state ---- *)
       phase_begin ();
-      let roundc = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
-      let stage_add (r : Ast.rule) tup =
-        let pred = r.Ast.head.Ast.pred in
-        let rel = Database.relation ctx.db pred ~arity:(head_arity r) in
-        if Relation.add rel tup then begin
-          record_add d pred ~arity:(head_arity r) tup;
-          ignore (Relation.add (delta_rel !roundc pred ~arity:(head_arity r)) tup)
-        end
-      in
-      List.iter
-        (fun pr ->
-          let r = pr.rule in
-          List.iteri
-            (fun i lit ->
-              match lit with
-              | Ast.Pos a
-                when (not (Hashtbl.mem comp_preds a.Ast.pred))
-                     && nonempty d.added a.Ast.pred ->
-                Plan.exec_rule_deferred ~view:ctx.new_view
-                  ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                  ~work ~keep:(keep_new r) ~on_derived:(stage_add r) pr.ex
-              | Ast.Neg a when nonempty d.removed a.Ast.pred ->
-                let fr, fex = flipped_for pr i in
-                Plan.exec_rule_deferred ~view:ctx.new_view
-                  ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                  ~work
-                  ~keep:(keep_new fr)
-                  ~on_derived:(stage_add fr) fex
-              | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-            r.Ast.body)
-        prs;
-      while Hashtbl.length !roundc > 0 do
-        let prev = !roundc in
-        roundc := Hashtbl.create 4;
-        List.iter
-          (fun pr ->
-            let r = pr.rule in
-            List.iteri
-              (fun i lit ->
-                match lit with
-                | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                  match Hashtbl.find_opt prev a.Ast.pred with
-                  | Some delta when Relation.cardinality delta > 0 ->
-                    Plan.exec_rule_deferred ~view:ctx.new_view ~delta:(i, delta) ~work
-                      ~keep:(keep_new r) ~on_derived:(stage_add r) pr.ex
-                  | Some _ | None -> ())
-                | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-              r.Ast.body)
-          prs
-      done;
-      phase_end Obs.Event.dred_insert
-    in
-    (* ---- sharded phase drivers ----
-       Each phase round fans out into [nshards] enumerations over
-       frozen state: round 0 partitions the base deltas with Plan's
-       [?shard] filter, later rounds read their own slice of the
-       previous round's {!Relation.Sharded} delta. Shard job [s]
-       writes only its private candidate buffer ((component, shard)
-       ownership); the coordinator merges the buffers in shard order
-       0..k-1 behind the crew barrier, so the insertion order of every
-       relation and delta is a pure function of the derivations —
-       deterministic run to run. Duplicates across shards (or that a
-       serial walk's staging would have suppressed mid-round) are
-       dropped by the merge's mem/add checks; derivations a serial
-       walk found through tuples staged mid-round reappear here as
-       next-round delta hits, so the fixpoint is unchanged — only the
-       work counts can differ. *)
-    let run_phases_sharded sc =
-      let k = sc.nshards in
-      let card_of tbl pred =
-        match Hashtbl.find_opt tbl pred with
-        | Some r -> Relation.cardinality r
-        | None -> 0
-      in
-      (* below this many driving tuples a round stays on the caller:
-         the crew round-trip costs more than it buys *)
-      let gate = 4 * k in
-      let fanout ~par enumerate =
-        let bufs = Array.make k [] in
-        let works = Array.make k 0 in
-        let job s =
-          let ring_s = if s = 0 then ring else sc.shard_rings.(s) in
-          let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
-          let w = ref 0 in
-          let acc = ref [] in
-          let emit r tup = acc := (r, tup) :: !acc in
-          enumerate ~shard:s ~sprs:prs_by_shard.(s) ~emit ~work:w;
-          bufs.(s) <- List.rev !acc;
-          works.(s) <- !w;
-          if Obs.Ring.enabled ring_s then
-            Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
-        in
-        if par then Parallel.Shard_crew.run sc.crew job
-        else
-          for s = 0 to k - 1 do
-            job s
-          done;
-        Array.iter (fun w -> work := !work + w) works;
-        bufs
-      in
-      let sdelta tbl pred ~arity =
-        match Hashtbl.find_opt tbl pred with
-        | Some s -> s
-        | None ->
-          let s = Relation.Sharded.create ~arity ~shards:k in
-          Hashtbl.add tbl pred s;
-          s
-      in
-      (* ---- Phase A ---- *)
-      phase_begin ();
-      let overdeleted : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-      let snext = ref (Hashtbl.create 4 : (string, Relation.Sharded.t) Hashtbl.t) in
-      let staged = ref 0 in
-      let merge_delete bufs =
-        staged := 0;
-        Array.iter
-          (List.iter (fun ((r : Ast.rule), tup) ->
-               let pred = r.Ast.head.Ast.pred in
-               let arity = head_arity r in
-               let rel = Database.relation ctx.db pred ~arity in
-               if Relation.mem rel tup then begin
-                 ignore (Relation.remove rel tup);
-                 record_remove d pred ~arity tup;
-                 ignore (Relation.add (delta_rel overdeleted pred ~arity) tup);
-                 ignore (Relation.Sharded.add (sdelta !snext pred ~arity) tup);
-                 incr staged
-               end))
-          bufs
-      in
-      let size0 =
-        List.fold_left
-          (fun acc pr ->
-            List.fold_left
-              (fun acc lit ->
-                match lit with
-                | Ast.Pos a -> acc + card_of d.removed a.Ast.pred
-                | Ast.Neg a -> acc + card_of d.added a.Ast.pred
-                | Ast.Cmp _ -> acc)
-              acc pr.rule.Ast.body)
-          0 prs
-      in
-      merge_delete
-        (fanout ~par:(size0 >= gate) (fun ~shard ~sprs ~emit ~work ->
-             List.iter
-               (fun pr ->
-                 let r = pr.rule in
-                 List.iteri
-                   (fun i lit ->
-                     match lit with
-                     | Ast.Pos a when nonempty d.removed a.Ast.pred ->
-                       Plan.exec_rule_deferred ~view:ctx.old_view
-                         ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                         ~shard:(shard, k) ~work
-                         ~keep:(Relation.mem (head_rel r))
-                         ~on_derived:(emit r) pr.ex
-                     | Ast.Neg a when nonempty d.added a.Ast.pred ->
-                       let fr, fex = flipped_for pr i in
-                       Plan.exec_rule_deferred ~view:ctx.old_view
-                         ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                         ~shard:(shard, k) ~work
-                         ~keep:(Relation.mem (head_rel fr))
-                         ~on_derived:(emit fr) fex
-                     | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                   r.Ast.body)
-               sprs));
-      while !staged > 0 do
-        let prev = !snext in
-        let par = !staged >= gate in
-        snext := Hashtbl.create 4;
-        merge_delete
-          (fanout ~par (fun ~shard ~sprs ~emit ~work ->
-               List.iter
-                 (fun pr ->
-                   let r = pr.rule in
-                   List.iteri
-                     (fun i lit ->
-                       match lit with
-                       | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                         match Hashtbl.find_opt prev a.Ast.pred with
-                         | Some sd ->
-                           let slice = Relation.Sharded.shard sd shard in
-                           if Relation.cardinality slice > 0 then
-                             Plan.exec_rule_deferred ~view:ctx.old_view
-                               ~delta:(i, slice) ~work
-                               ~keep:(Relation.mem (head_rel r))
-                               ~on_derived:(emit r) pr.ex
-                         | None -> ())
-                       | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                     r.Ast.body)
-                 sprs))
-      done;
-      phase_end Obs.Event.dred_delete;
-      rederive overdeleted;
-      (* ---- Phase C ---- *)
-      phase_begin ();
-      let snextc = ref (Hashtbl.create 4 : (string, Relation.Sharded.t) Hashtbl.t) in
-      let merge_insert bufs =
-        staged := 0;
-        Array.iter
-          (List.iter (fun ((r : Ast.rule), tup) ->
-               let pred = r.Ast.head.Ast.pred in
-               let arity = head_arity r in
-               let rel = Database.relation ctx.db pred ~arity in
-               if Relation.add rel tup then begin
-                 record_add d pred ~arity tup;
-                 ignore (Relation.Sharded.add (sdelta !snextc pred ~arity) tup);
-                 incr staged
-               end))
-          bufs
-      in
-      let sizec =
-        List.fold_left
-          (fun acc pr ->
-            List.fold_left
-              (fun acc lit ->
-                match lit with
-                | Ast.Pos a when not (Hashtbl.mem comp_preds a.Ast.pred) ->
-                  acc + card_of d.added a.Ast.pred
-                | Ast.Neg a -> acc + card_of d.removed a.Ast.pred
-                | Ast.Pos _ | Ast.Cmp _ -> acc)
-              acc pr.rule.Ast.body)
-          0 prs
-      in
-      merge_insert
-        (fanout ~par:(sizec >= gate) (fun ~shard ~sprs ~emit ~work ->
-             List.iter
-               (fun pr ->
-                 let r = pr.rule in
-                 List.iteri
-                   (fun i lit ->
-                     match lit with
-                     | Ast.Pos a
-                       when (not (Hashtbl.mem comp_preds a.Ast.pred))
-                            && nonempty d.added a.Ast.pred ->
-                       Plan.exec_rule_deferred ~view:ctx.new_view
-                         ~delta:(i, Hashtbl.find d.added a.Ast.pred)
-                         ~shard:(shard, k) ~work ~keep:(keep_new r)
-                         ~on_derived:(emit r) pr.ex
-                     | Ast.Neg a when nonempty d.removed a.Ast.pred ->
-                       let fr, fex = flipped_for pr i in
-                       Plan.exec_rule_deferred ~view:ctx.new_view
-                         ~delta:(i, Hashtbl.find d.removed a.Ast.pred)
-                         ~shard:(shard, k) ~work
-                         ~keep:(keep_new fr)
-                         ~on_derived:(emit fr) fex
-                     | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                   r.Ast.body)
-               sprs));
-      while !staged > 0 do
-        let prev = !snextc in
-        let par = !staged >= gate in
-        snextc := Hashtbl.create 4;
-        merge_insert
-          (fanout ~par (fun ~shard ~sprs ~emit ~work ->
-               List.iter
-                 (fun pr ->
-                   let r = pr.rule in
-                   List.iteri
-                     (fun i lit ->
-                       match lit with
-                       | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-                         match Hashtbl.find_opt prev a.Ast.pred with
-                         | Some sd ->
-                           let slice = Relation.Sharded.shard sd shard in
-                           if Relation.cardinality slice > 0 then
-                             Plan.exec_rule_deferred ~view:ctx.new_view
-                               ~delta:(i, slice) ~work ~keep:(keep_new r)
-                               ~on_derived:(emit r) pr.ex
-                         | None -> ())
-                       | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                     r.Ast.body)
-                 sprs))
-      done;
+      dred_phase ~view:ctx.new_view ~pos:d.added ~neg:d.removed
+        ~keep:(fun r ->
+          let rel = head_rel r in
+          fun tup -> not (Relation.mem rel tup))
+        ~stage:(fun r tup ->
+          if Relation.add (head_rel r) tup then begin
+            record_add d r.Ast.head.Ast.pred ~arity:(head_arity r) tup;
+            true
+          end
+          else false);
       phase_end Obs.Event.dred_insert
     in
     (* ---- counting maintenance (derivation counts + B/F search) ----
@@ -1145,26 +890,20 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
        derivations never enter [low]: it may undercount (costing a
        probe), never overcount (which would be unsound).
 
-       With a shard context ([sharded]), propagation rounds — round 0,
-       death cascades, birth rounds — fan out across the shard crew
-       exactly like the DRed phase rounds: shard job [s] enumerates
+       With a shard context, propagation rounds — round 0, death
+       cascades, birth rounds — fan out through the same [fanout] as
+       the DRed phase rounds: shard job [s] enumerates
        only its hash slice of the round's delta through its own plan
        set, accumulating signed count deltas and suspect touches in
        private buffers; the coordinator merges the buffers into the
        global scratch in shard order 0..k-1 behind the crew barrier
        (counts add; newborn levels take the minimum, [low] keeps the
        contributions attaining it) and settles serially, so store,
-       counts and index end up exactly as the serial walk's. The
+       counts and index end up exactly as the unsharded run's. The
        backward search stays serial: its worklist is the small suspect
        cone, already cut down by the O(1) level check. *)
-    let run_phases_counting sharded =
-      let rec_rule (r : Ast.rule) =
-        List.exists
-          (function
-            | Ast.Pos a -> Hashtbl.mem comp_preds a.Ast.pred
-            | Ast.Neg _ | Ast.Cmp _ -> false)
-          r.Ast.body
-      in
+    let run_phases_counting () =
+      let rec_rule = is_recursive comp_preds in
       let recursive = List.exists (fun pr -> rec_rule pr.rule) prs in
       let heads : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
       List.iter
@@ -1182,7 +921,6 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
           (fun _ rel acc -> acc || Relation.counts_synced rel = None)
           heads false
       in
-      let nshards = match sharded with Some shc -> shc.nshards | None -> 1 in
       let counts_of =
         if stale then recount_comp ctx pc prs ~shards:nshards ~view:ctx.old_view ~work
         else begin
@@ -1195,10 +933,6 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
             heads;
           tbl
         end
-      in
-      let no_overlay : (string, Relation.t) Hashtbl.t = Hashtbl.create 0 in
-      let tbl_live tbl =
-        Hashtbl.fold (fun _ r acc -> acc || Relation.cardinality r > 0) tbl false
       in
       (* morgue: levels of tuples this run killed, so later death
          attribution can still classify derivations through them. One
@@ -1245,7 +979,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
          the backward phase's suspect pool (recursive comps only; a
          tuple with surviving exit support never needs the check).
          [sct]/[dec] parameterize the targets so shard jobs can fill
-         private buffers; the serial path passes the globals. *)
+         private buffers; the unsharded path passes the globals. *)
       let sc : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
       let dec_touched : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
       let bump ~sct ~dec pred exit sign sup tup =
@@ -1290,8 +1024,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
               else if cand = cell.Relation.level then
                 cell.Relation.low <- cell.Relation.low + 1
             end);
-        if sign < 0 && recursive then
-          ignore (Relation.add (delta_rel dec pred ~arity:(Array.length tup)) tup)
+        if sign < 0 && recursive then ignore (add_to dec pred tup)
       in
       let pending_births = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
       let take_births () =
@@ -1413,40 +1146,24 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
       let merge_dec dst src =
         Hashtbl.iter
           (fun pred r ->
-            Relation.iter
-              (fun tup ->
-                ignore (Relation.add (delta_rel dst pred ~arity:(Array.length tup)) tup))
-              r)
+            Relation.iter (fun tup -> ignore (add_to dst pred tup)) r)
           src
       in
-      (* run one propagation round's enumerations: serially into the
-         global scratch, or fanned out over the shard crew when the
-         driving delta is worth the crew round-trip. Shard jobs only
-         read shared state (store views, canonical cells, morgue) and
-         fill private buffers, merged here behind the barrier. *)
+      (* run one propagation round's enumerations: unsharded straight
+         into the global scratch; sharded, each job fills private
+         buffers (reading only shared state: store views, canonical
+         cells, morgue), merged here in shard order. *)
       let fanout_round ~size enumerate =
-        match sharded with
-        | Some shc when size >= 4 * shc.nshards ->
-          let k = shc.nshards in
-          let scs = Array.init k (fun _ -> Hashtbl.create 4) in
-          let decs = Array.init k (fun _ -> Hashtbl.create 4) in
-          let works = Array.make k 0 in
-          let job s =
-            let ring_s = if s = 0 then ring else shc.shard_rings.(s) in
-            let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
-            let w = ref 0 in
-            enumerate ~sprs:prs_by_shard.(s) ~sct:scs.(s) ~dec:decs.(s)
-              ~shard:(Some (s, k)) ~work:w;
-            works.(s) <- !w;
-            if Obs.Ring.enabled ring_s then
-              Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
-          in
-          Parallel.Shard_crew.run shc.crew job;
-          Array.iter (fun w -> work := !work + w) works;
-          Array.iter (fun s_sc -> merge_scratch sc s_sc) scs;
-          Array.iter (fun s_dec -> merge_dec dec_touched s_dec) decs
-        | Some _ | None ->
+        if nshards = 1 then
           enumerate ~sprs:prs ~sct:sc ~dec:dec_touched ~shard:None ~work
+        else
+          fanout ~size (fun s ~shard ~work ->
+              let sct = Hashtbl.create 4 and dec = Hashtbl.create 4 in
+              enumerate ~sprs:prs_by_shard.(s) ~sct ~dec ~shard ~work;
+              (sct, dec))
+          |> Array.iter (fun (s_sc, s_dec) ->
+                 merge_scratch sc s_sc;
+                 merge_dec dec_touched s_dec)
       in
       (* one in-component cascade round: the delta (this round's deaths
          or births, already applied to the store) drives every rule at
@@ -1492,7 +1209,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
       let cascade_deaths deaths0 =
         phase_begin ();
         let pending = ref deaths0 in
-        while tbl_live !pending do
+        while any_live !pending do
           let round = !pending in
           let pre = overlay_view ~plus:round ~minus:no_overlay ctx.new_view in
           fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:(-1) ~round ~pre);
@@ -1671,7 +1388,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
              not yet in the store); with none pending, counts ⊆ store
              — [settle] drops the cell of anything it removes — and
              the per-tuple membership hash is skipped wholesale *)
-          let check_mem = tbl_live !pending_births in
+          let check_mem = any_live !pending_births in
           Hashtbl.iter
             (fun pred c ->
               let rel = Hashtbl.find heads pred in
@@ -1700,7 +1417,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
                to debit. *)
             if
               lvl < max_int
-              && Relation.add (delta_rel condemned pred ~arity:(Array.length tup)) tup
+              && add_to condemned pred tup
             then begin
               let singleton = Relation.create ~arity:(Array.length tup) in
               ignore (Relation.add singleton tup);
@@ -1817,15 +1534,9 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
                 (fun (pred, tup, cell) ->
                   incr full_probes;
                   if provable ~hide pred tup then
-                    ignore
-                      (Relation.add
-                         (delta_rel probe_proven pred ~arity:(Array.length tup))
-                         tup)
+                    ignore (add_to probe_proven pred tup)
                   else begin
-                    ignore
-                      (Relation.add
-                         (delta_rel failed pred ~arity:(Array.length tup))
-                         tup);
+                    ignore (add_to failed pred tup);
                     condemn pred tup cell.Relation.level
                   end)
                 !(Hashtbl.find buckets lvl);
@@ -1863,10 +1574,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
                   incr full_probes;
                   if provable ~hide pred tup then begin
                     ignore (Relation.remove u tup);
-                    ignore
-                      (Relation.add
-                         (delta_rel probe_proven pred ~arity:(Array.length tup))
-                         tup);
+                    ignore (add_to probe_proven pred tup);
                     retry := true
                   end
                 end)
@@ -1923,7 +1631,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
         applied
       in
       let rec birth_rounds round =
-        if tbl_live round then begin
+        if any_live round then begin
           let pre = overlay_view ~plus:no_overlay ~minus:round ctx.new_view in
           fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:1 ~round ~pre);
           (* increments only: settle can queue further births but can
@@ -1942,23 +1650,7 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
            "externals first" serialization. *)
         phase_begin ();
         let size0 =
-          let card_of tbl pred =
-            match Hashtbl.find_opt tbl pred with
-            | Some r -> Relation.cardinality r
-            | None -> 0
-          in
-          List.fold_left
-            (fun acc pr ->
-              List.fold_left
-                (fun acc lit ->
-                  match lit with
-                  | Ast.Pos a when not (Hashtbl.mem comp_preds a.Ast.pred) ->
-                    acc + card_of d.added a.Ast.pred + card_of d.removed a.Ast.pred
-                  | Ast.Neg a ->
-                    acc + card_of d.added a.Ast.pred + card_of d.removed a.Ast.pred
-                  | Ast.Pos _ | Ast.Cmp _ -> acc)
-                acc pr.rule.Ast.body)
-            0 prs
+          ext_size ~pos:d.added ~neg:d.added + ext_size ~pos:d.removed ~neg:d.removed
         in
         let enumerate_round0 ~sprs ~sct ~dec ~shard ~work =
           List.iter
@@ -2053,21 +1745,15 @@ let process_comp_unsanitized ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepar
         Hashtbl.iter (fun _ rel -> Relation.counts_sync rel) heads
       end
     in
-    (match ctx.strategy.(comp) with
-    (* nothing upstream changed ⇒ no deltas can reach this component;
-       skipping also avoids rebuilding stale counts nobody needs yet *)
-    | Analyze.Counting ->
-      if input_changed then
-        run_phases_counting
-          (match shard_ctx with
-          | Some sc when sc.nshards > 1 && Array.length prs_by_shard = sc.nshards ->
-            Some sc
-          | Some _ | None -> None)
-    | Analyze.Dred -> (
-      match shard_ctx with
-      | Some sc when sc.nshards > 1 && Array.length prs_by_shard = sc.nshards ->
-        run_phases_sharded sc
-      | Some _ | None -> run_phases_serial ()));
+    (* Nothing upstream changed ⇒ no delta can reach this component:
+       its predicates are intensional (no base update touches them)
+       and stratification keeps negation out of an SCC, so every phase
+       of either strategy would be a no-op. Skipping also spares the
+       phase spans and the rebuild of stale counts nobody needs yet. *)
+    if input_changed then (
+      match ctx.strategy.(comp) with
+      | Analyze.Counting -> run_phases_counting ()
+      | Analyze.Dred -> run_phases_dred ());
     { comp; work = !work; output_changed = members_changed (); input_changed }
 
 (* Every mutation a component's maintenance performs — store writes,
@@ -2085,7 +1771,7 @@ let process_comp ?ring ?shard_ctx ctx (pc : prepared_comp) =
 
 let assemble_report ctx slots =
   (* components the parallel run never reached are provably untouched
-     (no upstream delta, see [apply_parallel]); report them exactly as
+     (no upstream delta, see [apply]); report them exactly as
      the serial walk would: zero work, nothing changed *)
   let activity =
     Stratify.scc_order ctx.anal
@@ -2161,9 +1847,8 @@ let with_sanitize ctx prepared f =
     Fun.protect ~finally:(fun () -> sanitize_untag_all ctx) f
   end
 
-let setup ?(shards = 1) ?sanitize ?on_warn ~engine ~maint db program ~additions
-    ~deletions =
-  let ctx = make_ctx ~shards ?sanitize ?on_warn ~engine ~maint db program in
+let setup ~shards ?sanitize ?on_warn ~engine ~maint db program ~additions ~deletions =
+  let ctx = make_ctx ?sanitize ?on_warn ~engine ~maint db program in
   List.iter (check_edb ctx.anal) additions;
   List.iter (check_edb ctx.anal) deletions;
   apply_base_updates ctx ~additions ~deletions;
@@ -2171,8 +1856,8 @@ let setup ?(shards = 1) ?sanitize ?on_warn ~engine ~maint db program ~additions
   let n = Dag.Graph.node_count ctx.anal.Stratify.condensation.Dag.Scc.dag in
   (ctx, Array.init n (prepare_comp ~shards ctx))
 
-(* the serial component walk, shared by [apply] and [apply_parallel]'s
-   small-update fallback; records DRed phase spans on ring 0 *)
+(* the serial component walk: [apply] below its parallel thresholds
+   and after a refused ownership check; records phase spans on ring 0 *)
 let run_serial_walk ~obs ?shard_ctx ctx prepared =
   let slots = Array.make (Array.length prepared) None in
   let ring = Obs.Trace.ring obs 0 in
@@ -2190,12 +1875,6 @@ let check_maint_engine ~who maint engine =
         oracle has no split-view mode)")
   (* Auto resolves to DRed everywhere under the interpretive engine *)
   | (Counting | Dred | Auto), _ -> ()
-
-let apply ?(engine = Plan.default_engine) ?(maint = Dred) ?sanitize ?on_warn
-    ?(obs = Obs.Trace.disabled) db program ~additions ~deletions =
-  check_maint_engine ~who:"Incremental.apply" maint engine;
-  let ctx, prepared = setup ?sanitize ?on_warn ~engine ~maint db program ~additions ~deletions in
-  with_sanitize ctx prepared (fun () -> run_serial_walk ~obs ctx prepared)
 
 (* Build and stamp the counting side tables of every derived component
    against the database's current (materialized) contents — one full-
@@ -2225,8 +1904,9 @@ let prime ?(engine = Plan.default_engine) db program =
 
 (* ---- parallel maintenance over the multicore executor -----------
 
-   One executor task per condensation component, running the exact
-   serial [process_comp] body. Safety rests on two facts:
+   With [domains > 1], [apply] runs one executor task per condensation
+   component, each the same [process_comp] body the serial walk runs.
+   Safety rests on two facts:
 
    - {e ownership}: a component task writes only its own predicates'
      relations and delta relations (every head predicate of its rules
@@ -2310,33 +1990,32 @@ let verify_ownership ctx prepared =
           Analyze.check_ownership ctx.anal ~comp:pc.comp ~writes ~reads))
     (Ok ()) prepared
 
-let apply_parallel ?(engine = Plan.default_engine) ?(maint = Dred) ?(domains = 4)
-    ?(shards = 1) ?(serial_threshold = serial_task_threshold) ?sched ?sanitize
-    ?on_warn ?(obs = Obs.Trace.disabled) db program ~additions ~deletions =
-  if shards < 1 then invalid_arg "Incremental.apply_parallel: shards < 1";
-  check_maint_engine ~who:"Incremental.apply_parallel" maint engine;
-  if domains <= 1 && shards <= 1 then
-    apply ~engine ~maint ?sanitize ?on_warn ~obs db program ~additions ~deletions
-  else begin
-    (match engine with
-    | Plan.Compiled -> ()
-    | Plan.Interpreted ->
-      invalid_arg
-        "Incremental.apply_parallel: the interpretive oracle is not domain-safe; \
-         use the compiled engine");
-    let sched = match sched with Some s -> s | None -> Sched.Level_based.factory in
-    let ctx, prepared =
-      setup ~shards ?sanitize ?on_warn ~engine ~maint db program ~additions ~deletions
-    in
-    Array.iter precompile_comp prepared;
-    with_sanitize ctx prepared @@ fun () ->
+let apply ?(engine = Plan.default_engine) ?(maint = Dred) ?(domains = 1) ?(shards = 1)
+    ?(serial_threshold = serial_task_threshold) ?sched ?sanitize ?on_warn
+    ?(obs = Obs.Trace.disabled) db program ~additions ~deletions =
+  if shards < 1 then invalid_arg "Incremental.apply: shards < 1";
+  check_maint_engine ~who:"Incremental.apply" maint engine;
+  let parallel = domains > 1 || shards > 1 in
+  (match engine with
+  | Plan.Interpreted when parallel ->
+    invalid_arg
+      "Incremental.apply: the interpretive oracle is not domain-safe; use the \
+       compiled engine"
+  | Plan.Compiled | Plan.Interpreted -> ());
+  let ctx, prepared =
+    setup ~shards ?sanitize ?on_warn ~engine ~maint db program ~additions ~deletions
+  in
+  if parallel then Array.iter precompile_comp prepared;
+  with_sanitize ctx prepared @@ fun () ->
+  if not parallel then run_serial_walk ~obs ctx prepared
+  else
     match verify_ownership ctx prepared with
     | Error msg ->
       (* a plan set reaching outside its declared ownership would make
          parallel dispatch unsound: refuse it and run serially, which
          needs no ownership at all *)
       ctx.on_warn
-        ("apply_parallel: static ownership verification failed — " ^ msg
+        ("apply: static ownership verification failed — " ^ msg
        ^ "; refusing parallel dispatch, running the serial walk");
       run_serial_walk ~obs ctx prepared
     | Ok () ->
@@ -2393,6 +2072,7 @@ let apply_parallel ?(engine = Plan.default_engine) ?(maint = Dred) ?(domains = 4
           if domains <= 1 || active < serial_threshold then
             run_serial_walk ~obs ?shard_ctx ctx prepared
           else begin
+            let sched = Option.value sched ~default:Sched.Level_based.factory in
             let slots = Array.make n None in
             let run_task ~wid c =
               slots.(c) <-
@@ -2406,4 +2086,3 @@ let apply_parallel ?(engine = Plan.default_engine) ?(maint = Dred) ?(domains = 4
             assemble_report ctx slots
           end)
     end
-  end

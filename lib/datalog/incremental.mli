@@ -93,60 +93,18 @@ type maint = Dred | Counting | Auto
     uniformly; [Auto] asks the static advisor ({!Analyze}) per
     component — Counting where its features say it is safe and
     profitable (nonrecursive, or linear recursion with strong exit
-    support, no negation or aggregates), DRed otherwise. The one
-    combination counting cannot serve (the interpretive engine under
-    [Auto]) downgrades the affected components to DRed with a message
-    through [on_warn] instead of failing. *)
-
-val apply :
-  ?engine:Plan.engine ->
-  ?maint:maint ->
-  ?sanitize:bool ->
-  ?on_warn:(string -> unit) ->
-  ?obs:Obs.Trace.t ->
-  Database.t ->
-  Ast.program ->
-  additions:Ast.atom list ->
-  deletions:Ast.atom list ->
-  report
-(** Update base facts and restore the materialization. [db] must hold a
-    completed materialization of [program] (via {!Eval.run}). Atoms must
-    be ground and extensional. [engine] (default {!Plan.Compiled})
-    selects compiled plans or the interpretive oracle; both restore the
-    same database. [maint] (default {!Dred}) selects the maintenance
-    algorithm. [sanitize] (default false) arms the write-set sanitizer:
-    every relation and delta pair is tagged with its owning component,
-    each component's maintenance runs inside a matching
-    {!Relation.Sanitize.with_writer} scope, and a mutation that crosses
-    component ownership raises {!Relation.Sanitize.Violation} naming
-    the relation and both tasks (tags are removed before returning).
-    [on_warn] (default: print to stderr) receives advisory downgrade
-    messages — see {!maint}. [obs] (default disabled) records a phase
-    span per maintained component on the trace's ring 0 — delete /
-    rederive / insert under DRed, count-propagate / backward / forward
-    under Counting, tagged with the component id.
-    @raise Invalid_argument on a non-ground or intensional atom, or for
-    [~maint:Counting] with the interpretive engine. *)
-
-val prime : ?engine:Plan.engine -> Database.t -> Ast.program -> int
-(** Build and version-stamp the derivation-count side tables of every
-    derived predicate against the database's current (materialized)
-    contents — one full-join pass per rule; returns the tuples
-    examined. Optional: the first [apply ~maint:Counting] rebuilds
-    stale counts itself; priming just moves that cost out of the
-    update. Counts are per program: priming with one program and
-    maintaining with another is only safe if the database was touched
-    in between (the version stamp then forces a rebuild).
-    @raise Invalid_argument with the interpretive engine. *)
+    support, no negation or aggregates), DRed otherwise. Under the
+    interpretive engine the advisor resolves every component of [Auto]
+    to DRed, silently. *)
 
 val serial_task_threshold : int
-(** Default [serial_threshold] of {!apply_parallel}: activation
-    wavefronts smaller than this run the serial walk — the executor's
-    per-run dispatch overhead (waking its parked worker crew, the start
+(** Default [serial_threshold] of {!apply}: activation wavefronts
+    smaller than this run the serial walk — the executor's per-run
+    dispatch overhead (waking its parked worker crew, the start
     barrier, a scheduler critical section per batch) exceeds the update
     cost on such small task counts. *)
 
-val apply_parallel :
+val apply :
   ?engine:Plan.engine ->
   ?maint:maint ->
   ?domains:int ->
@@ -161,69 +119,92 @@ val apply_parallel :
   additions:Ast.atom list ->
   deletions:Ast.atom list ->
   report
-(** {!apply}, with the components maintained as real tasks on the
-    multicore executor ({!Parallel.Executor}) under [sched] (default
-    the paper's LevelBased scheduler), [domains] worker domains
-    (default 4; [domains <= 1] with [shards <= 1] falls back to the
-    serial walk). The task DAG is the condensation of the predicate
-    dependency graph with every edge marked changed — which inputs
-    actually changed is only discovered as tasks run — and the changed
-    extensional components as initial tasks. Each task writes only its
-    own component's relations and deltas and reads upstream state that
-    the scheduler's precedence guarantees is quiescent, so the final
-    database and report are the serial ones (up to interning order of
-    aggregate-minted constants, and [work] counts, whose phase-B round
-    structure may differ with hashing order). All plans are compiled
-    and delta tables created serially before the first task runs.
+(** Update base facts and restore the materialization. [db] must hold a
+    completed materialization of [program] (via {!Eval.run}). Atoms must
+    be ground and extensional. [engine] (default {!Plan.Compiled})
+    selects compiled plans or the interpretive oracle; both restore the
+    same database. [maint] (default {!Dred}) selects the per-component
+    maintenance algorithm. Components are walked in evaluation order;
+    one whose inputs did not change is skipped (zero work, no phase
+    spans).
 
-    [shards] (default 1) additionally splits each component's DRed
-    delete and insert rounds into per-shard enumerations over a
-    {!Parallel.Shard_crew}: round inputs are partitioned by the
-    {!Relation.shard_of_tuple} hash of the delta tuple's key column,
-    each shard derives into a private buffer against frozen state, and
-    the coordinator merges buffers in shard order 0..k-1 behind the
-    crew barrier — so results, including iteration order, stay
-    deterministic and equal to the serial walk's (again up to [work]
-    counts: cross-shard duplicate derivations are dropped at the merge
-    rather than at staging time).
+    Every component runs one round driver. A DRed phase (delete,
+    insert) fires its rules at the external trigger positions, then
+    cascades through the in-component positions round by round; each
+    round enumerates against state frozen for the round and merges
+    what it derived afterwards. Rederive runs serially in between.
 
-    When the conservative wavefront holds fewer than [serial_threshold]
-    (default {!serial_task_threshold}) active component tasks, the
-    update runs the serial walk — still sharded when [shards > 1] —
-    instead of paying the executor's dispatch overhead.
+    [domains] (default 1) > 1 maintains the components as real tasks on
+    the multicore executor ({!Parallel.Executor}) under [sched] (default
+    the paper's LevelBased scheduler). The task DAG is the condensation
+    of the predicate dependency graph with every edge marked changed —
+    which inputs actually changed is only discovered as tasks run — and
+    the changed extensional components as initial tasks. Each task
+    writes only its own component's relations and deltas and reads
+    upstream state that the scheduler's precedence guarantees is
+    quiescent, so the final database and report equal the serial walk's
+    (up to interning order of aggregate-minted constants, and [work]
+    counts, whose rederive round structure may follow hash order). When the
+    conservative wavefront holds fewer than [serial_threshold] (default
+    {!serial_task_threshold}) component tasks, the update runs the
+    serial walk instead of paying the executor's dispatch overhead.
 
-    [maint] (default {!Dred}) selects the per-component maintenance
-    strategy, as in {!apply}; component-level parallelism (ownership +
-    precedence) is algorithm-agnostic, and counting shards natively —
-    with [shards > 1] each counting component's propagation rounds
-    (the external delta, death cascades, birth rounds) partition by
-    the same key-column hash, each shard accumulating signed count
-    deltas in private buffers that the coordinator merges in shard
-    order (counts add, newborn levels take the minimum) before
-    settling serially, so counts, the level index, and the database
-    equal the serial walk's. The backward search stays serial: its
-    worklist is the suspect cone, already cut down by the O(1) level
-    check.
+    [shards] (default 1) > 1 splits each round of a component — DRed's
+    delete and insert rounds, counting's propagation rounds (the
+    external delta, death cascades, birth rounds) — into per-shard
+    enumerations over a {!Parallel.Shard_crew}: round inputs are
+    partitioned by the {!Relation.shard_of_tuple} hash of the delta
+    tuple's key column, each shard derives into a private buffer
+    against frozen state, and the coordinator merges buffers in shard
+    order 0..k-1 — so results, including iteration order, are
+    deterministic, and the database equals the unsharded one. Counting
+    merges signed count deltas (counts add, newborn levels take the
+    minimum) before settling serially; its backward search stays
+    serial. [work] counts may differ between shard counts: cross-shard
+    duplicate derivations are dropped at the merge.
 
-    Before dispatching any task, the driver statically verifies the
-    ownership rule it relies on: every prepared component's write set
-    (rule heads) and read set (the {!Plan.exec_reads} of its compiled
-    plan stores, flipped-negation variants included) are checked by
-    {!Analyze.check_ownership} against the condensation. A violation —
-    a plan probing a relation that is neither same-component nor
-    upstream — refuses parallel dispatch: the update runs the serial
-    walk, which needs no ownership, and [on_warn] carries the verifier
-    message. [sanitize] additionally arms the runtime write-set checks
-    of {!apply} (tags work unchanged across worker domains: the writer
-    scope is domain-local).
+    With [domains > 1] or [shards > 1] every plan is compiled and every
+    delta table created before the first task runs, and the driver
+    statically verifies the ownership rule it relies on: every prepared
+    component's write set (rule heads) and read set (the
+    {!Plan.exec_reads} of its compiled plan stores, flipped-negation
+    variants included) are checked by {!Analyze.check_ownership}
+    against the condensation. A violation — a plan probing a relation
+    that is neither same-component nor upstream — refuses parallel
+    dispatch: the update runs the unsharded serial walk, which needs
+    no ownership, and [on_warn] (default: print to stderr) carries the
+    verifier message. That refusal is the only message [on_warn] ever
+    receives.
 
-    [obs] (default disabled) threads the executor's per-worker tracing
-    (task / steal / park / scheduler-lock events) through the run and
-    adds maintenance phase spans on the executing worker's ring;
-    sharded rounds add [shard] spans, shard 0 on the coordinating
-    worker's ring, shard [j >= 1] on ring [max 1 domains + j - 1].
-    Recording never changes maintenance results.
+    [sanitize] (default false) arms the write-set sanitizer: every
+    relation and delta pair is tagged with its owning component, each
+    component's maintenance runs inside a matching
+    {!Relation.Sanitize.with_writer} scope (domain-local, so tags work
+    unchanged across worker domains), and a mutation that crosses
+    component ownership raises {!Relation.Sanitize.Violation} naming
+    the relation and both tasks (tags are removed before returning).
+
+    [obs] (default disabled) records a phase span per maintained
+    component — delete / rederive / insert under DRed, count-propagate
+    / backward / forward under Counting, tagged with the component id —
+    on ring 0 for the serial walk, on the executing worker's ring
+    otherwise, together with the executor's per-worker task / steal /
+    park / scheduler-lock events. Sharded rounds add [shard] spans,
+    shard 0 on the coordinating ring, shard [j >= 1] on ring
+    [max 1 domains + j - 1]. Recording never changes maintenance
+    results.
     @raise Invalid_argument on a non-ground or intensional atom, if
-    [shards < 1], or if [engine] is {!Plan.Interpreted} with
-    [domains > 1] or [shards > 1] or [maint = Counting]
+    [shards < 1], for [~maint:Counting] with the interpretive engine,
+    or for the interpretive engine with [domains > 1] or [shards > 1]
     @raise Failure if a maintenance task raises. *)
+
+val prime : ?engine:Plan.engine -> Database.t -> Ast.program -> int
+(** Build and version-stamp the derivation-count side tables of every
+    derived predicate against the database's current (materialized)
+    contents — one full-join pass per rule; returns the tuples
+    examined. Optional: the first [apply ~maint:Counting] rebuilds
+    stale counts itself; priming just moves that cost out of the
+    update. Counts are per program: priming with one program and
+    maintaining with another is only safe if the database was touched
+    in between (the version stamp then forces a rebuild).
+    @raise Invalid_argument with the interpretive engine. *)

@@ -4,15 +4,11 @@ type t = {
   labels : string array;
 }
 
-let of_update ?(work_unit = 1e-6) ?engine ?maint ?(domains = 1) ?(shards = 1)
-    ?sanitize ?on_warn ?obs db program ~additions ~deletions =
+let of_update ?(work_unit = 1e-6) ?engine ?maint ?domains ?shards ?sanitize ?on_warn
+    ?obs db program ~additions ~deletions =
   let report =
-    if domains > 1 || shards > 1 then
-      Incremental.apply_parallel ?engine ?maint ~domains ~shards ?sanitize
-        ?on_warn ?obs db program ~additions ~deletions
-    else
-      Incremental.apply ?engine ?maint ?sanitize ?on_warn ?obs db program
-        ~additions ~deletions
+    Incremental.apply ?engine ?maint ?domains ?shards ?sanitize ?on_warn ?obs db
+      program ~additions ~deletions
   in
   let anal = report.Incremental.analysis in
   let cond = anal.Stratify.condensation in

@@ -40,16 +40,15 @@ val of_update :
     of simulated processing time (default [1e-6]). [engine] and [maint]
     (default DRed) are passed through to {!Incremental.apply} —
     [~maint:Counting] maintains by derivation counts instead of
-    delete-rederive. [domains] (default 1) > 1 or
-    [shards] (default 1) > 1 runs the maintenance itself in parallel
-    via {!Incremental.apply_parallel} — [shards] splits each
-    component's DRed phase rounds into per-shard fan-out tasks; the
-    resulting trace is built from that run's report the same way.
-    [sanitize] and [on_warn] are passed through — the write-set
-    sanitizer and the downgrade/ownership warning sink of
-    {!Incremental.apply}. [obs] records the maintenance run's timeline (see
-    {!Incremental.apply_parallel}); the [labels] field names its task
-    spans when exporting with {!Obs.Export.to_file}. *)
+    delete-rederive. [domains] and [shards] (default 1 each) are passed
+    through too: > 1 runs the maintenance itself on executor worker
+    domains or splits each component's rounds into per-shard fan-out
+    tasks; the resulting trace is built from that run's report the
+    same way. [sanitize] and [on_warn] are passed through — the
+    write-set sanitizer and the ownership-refusal warning sink of
+    {!Incremental.apply}. [obs] records the maintenance run's timeline
+    (see {!Incremental.apply}); the [labels] field names its task spans
+    when exporting with {!Obs.Export.to_file}. *)
 
 val node_of_pred : t -> string -> int option
 (** The task node evaluating the given predicate. *)

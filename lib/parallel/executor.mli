@@ -82,7 +82,7 @@ val run :
     runs exactly once, strictly after every body of an activated
     ancestor task has returned and its completion was flushed to the
     scheduler — the precedence guarantee real maintenance work
-    ({!Datalog.Incremental.apply_parallel}) relies on for quiescent
+    ({!Datalog.Incremental.apply}) relies on for quiescent
     upstream reads. A body must confine its writes to state owned by
     its task; if it raises, the run is aborted (every worker exits at
     its next shared-state check) and {!run} raises [Failure] with the

@@ -2,7 +2,7 @@
 
     The trace executor ({!Executor}) parallelizes across tasks of a
     static DAG; sharded incremental maintenance
-    ({!Datalog.Incremental.apply_parallel}) also needs parallelism
+    ({!Datalog.Incremental.apply}) also needs parallelism
     {e inside} one task — each semi-naive round of a DRed phase fans
     the shard slices out, barriers, and the coordinator merges. Rounds
     are data-dependent, so they cannot be nodes of the executor's

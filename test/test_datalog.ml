@@ -797,7 +797,7 @@ let engine_differential_qcheck =
       done;
       !ok)
 
-(* ---------- Parallel maintenance (apply_parallel) ---------- *)
+(* ---------- Parallel maintenance (apply ~domains) ---------- *)
 
 (* The parallel-maintenance acceptance property: running the DRed
    component tasks on the multicore executor at any domain count
@@ -845,7 +845,7 @@ let parallel_differential_qcheck =
         List.iter
           (fun (domains, db) ->
             let r =
-              Datalog.Incremental.apply_parallel ~engine:Datalog.Plan.Compiled
+              Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
                 ~domains db program ~additions:adds ~deletions:dels
             in
             ok := !ok && Datalog.Eval.databases_agree serial db = Ok ();
@@ -860,13 +860,13 @@ let parallel_rejects_interpreter () =
   let db = Datalog.Database.create () in
   let _ = Datalog.Eval.run db program in
   match
-    Datalog.Incremental.apply_parallel ~engine:Datalog.Plan.Interpreted ~domains:2
+    Datalog.Incremental.apply ~engine:Datalog.Plan.Interpreted ~domains:2
       db program ~additions:[ atom {|e("b","c")|} ] ~deletions:[]
   with
   | _ -> Alcotest.fail "interpreted engine must be rejected at domains > 1"
   | exception Invalid_argument _ -> ()
 
-(* ---------- Sharded maintenance (apply_parallel ~shards) ---------- *)
+(* ---------- Sharded maintenance (apply ~shards) ---------- *)
 
 let sharded_relation_units () =
   let s = Datalog.Relation.Sharded.create ~arity:2 ~shards:4 in
@@ -956,7 +956,7 @@ let sharded_differential_qcheck =
                sanitizer must be inert on safe runs — bit-identical
                results, no violations, across the whole grid *)
             let r =
-              Datalog.Incremental.apply_parallel ~engine:Datalog.Plan.Compiled
+              Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
                 ~shards ~domains ?serial_threshold ~sanitize:true db program
                 ~additions:adds ~deletions:dels
             in
@@ -987,7 +987,7 @@ let sharded_merge_deterministic () =
     List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) base;
     let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db program in
     ignore
-      (Datalog.Incremental.apply_parallel ~engine:Datalog.Plan.Compiled ~shards:4
+      (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled ~shards:4
          ~domains:2 ~serial_threshold:0 db program
          ~additions:[ atom {|edge("n3","n0")|}; atom {|edge("n12","n1")|} ]
          ~deletions:[ atom {|edge("n0","n1")|} ]);
@@ -1021,7 +1021,7 @@ let sharded_fallback_serial () =
     let obs = Obs.Trace.create ~domains () in
     let db = load () in
     ignore
-      (Datalog.Incremental.apply_parallel ~engine:Datalog.Plan.Compiled ~domains
+      (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled ~domains
          ?serial_threshold ~obs db program
          ~additions:[ atom {|edge("b","c")|} ]
          ~deletions:[]);
@@ -1500,7 +1500,7 @@ let counting_sharded_differential_qcheck =
         List.iter
           (fun ((shards, domains), db) ->
             ignore
-              (Datalog.Incremental.apply_parallel ~maint:Datalog.Incremental.Counting
+              (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting
                  ~shards ~domains db program ~additions ~deletions))
           cnts;
         let scratch = load !live in
@@ -1544,7 +1544,7 @@ let counting_rejects_unsupported () =
        ~additions:adds ~deletions:[]);
   let warned = ref [] in
   let r =
-    Datalog.Incremental.apply_parallel ~maint:Datalog.Incremental.Counting
+    Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting ~domains:4
       ~shards:2 ~on_warn:(fun m -> warned := m :: !warned) db program
       ~additions:adds ~deletions:[]
   in
@@ -1563,7 +1563,7 @@ let counting_rejects_unsupported () =
   (* domains > 1 with shards = 1 stays legal: component-level
      parallelism is algorithm-agnostic *)
   ignore
-    (Datalog.Incremental.apply_parallel ~maint:Datalog.Incremental.Counting
+    (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting
        ~domains:2 db program ~additions:adds ~deletions:[])
 
 (* ---------- Static analysis (Analyze) ---------- *)
@@ -1795,7 +1795,7 @@ let auto_differential () =
           ~additions ~deletions
       in
       let rp =
-        Datalog.Incremental.apply_parallel ~maint:Datalog.Incremental.Auto
+        Datalog.Incremental.apply ~maint:Datalog.Incremental.Auto
           ~domains:2 ~serial_threshold:0 par program ~additions ~deletions
       in
       check_bool "auto equals dred" true
