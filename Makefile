@@ -1,4 +1,4 @@
-.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-shard bench-maintain-count bench-serve model-check model-check-smoke ci clean
+.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-shard bench-maintain-count bench-serve model-check model-check-smoke servebench-selftest ci clean
 
 all: build
 
@@ -79,8 +79,13 @@ bench-smoke:
 bench-check:
 	dune exec tools/bench_check.exe -- --baseline tools/baselines --fresh .
 
+# the serve-path benchmark's self-check: every workload, parity and
+# layer attribution, about a minute
+servebench-selftest:
+	python3 servebench/selftest.py
+
 # what .github/workflows/ci.yml runs per compiler
-ci: build test analyze bench-smoke bench-check
+ci: build test analyze bench-smoke bench-check servebench-selftest
 
 clean:
 	dune clean

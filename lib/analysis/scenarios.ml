@@ -357,7 +357,8 @@ let comp_ownership ~gated =
 (* ---- 7. intra-component sharding: buffer ownership -------------- *)
 
 (* The (component, shard) ownership rule behind the sharded phase
-   rounds of Incremental.process_comp: during a fan-out, shard job [s]
+   rounds of component maintenance (Maint.fanout, as called by the
+   DRed and counting rounds): during a fan-out, shard job [s]
    writes only its own candidate buffer (a plain, unsynchronized
    store), and the coordinator reads every buffer only behind the
    crew's completion barrier — Shard_crew's mutex handoff, modeled

@@ -1,0 +1,1038 @@
+(* Counting maintenance of one [Rules] component — derivation counts
+   with Backward/Forward search and the well-founded support index —
+   and the count-table (re)build behind it. The only module that knows
+   the count-cell encoding; see {!Maint.env} for what [run] reads. *)
+
+open Maint
+
+(* ---- counting maintenance helpers ------------------------------- *)
+
+(* Does the rule read its own component positively (recursion)? *)
+let is_recursive comp_preds (r : Ast.rule) =
+  List.exists
+    (function
+      | Ast.Pos a -> Hashtbl.mem comp_preds a.Ast.pred
+      | Ast.Neg _ | Ast.Cmp _ -> false)
+    r.Ast.body
+
+(* The single in-component positive body atom of a linear recursive
+   rule, as (original position, predicate); [None] for exit rules and
+   for non-linear recursion. Only derivations through a linear rule
+   carry a usable supporter witness: with two in-component atoms the
+   well-founded level of a derivation is the max over both, which a
+   single witness cannot name — such derivations stay out of [low]
+   (an undercount, the safe direction). *)
+let linear_pos comp_preds (r : Ast.rule) =
+  let found = ref [] in
+  List.iteri
+    (fun i lit ->
+      match lit with
+      | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred ->
+        found := (i, a.Ast.pred) :: !found
+      | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
+    r.Ast.body;
+  match !found with [ (i, p) ] -> Some (i, p) | _ -> None
+
+(* A rule's supporter-witness hook for {!Plan.exec_rule}, paired with a
+   reader of the level [level_of] gave the supporter of the derivation
+   just emitted — [max_int] for rules {!linear_pos} rejects. *)
+let witness comp_preds level_of (r : Ast.rule) =
+  match linear_pos comp_preds r with
+  | None -> (None, fun () -> max_int)
+  | Some (w, p) ->
+    let supr = ref max_int in
+    (Some (w, fun tup -> supr := level_of p tup), fun () -> !supr)
+
+(* Fire every rule at each in-component positive position whose
+   predicate has tuples in [round], joining earlier positions against
+   [view] and later ones against [late_view]. [emit hpred], resolved
+   once per rule, receives each derivation's supporter level (see
+   [witness]) and head. The recount fixpoint and the cascade rounds
+   both enumerate through here. *)
+let fire_in_comp comp_preds ~level_of ~view ~late_view ~round ?shard ~work prs emit =
+  List.iter
+    (fun pr ->
+      let r = pr.rule in
+      let witness, sup = witness comp_preds level_of r in
+      let emit = emit r.Ast.head.Ast.pred in
+      List.iteri
+        (fun i lit ->
+          match lit with
+          | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
+            match Hashtbl.find_opt round a.Ast.pred with
+            | Some delta when Relation.cardinality delta > 0 ->
+              Plan.exec_rule ?witness ?shard ~view ~late_view ~delta:(i, delta) ~work
+                ~on_derived:(fun h -> emit (sup ()) h)
+                pr.ex
+            | Some _ | None -> ())
+          | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
+        r.Ast.body)
+    prs
+
+(* [pred]'s count table in a predicate-keyed table, created on first
+   use — as {!Maint.delta_rel} is for relations *)
+let counts_in tbl pred =
+  match Hashtbl.find_opt tbl pred with
+  | Some c -> c
+  | None ->
+    let c = Relation.counts_create () in
+    Hashtbl.add tbl pred c;
+    c
+
+(* [tup]'s cell in [pred]'s table of a predicate-keyed count table *)
+let cell_in tbl pred tup =
+  match Hashtbl.find_opt tbl pred with Some c -> Relation.count_find c tup | None -> None
+
+(* that cell's level, [max_int] when there is no cell *)
+let level_in tbl pred tup =
+  match cell_in tbl pred tup with Some cell -> cell.Relation.level | None -> max_int
+
+(* (Re)build a [Rules] component's derivation-count side tables — and
+   the well-founded support index — against [view], level-stratified:
+
+   - exit pass: each exit rule's base plan enumerates its derivations
+     in one full join; heads get [exits] and level 0 (an exit
+     derivation is acyclic support by construction);
+   - recursive fixpoint: recursive-rule derivations are enumerated
+     semi-naively over the *leveled* subset of the component — round
+     [r]'s delta is the set of tuples first leveled in round [r - 1],
+     telescoped through {!Plan.run}'s [late_view] so each derivation
+     is counted exactly once — giving exact [recs] and, as a
+     byproduct, iteration levels: a tuple first derivable in round [r]
+     gets level [r]. [low] counts the derivations of linear rules
+     whose witness supporter has a *cell* level strictly below the
+     head's level; pinned supporters (no cell) and non-linear rules
+     contribute nothing, so [low] may undercount but never overcounts;
+   - stall: when the deltas dry up with component tuples still
+     unleveled, their support runs through base facts listed for
+     derived predicates (which no rule re-derives). All still-unleveled
+     present tuples are pinned at level 0 — without cells, so the
+     settle path keeps treating such base facts defensively — and join
+     the next delta, so their consumers' derivations are still
+     enumerated exactly once and the fixpoint resumes.
+
+   Attaches fresh tables ([shards] cell partitions each) and returns
+   them keyed by head predicate; the caller stamps them synced once
+   store and counts agree. *)
+let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
+  let is_rec = is_recursive pc.comp_preds in
+  let counts_of : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
+  List.iter
+    (fun pr ->
+      let pred = pr.rule.Ast.head.Ast.pred in
+      if not (Hashtbl.mem counts_of pred) then
+        Hashtbl.add counts_of pred (Relation.counts_attach ~shards (head_rel ctx pr.rule)))
+    prs;
+  List.iter
+    (fun pr ->
+      if not (is_rec pr.rule) then begin
+        let c = Hashtbl.find counts_of pr.rule.Ast.head.Ast.pred in
+        Plan.exec_rule ~view ~work
+          ~on_derived:(fun tup ->
+            let cell = Relation.count_cell c tup in
+            cell.Relation.exits <- cell.Relation.exits + 1;
+            cell.Relation.level <- 0)
+          pr.ex
+      end)
+    prs;
+  let rec_prs = List.filter (fun pr -> is_rec pr.rule) prs in
+  if rec_prs <> [] then begin
+    let leveled : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+    let pinned : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+    let in_comp p = Hashtbl.mem pc.comp_preds p in
+    let leveled_view =
+      {
+        Matcher.mem =
+          (fun p tup -> if in_comp p then mem_in leveled p tup else view.Matcher.mem p tup);
+        iter_matching =
+          (fun p ~col ~value f ->
+            if in_comp p then (
+              match Hashtbl.find_opt leveled p with
+              | Some r -> Relation.iter_matching r ~col ~value f
+              | None -> ())
+            else view.Matcher.iter_matching p ~col ~value f);
+        iter = (fun p f -> if in_comp p then iter_net leveled p f else view.Matcher.iter p f);
+      }
+    in
+    (* round 1's delta: the exit-leveled tuples *)
+    let round = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
+    Hashtbl.iter
+      (fun pred c ->
+        Relation.counts_iter
+          (fun tup cell ->
+            if cell.Relation.level = 0 then begin
+              ignore (add_to leveled pred tup);
+              ignore (add_to !round pred tup)
+            end)
+          c)
+      counts_of;
+    let r = ref 0 in
+    let continue_ = ref true in
+    while !continue_ do
+      if any_live !round then begin
+        incr r;
+        let cur = !round in
+        let next = Hashtbl.create 4 in
+        let late = overlay_view ~plus:no_overlay ~minus:cur leveled_view in
+        fire_in_comp pc.comp_preds ~level_of:(level_in counts_of) ~view:leveled_view
+          ~late_view:late ~round:cur ~work rec_prs (fun hpred ->
+            let c = Hashtbl.find counts_of hpred in
+            fun s h ->
+              let cell = Relation.count_cell c h in
+              cell.Relation.recs <- cell.Relation.recs + 1;
+              if cell.Relation.level < max_int then begin
+                if s < cell.Relation.level then cell.Relation.low <- cell.Relation.low + 1
+              end
+              else if not (mem_in pinned hpred h) then begin
+                (* first derivable this round: will get level [r];
+                   staged so it joins the leveled set only at round
+                   end *)
+                if s < !r then cell.Relation.low <- cell.Relation.low + 1;
+                ignore (add_to next hpred h)
+              end);
+        (* staged fresh levels are assigned only now: the round's views
+           must not see mid-round additions *)
+        Hashtbl.iter
+          (fun pred srel ->
+            let c = Hashtbl.find counts_of pred in
+            Relation.iter
+              (fun tup ->
+                (match Relation.count_find c tup with
+                | Some cell ->
+                  if cell.Relation.level = max_int then cell.Relation.level <- !r
+                | None -> ());
+                ignore (add_to leveled pred tup))
+              srel)
+          next;
+        round := next
+      end
+      else begin
+        (* stalled: pin still-unleveled present tuples at level 0 *)
+        let fresh = Hashtbl.create 4 in
+        let any = ref false in
+        Hashtbl.iter
+          (fun pred () ->
+            view.Matcher.iter pred (fun tup ->
+                if not (mem_in leveled pred tup) then begin
+                  ignore (add_to pinned pred tup);
+                  ignore (add_to leveled pred tup);
+                  ignore (add_to fresh pred tup);
+                  any := true
+                end))
+          pc.comp_preds;
+        if !any then round := fresh else continue_ := false
+      end
+    done
+  end;
+  counts_of
+
+(* ---- counting maintenance (derivation counts + B/F search) ----
+
+   The deletion-side replacement for DRed's overdelete/rederive:
+   per-tuple derivation counts (split exit/recursive) live in
+   {!Relation}'s side table and are maintained by signed delta
+   propagation — a tuple dies exactly when its count reaches zero,
+   so nothing is over-deleted and rederivation shrinks to a
+   backward check of the few decremented-but-surviving tuples
+   without exit support. Every enumeration uses the telescoped
+   split-view form: the delta literal at body position i joins
+   positions j < i against the already-updated state and positions
+   j > i against the not-yet-updated state ({!Plan.run}'s
+   [late_view]), which makes the signed counts exact for arbitrary
+   batches, self-joins included. Work inside the component is
+   serialized as: external deltas (round 0), then death cascade
+   rounds, then backward removals (looping with further cascades),
+   then birth rounds — and each round's enumerations read exactly
+   the store state that order implies: deaths/births already
+   applied count as "early" state, the round's own delta restored/
+   hidden via {!overlay_view} is the "late" state.
+
+   The well-founded support index rides in the same cells: [level]
+   is the recount fixpoint round of a tuple's first well-founded
+   derivation (immutable once assigned — lowering it would
+   misclassify later derivation deaths) and [low] counts surviving
+   linear-rule derivations whose witness supporter sits at a
+   strictly lower level. The backward search pops its suspects in
+   ascending level order and condemns each failed probe by filing
+   a debt against every consumer derivation the index counted
+   through it; a suspect with [exits = 0] but [low] minus its debt
+   positive is then proven without any body re-evaluation — every
+   supporter a surviving [low] entry can name sits at a strictly
+   lower level, so it was resolved (and, if condemned, debited)
+   before the suspect popped, and the chain bottoms out in level-0
+   exit support. If a relied-on supporter is removed on a later
+   outer round, that removal's cascade decrements [low] and
+   re-suspects the dependent — the same repair that covers proofs
+   through tuples the round later removes.
+   Attribution is witness-based: every enumeration of a linear
+   recursive rule extracts the tuple its single in-component atom
+   matched ({!Plan.run}'s [witness]) and classifies the derivation
+   against the head's level, looking supporter levels of tuples
+   killed earlier in the run up in a morgue. Non-linear
+   derivations never enter [low]: it may undercount (costing a
+   probe), never overcount (which would be unsound).
+
+   With a shard context, propagation rounds — round 0, death
+   cascades, birth rounds — fan out through the same [fanout] as
+   the DRed phase rounds: shard job [s] enumerates
+   only its hash slice of the round's delta through its own plan
+   set, accumulating signed count deltas and suspect touches in
+   private buffers; the coordinator merges the buffers into the
+   global scratch in shard order 0..k-1 behind the crew barrier
+   (counts add; newborn levels take the minimum, [low] keeps the
+   contributions attaining it) and settles serially, so store,
+   counts and index end up exactly as the unsharded run's. The
+   backward search stays serial: its worklist is the small suspect
+   cone, already cut down by the O(1) level check. *)
+let run env =
+  let { ctx; pc; rules = prs_by_shard; work; ring; phase_begin; phase_end; _ } = env in
+  let d = ctx.d and comp_preds = pc.comp_preds and prs = prs_by_shard.(0) in
+  let nshards = nshards env in
+  let rec_rule = is_recursive comp_preds in
+  let recursive = List.exists (fun pr -> rec_rule pr.rule) prs in
+  let heads : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+  List.iter
+    (fun pr ->
+      let pred = pr.rule.Ast.head.Ast.pred in
+      if not (Hashtbl.mem heads pred) then Hashtbl.add heads pred (head_rel ctx pr.rule))
+    prs;
+  (* counts: trust them only if stamped at the relations' current
+     versions; any other mutation path (DRed, Eval, direct edits)
+     bumped the version, so rebuild against the pre-update state.
+     Comp relations are untouched at this point and upstream deltas
+     cancel out under the old view, so the rebuild is exact. *)
+  let stale =
+    Hashtbl.fold
+      (fun _ rel acc -> acc || Relation.counts_synced rel = None)
+      heads false
+  in
+  let counts_of =
+    if stale then recount_comp ctx pc prs ~shards:nshards ~view:ctx.old_view ~work
+    else begin
+      let tbl = Hashtbl.create 4 in
+      Hashtbl.iter
+        (fun pred rel ->
+          match Relation.counts_synced rel with
+          | Some c -> Hashtbl.add tbl pred c
+          | None -> assert false)
+        heads;
+      tbl
+    end
+  in
+  (* morgue: levels of tuples this run killed, so later death
+     attribution can still classify derivations through them. One
+     run is enough scope — across batches every surviving
+     derivation's body tuples are alive, their levels in live
+     cells. (Reuses [Relation.counts] as a tuple-keyed map.) *)
+  let morgue : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
+  let morgue_put pred tup level =
+    if level < max_int then
+      (Relation.count_cell (counts_in morgue pred) tup).Relation.level <- level
+  in
+  let canon_cell = cell_in counts_of in
+  (* a supporter's level: its live cell's, else the morgue's, else
+     unknown. Base facts listed for derived predicates carry no
+     cell and so always read [max_int] — everywhere, so births and
+     deaths through them classify identically (neither touches
+     [low]). *)
+  let sup_level pred tup =
+    match canon_cell pred tup with
+    | Some cell -> cell.Relation.level
+    | None -> level_in morgue pred tup
+  in
+  (* scratch signed count deltas of the round being enumerated;
+     [dec_touched] accumulates every tuple that lost a derivation —
+     the backward phase's suspect pool (recursive comps only; a
+     tuple with surviving exit support never needs the check).
+     [sct]/[dec] parameterize the targets so shard jobs can fill
+     private buffers; the unsharded path passes the globals. *)
+  let sc : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
+  let dec_touched : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+  let bump ~sct ~dec pred exit sign sup tup =
+    let cell = Relation.count_cell (counts_in sct pred) tup in
+    if exit then cell.Relation.exits <- cell.Relation.exits + sign
+    else cell.Relation.recs <- cell.Relation.recs + sign;
+    (* index attribution. The canonical store is frozen while a
+       round enumerates, so the encoding branches on whether the
+       tuple already has a canonical cell: existing cells
+       accumulate a signed [low] delta (scratch [level] stays
+       [max_int]; the merge treats equal levels additively), while
+       an uncelled tuple is a newborn candidate — scratch [level]
+       takes the least candidate level seen this round (0 for an
+       exit derivation, supporter + 1 for a leveled linear one)
+       and [low] counts the recursive derivations attaining it. *)
+    (match canon_cell pred tup with
+    | Some ccell ->
+      if (not exit) && sup < ccell.Relation.level then
+        cell.Relation.low <- cell.Relation.low + sign
+    | None ->
+      if sign > 0 then
+        if exit then begin
+          if cell.Relation.level > 0 then begin
+            cell.Relation.level <- 0;
+            cell.Relation.low <- 0
+          end
+        end
+        else if sup < max_int then begin
+          let cand = sup + 1 in
+          if cand < cell.Relation.level then begin
+            cell.Relation.level <- cand;
+            cell.Relation.low <- 1
+          end
+          else if cand = cell.Relation.level then
+            cell.Relation.low <- cell.Relation.low + 1
+        end);
+    if sign < 0 && recursive then ignore (add_to dec pred tup)
+  in
+  let pending_births = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
+  let take_births () =
+    let b = !pending_births in
+    pending_births := Hashtbl.create 4;
+    b
+  in
+  (* a cell whose tuple lost all support leaves its level in the morgue *)
+  let drop_cell pred c tup level =
+    morgue_put pred tup level;
+    Relation.count_drop c tup
+  in
+  (* a present tuple's death: its cell dropped, the tuple removed from
+     the store and recorded, and queued in [deaths] for the next
+     cascade round *)
+  let kill deaths pred c rel tup level =
+    drop_cell pred c tup level;
+    ignore (Relation.remove rel tup);
+    record_remove d pred ~arity:(Relation.arity rel) tup;
+    ignore (add_to deaths pred tup)
+  in
+  (* Apply a round's net signed deltas to the counts. Deaths (a
+     present tuple's total reaching zero) are applied to the store
+     immediately and returned for the next cascade round; births
+     (positive support for an absent tuple) are only queued — they
+     are applied after all deletion-side work, so the backward
+     search never sees half-inserted state. Decrements aimed at a
+     tuple with no cell are support through something this batch
+     already killed: discarded, like the increments such a tuple's
+     own count would have carried. *)
+  let settle () =
+    let deaths : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+    (* merge the scratch [low] delta into a live cell; [low] stays
+       within [0, recs] — the clamps only absorb attribution the
+       index deliberately undercounts (e.g. a decrement whose birth
+       predated the index), never inflate it *)
+    let merge_low (cell : Relation.count_cell) dlow =
+      let low = cell.Relation.low + dlow in
+      let low = if low < 0 then 0 else low in
+      cell.Relation.low <-
+        (if low > cell.Relation.recs then cell.Relation.recs else low)
+    in
+    let fresh_cell c tup (dcell : Relation.count_cell) dex drec =
+      let cell = Relation.count_cell c tup in
+      cell.Relation.exits <- dex;
+      cell.Relation.recs <- drec;
+      cell.Relation.level <- dcell.Relation.level;
+      let l = if dcell.Relation.low < 0 then 0 else dcell.Relation.low in
+      cell.Relation.low <- (if l > drec then drec else l)
+    in
+    Hashtbl.iter
+      (fun pred (round_counts : Relation.counts) ->
+        let rel = Hashtbl.find heads pred in
+        let c = Hashtbl.find counts_of pred in
+        let birth tup = ignore (add_to !pending_births pred tup) in
+        Relation.counts_iter
+          (fun tup dcell ->
+            let dex = dcell.Relation.exits and drec = dcell.Relation.recs in
+            if dex <> 0 || drec <> 0 || dcell.Relation.low <> 0 then begin
+              let present = Relation.mem rel tup in
+              match Relation.count_find c tup with
+              | Some cell ->
+                cell.Relation.exits <- cell.Relation.exits + dex;
+                cell.Relation.recs <- cell.Relation.recs + drec;
+                merge_low cell dcell.Relation.low;
+                if Relation.count_total cell > 0 then (if not present then birth tup)
+                else if present then kill deaths pred c rel tup cell.Relation.level
+                else drop_cell pred c tup cell.Relation.level
+              | None ->
+                (* present but never counted: a base fact listed
+                   for this derived predicate. New derivations
+                   attach a cell (with the newborn level the
+                   scratch collected); stray decrements are bogus
+                   and keep the fact pinned. Absent and uncounted,
+                   positive support makes it a birth. *)
+                if dex + drec > 0 then begin
+                  fresh_cell c tup dcell dex drec;
+                  if not present then birth tup
+                end
+            end)
+          round_counts)
+      sc;
+    Hashtbl.reset sc;
+    deaths
+  in
+  (* deterministic per-shard buffer merges, in shard order. For a
+     tuple both shards touched the encodings agree (the canonical
+     store is frozen while a round enumerates): existing-cell
+     entries all carry scratch level [max_int] so their signed
+     [low] deltas add; newborn candidates keep the least level and
+     sum the [low] contributions attaining it. *)
+  let merge_scratch dst_tbl src_tbl =
+    Hashtbl.iter
+      (fun pred (src : Relation.counts) ->
+        let dstc = counts_in dst_tbl pred in
+        Relation.counts_iter
+          (fun tup scell ->
+            let dcell = Relation.count_cell dstc tup in
+            dcell.Relation.exits <- dcell.Relation.exits + scell.Relation.exits;
+            dcell.Relation.recs <- dcell.Relation.recs + scell.Relation.recs;
+            if scell.Relation.level < dcell.Relation.level then begin
+              dcell.Relation.level <- scell.Relation.level;
+              dcell.Relation.low <- scell.Relation.low
+            end
+            else if scell.Relation.level = dcell.Relation.level then
+              dcell.Relation.low <- dcell.Relation.low + scell.Relation.low)
+          src)
+      src_tbl
+  in
+  let merge_dec dst src =
+    Hashtbl.iter
+      (fun pred r ->
+        Relation.iter (fun tup -> ignore (add_to dst pred tup)) r)
+      src
+  in
+  (* run one propagation round's enumerations: unsharded straight
+     into the global scratch; sharded, each job fills private
+     buffers (reading only shared state: store views, canonical
+     cells, morgue), merged here in shard order. *)
+  let fanout_round ~size enumerate =
+    if nshards = 1 then
+      enumerate ~sprs:prs ~sct:sc ~dec:dec_touched ~shard:None ~work
+    else
+      fanout env ~size (fun s ~shard ~work ->
+          let sct = Hashtbl.create 4 and dec = Hashtbl.create 4 in
+          enumerate ~sprs:prs_by_shard.(s) ~sct ~dec ~shard ~work;
+          (sct, dec))
+      |> Array.iter (fun (s_sc, s_dec) ->
+             merge_scratch sc s_sc;
+             merge_dec dec_touched s_dec)
+  in
+  (* one in-component cascade round: the delta (this round's deaths
+     or births, already applied to the store) drives every rule at
+     its in-component positions; [pre] is the pre-round state for
+     the late positions. For a linear rule the delta position is
+     its only in-component atom, so the witness is the delta tuple
+     itself; its level is read at emission time. Only scratch
+     counts are written, so the non-deferred executor is safe. *)
+  let enumerate_in_comp ~sign ~round ~pre ~sprs ~sct ~dec ~shard ~work =
+    (* in-comp delta position ⇒ recursive rule: [exit] is false *)
+    fire_in_comp comp_preds ~level_of:sup_level ~view:ctx.new_view ~late_view:pre
+      ~round ?shard ~work sprs (fun hpred -> bump ~sct ~dec hpred false sign)
+  in
+  let round_size round =
+    Hashtbl.fold (fun _ r acc -> acc + Relation.cardinality r) round 0
+  in
+  let cascade_deaths deaths0 =
+    phase_begin ();
+    let pending = ref deaths0 in
+    while any_live !pending do
+      let round = !pending in
+      let pre = overlay_view ~plus:round ~minus:no_overlay ctx.new_view in
+      fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:(-1) ~round ~pre);
+      pending := settle ()
+    done;
+    phase_end Obs.Event.cnt_forward
+  in
+  (* Backward phase: of the tuples that lost a derivation and
+     survived without exit support, decide which still have a
+     well-founded derivation. Worklist search: a suspect is hidden,
+     then checked goal-directedly — its constants substituted into
+     each recursive rule's body, looking for one satisfying match
+     in the visible state (exit-supported survivors, upstream
+     relations, peers not under suspicion). Exit rules can't prove
+     a suspect: exits = 0 means no exit derivation exists, and
+     hiding suspects (all same-component) doesn't change exit-rule
+     bodies. The suspect pool is every present exits = 0 tuple in
+     the component — a superset of any unfounded set, so an
+     unfounded cycle cannot prove its members off each other via a
+     not-yet-suspected peer: every such peer is itself suspect and
+     hidden until resolved. Tuples with exit support are
+     well-founded and never enter, which keeps the pool small
+     next to DRed's overdeletion on densely supported relations.
+
+     Within the pool the well-founded support index replaces most
+     probes with an O(1) check. Suspects resolve in ascending
+     cell-level order. A probe failure condemns the suspect and
+     debits every consumer derivation the index counted through
+     it (the linear-rule matches where it is the strictly-lower-
+     level witness) in a side ledger — the condemned tuple's level
+     certificate is stale, so consumers must not rely on it. A
+     suspect whose [low] minus its debt is positive is proven
+     without evaluation: each surviving [low] entry names a
+     supporter at a strictly lower level, every strictly-lower
+     suspect was already resolved (debts filed) by the drain
+     order, so that supporter is either outside the pool or
+     proven, and induction on levels grounds the chain in exit
+     support. The debt can overshoot when [low] undercounted —
+     that costs a probe, never soundness.
+
+     Peers whose probe failed only because a later-proven suspect
+     was hidden at the time re-prove in a post-drain retry sweep
+     that repeats until a pass removes nothing. What survives
+     unproven is supported only through the failed set itself —
+     an unfounded cycle — and is removed, its counts discarded.
+     Because every proof rests only on visible tuples (resolved-
+     proven or exit-supported, neither of which the removal can
+     kill), one backward round per batch suffices — see the drain
+     site for the cascade argument. *)
+  let head_env (r : Ast.rule) tup =
+    let env = ref [] and ok = ref true in
+    List.iteri
+      (fun i t ->
+        if !ok then
+          match t with
+          | Ast.Var v -> (
+            match List.assoc_opt v !env with
+            | Some x -> if x <> tup.(i) then ok := false
+            | None -> env := (v, tup.(i)) :: !env)
+          | Ast.Const c ->
+            if Symbol.const_of ctx.symbols tup.(i) <> c then ok := false
+          | Ast.Agg _ -> ok := false)
+      r.Ast.head.Ast.args;
+    if !ok then Some !env else None
+  in
+  let rec_prs = List.filter (fun pr -> rec_rule pr.rule) prs in
+  (* goal-directed body order, fixed once per component: positives
+     ascending by live cardinality so the probe hits the small
+     relation first (edge before path, in transitive-closure
+     terms); negations and comparisons last — range restriction
+     binds their variables once every positive has run. The head
+     bindings seed the matcher's environment as interned codes, so
+     bound atoms resolve by index probe or O(1) membership. *)
+  let probe_prs =
+    let sorted pr =
+      let pos, rest =
+        List.partition (function Ast.Pos _ -> true | _ -> false) pr.rule.Ast.body
+      in
+      let key = function
+        | Ast.Pos a -> ctx.card a.Ast.pred
+        | Ast.Neg _ | Ast.Cmp _ -> max_int
+      in
+      List.stable_sort (fun x y -> compare (key x) (key y)) pos @ rest
+    in
+    List.map (fun pr -> (pr, sorted pr)) rec_prs
+  in
+  let exception Proved in
+  let provable ~hide pred tup =
+    List.exists
+      (fun (pr, body) ->
+        pr.rule.Ast.head.Ast.pred = pred
+        &&
+        match head_env pr.rule tup with
+        | None -> false
+        | Some env -> (
+          try
+            Matcher.eval_body ~symbols:ctx.symbols ~view:hide ~env ~work
+              ~on_env:(fun _ -> raise Proved)
+              body;
+            false
+          with Proved -> true))
+      probe_prs
+  in
+  let o1_hits = ref 0 and full_probes = ref 0 in
+  (* linear recursive rules with their in-component atom position:
+     the only derivations the level index counts, hence the only
+     ones a condemnation needs to debit *)
+  let lin_prs =
+    List.filter_map
+      (fun pr ->
+        if rec_rule pr.rule then
+          match linear_pos comp_preds pr.rule with
+          | Some (i, p) -> Some (pr, i, p)
+          | None -> None
+        else None)
+      prs
+  in
+  let backward_prove () =
+    (* trigger: some present tuple lost a derivation this round and
+       is left without exit support — only then can anything have
+       become unfounded. The scan is O(touched). *)
+    let triggered = ref false in
+    Hashtbl.iter
+      (fun pred srel ->
+        if not !triggered then
+          let rel = Hashtbl.find heads pred in
+          Relation.iter
+            (fun tup ->
+              if (not !triggered) && Relation.mem rel tup then
+                match canon_cell pred tup with
+                | Some cell when cell.Relation.exits = 0 -> triggered := true
+                | Some _ | None -> ())
+            srel)
+      dec_touched;
+    Hashtbl.reset dec_touched;
+    if not !triggered then None
+    else begin
+      (* suspect pool: every present tuple without exit support in
+         the component — a superset of whatever is actually
+         unfounded, so no consumer closure is needed to catch
+         cycles that vouch for themselves through a not-yet-
+         suspected peer. Enumerating consumers of each suspect
+         (a join per cone member) used to dominate the phase;
+         pool admission here is one cell inspection per tuple.
+
+         Only probe-needing suspects materialize in the worklist:
+         a tuple the index vouches for ([low - debt > 0]) is
+         proven by its cell alone and never allocates an entry —
+         the bulk of the pool, so the scan is field tests over
+         the count table and nothing else. Initially that admits
+         exactly the [low = 0] suspects; when a condemnation's
+         debits exhaust a consumer's [low], the consumer joins
+         its level bucket dynamically (always strictly above the
+         drain frontier, so ascending order is preserved —
+         [pending_levels] keeps the not-yet-drained level set
+         sorted). Each entry carries its cell to spare re-hashing
+         at resolution. *)
+      let module Levels = Set.Make (Int) in
+      let buckets :
+          (int, (string * Relation.tuple * Relation.count_cell) list ref) Hashtbl.t
+          =
+        Hashtbl.create 64
+      in
+      let pending_levels = ref Levels.empty in
+      let suspects = ref 0 and probe_admitted = ref 0 in
+      let admit pred tup cell =
+        incr probe_admitted;
+        let lvl = cell.Relation.level in
+        (match Hashtbl.find_opt buckets lvl with
+        | Some l -> l := (pred, tup, cell) :: !l
+        | None -> Hashtbl.replace buckets lvl (ref [ (pred, tup, cell) ]));
+        pending_levels := Levels.add lvl !pending_levels
+      in
+      (* the present-check guards against queued births (in counts,
+         not yet in the store); with none pending, counts ⊆ store
+         — [settle] drops the cell of anything it removes — and
+         the per-tuple membership hash is skipped wholesale *)
+      let check_mem = any_live !pending_births in
+      Hashtbl.iter
+        (fun pred c ->
+          let rel = Hashtbl.find heads pred in
+          Relation.counts_iter
+            (fun tup cell ->
+              if cell.Relation.exits = 0 && ((not check_mem) || Relation.mem rel tup)
+              then begin
+                incr suspects;
+                if cell.Relation.low = 0 then admit pred tup cell
+              end)
+            c)
+        counts_of;
+      (* debts are filed straight into the consumer's cell ([debt]
+         field): [low - debt] is the count of index entries still
+         safe to rely on, read as field arithmetic — no side-ledger
+         hashing on the O(1) path. [debited] remembers every
+         touched cell so the debts are unwound before returning;
+         cells persist across batches and must come back clean. *)
+      let debited : Relation.count_cell list ref = ref [] in
+      let condemned : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+      let condemn pred tup lvl =
+        (* first failure only: debit every consumer derivation the
+           level index counted through this tuple (linear rules
+           where it is the strictly-lower-level witness). A level
+           of max_int never entered any [low], so there is nothing
+           to debit. *)
+        if
+          lvl < max_int
+          && add_to condemned pred tup
+        then begin
+          let singleton = Relation.create ~arity:(Array.length tup) in
+          ignore (Relation.add singleton tup);
+          List.iter
+            (fun (pr, i, p) ->
+              if p = pred then
+                let hpred = pr.rule.Ast.head.Ast.pred in
+                Plan.exec_rule ~view:ctx.new_view ~delta:(i, singleton) ~work
+                  ~on_derived:(fun h ->
+                    match canon_cell hpred h with
+                    | Some hc
+                      when lvl < hc.Relation.level && hc.Relation.exits = 0 ->
+                      if hc.Relation.debt = 0 then debited := hc :: !debited;
+                      hc.Relation.debt <- hc.Relation.debt + 1;
+                      (* the debit that exhausts [low] turns an
+                         index-vouched consumer into a probe case:
+                         it joins its level bucket now (its level is
+                         strictly above the frontier). Pending
+                         births carry cells but are absent from the
+                         store and must stay out of the pool. *)
+                      if
+                        hc.Relation.debt = hc.Relation.low
+                        && ((not check_mem)
+                           || Relation.mem (Hashtbl.find heads hpred) h)
+                      then admit hpred (Array.copy h) hc
+                    | Some _ | None -> ())
+                  pr.ex)
+            lin_prs
+        end
+      in
+      (* frontier visibility. The pool is never materialized as a
+         hidden-tuple relation: a suspect's fate is read straight
+         off its cell against the drain frontier, so the O(1) path
+         writes nothing at all. With [frontier] at level L:
+           - exits > 0, or no cell: visible (never a suspect);
+           - level > L: hidden (unresolved — the ascending drain
+             has not reached it);
+           - level < L: resolved — hidden iff its probe failed;
+           - level = L: its O(1) fate is already stable. Debts
+             against a level-L tuple arise only from condemnations
+             at strictly lower levels, all complete before L
+             drains, so [low] minus debt > 0 here means the tuple
+             *will be* O(1)-proven — visible now, even mid-bucket.
+             Otherwise it is visible only once its probe succeeds
+             ([probe_proven], which retry successes also join —
+             level-max_int tuples have no other route to
+             visibility after the drain parks the frontier there. *)
+      let failed : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+      let probe_proven : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+      let frontier = ref min_int in
+      (* probes ask about one predicate many times in a row; a
+         physical-equality memo spares the string hash per
+         candidate the index bucket hands out *)
+      let memo_pred = ref "" and memo_counts = ref None in
+      let counts_for pred =
+        if pred == !memo_pred then !memo_counts
+        else begin
+          memo_pred := pred;
+          memo_counts := Hashtbl.find_opt counts_of pred;
+          !memo_counts
+        end
+      in
+      let hidden pred tup =
+        match counts_for pred with
+        | None -> false
+        | Some c -> (
+          match Relation.count_find c tup with
+          | None -> false
+          | Some cell ->
+            cell.Relation.exits = 0
+            &&
+            let lvl = cell.Relation.level in
+            if lvl > !frontier then true
+            else if lvl < !frontier then mem_in failed pred tup
+            else
+              not
+                (cell.Relation.low - cell.Relation.debt > 0
+                || mem_in probe_proven pred tup))
+      in
+      let hide =
+        let base = ctx.new_view in
+        {
+          Matcher.mem =
+            (fun p tup -> base.Matcher.mem p tup && not (hidden p tup));
+          iter_matching =
+            (fun p ~col ~value f ->
+              base.Matcher.iter_matching p ~col ~value (fun t ->
+                  if not (hidden p t) then f t));
+          iter =
+            (fun p f ->
+              base.Matcher.iter p (fun t -> if not (hidden p t) then f t));
+        }
+      in
+      (* drain ascending. Every bucket entry needs its probe — the
+         index-vouched majority never entered. A bucket is stable
+         while draining: condemnations at level L debit only
+         strictly-higher consumers, so dynamic admissions land in
+         later buckets (possibly at levels unseen at admission,
+         which is why the level set is consulted afresh each
+         step). Suspects never admitted are O(1) proofs — counted
+         by subtraction, having cost no work at all. *)
+      let rec drain () =
+        match Levels.min_elt_opt !pending_levels with
+        | None -> ()
+        | Some lvl ->
+          pending_levels := Levels.remove lvl !pending_levels;
+          frontier := lvl;
+          List.iter
+            (fun (pred, tup, cell) ->
+              incr full_probes;
+              if provable ~hide pred tup then
+                ignore (add_to probe_proven pred tup)
+              else begin
+                ignore (add_to failed pred tup);
+                condemn pred tup cell.Relation.level
+              end)
+            !(Hashtbl.find buckets lvl);
+          drain ()
+      in
+      drain ();
+      o1_hits := !o1_hits + !suspects - !probe_admitted;
+      frontier := max_int;
+      (* retry sweep: a suspect that failed its probe only because
+         a later-proven peer was hidden at the time re-proves here.
+         Passes repeat until one removes nothing; what then remains
+         is supported only through the failed set itself. The O(1)
+         check cannot fire anew — [low] is fixed and debts only
+         grow — so these are full probes, counted as such. *)
+      let retry = ref true in
+      while !retry do
+        retry := false;
+        let pending = ref [] in
+        Hashtbl.iter
+          (fun pred u ->
+            Relation.iter
+              (fun tup ->
+                pending := (level_in counts_of pred tup, pred, tup) :: !pending)
+              u)
+          failed;
+        List.iter
+          (fun (_, pred, tup) ->
+            let u = Hashtbl.find failed pred in
+            if Relation.mem u tup then begin
+              incr full_probes;
+              if provable ~hide pred tup then begin
+                ignore (Relation.remove u tup);
+                ignore (add_to probe_proven pred tup);
+                retry := true
+              end
+            end)
+          (List.sort compare !pending)
+      done;
+      let deaths : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+      let any = ref false in
+      Hashtbl.iter
+        (fun pred u ->
+          if Relation.cardinality u > 0 then begin
+            any := true;
+            let rel = Hashtbl.find heads pred in
+            let c = Hashtbl.find counts_of pred in
+            Relation.iter
+              (fun tup ->
+                kill deaths pred c rel tup (level_in counts_of pred tup))
+              u
+          end)
+        failed;
+      (* unwind the debts — cells outlive this call *)
+      List.iter (fun (c : Relation.count_cell) -> c.Relation.debt <- 0) !debited;
+      if !any then Some deaths else None
+    end
+  in
+  let apply_births pending =
+    let applied : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+    Hashtbl.iter
+      (fun pred r ->
+        if Relation.cardinality r > 0 then begin
+          let rel = Hashtbl.find heads pred in
+          let c = Hashtbl.find counts_of pred in
+          Relation.iter
+            (fun tup ->
+              (* re-check: support queued earlier may have been
+                 cancelled by later decrements *)
+              match Relation.count_find c tup with
+              | Some cell when Relation.count_total cell > 0 ->
+                if Relation.add rel tup then begin
+                  record_add d pred ~arity:(Relation.arity rel) tup;
+                  ignore (add_to applied pred tup)
+                end
+              | Some _ | None -> ())
+            r
+        end)
+      pending;
+    applied
+  in
+  let rec birth_rounds round =
+    if any_live round then begin
+      let pre = overlay_view ~plus:no_overlay ~minus:round ctx.new_view in
+      fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:1 ~round ~pre);
+      (* increments only: settle can queue further births but can
+         produce no deaths *)
+      ignore (settle ());
+      birth_rounds (apply_births (take_births ()))
+    end
+  in
+  begin
+    (* round 0: propagate the external update's signed deltas.
+       Added tuples of a positive literal derive with sign +1 and
+       removed with -1; for a negated literal the signs flip and
+       the flipped-positive plan ranges over the change. Late
+       positions read the old view — comp relations are untouched
+       during the round, so old and new agree on them, exactly the
+       "externals first" serialization. *)
+    phase_begin ();
+    let size0 =
+      ext_size env ~pos:d.added ~neg:d.added + ext_size env ~pos:d.removed ~neg:d.removed
+    in
+    let enumerate_round0 ~sprs ~sct ~dec ~shard ~work =
+      List.iter
+        (fun pr ->
+          let r = pr.rule in
+          let hpred = r.Ast.head.Ast.pred in
+          let exit = not (rec_rule r) in
+          (* a recursive rule's in-comp atom is an ordinary Match
+             step here (the delta is external), which is what the
+             witness mechanism is for; flipped plans keep body
+             positions, so the same witness serves them *)
+          let witness, sup = witness comp_preds sup_level r in
+          let exec ex delta sign =
+            Plan.exec_rule ?witness ?shard ~view:ctx.new_view ~late_view:ctx.old_view
+              ~delta ~work
+              ~on_derived:(fun h -> bump ~sct ~dec hpred exit sign (sup ()) h)
+              ex
+          in
+          List.iteri
+            (fun i lit ->
+              List.iter
+                (fun (tbl, sign) ->
+                  match lit with
+                  | Ast.Pos a
+                    when (not (Hashtbl.mem comp_preds a.Ast.pred)) && nonempty tbl a.Ast.pred
+                    ->
+                    exec pr.ex (i, Hashtbl.find tbl a.Ast.pred) sign
+                  | Ast.Neg a when nonempty tbl a.Ast.pred ->
+                    exec (snd (flipped_for pr i)) (i, Hashtbl.find tbl a.Ast.pred) (-sign)
+                  | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
+                [ (d.added, 1); (d.removed, -1) ])
+            r.Ast.body)
+        sprs
+    in
+    fanout_round ~size:size0 enumerate_round0;
+    let deaths0 = settle () in
+    phase_end Obs.Event.cnt_propagate;
+    cascade_deaths deaths0;
+    if recursive then begin
+      phase_begin ();
+      let more = backward_prove () in
+      phase_end Obs.Event.cnt_backward;
+      (match more with
+      | None -> ()
+      | Some deaths ->
+        (* One round suffices. Every surviving suspect's proof was
+           checked against visible tuples only — resolved-proven
+           peers and exit-supported tuples — and none of those die
+           here: the cascade strips exactly the derivations running
+           through the removed unfounded set, so each survivor
+           keeps its witnessing derivation and a positive count,
+           and exit counts are untouched (exit-rule bodies hold no
+           component predicates). Nothing new becomes unfounded,
+           so the re-verification trigger the cascade accumulates
+           is vacuous — drop it. *)
+        cascade_deaths deaths;
+        Hashtbl.reset dec_touched);
+      if Obs.Ring.enabled ring then begin
+        Obs.Ring.emit ring ~kind:Obs.Event.cnt_o1_hit ~a:!o1_hits ~b:pc.comp;
+        Obs.Ring.emit ring ~kind:Obs.Event.cnt_full_probe ~a:!full_probes ~b:pc.comp
+      end
+    end;
+    phase_begin ();
+    birth_rounds (apply_births (take_births ()));
+    phase_end Obs.Event.cnt_forward;
+    Hashtbl.iter (fun _ rel -> Relation.counts_sync rel) heads
+  end
+
+(* Build and stamp one component's count tables against the live
+   database, for {!Incremental.prime}: one full-join pass per rule. *)
+let prime ctx pc ~work =
+  match pc.body with
+  | Extensional | Aggregate_rule _ -> ()
+  | Rules prs_by_shard ->
+    ignore (recount_comp ctx pc prs_by_shard.(0) ~shards:1 ~view:ctx.new_view ~work);
+    Array.iter
+      (fun p ->
+        match Database.find ctx.db ctx.anal.Stratify.predicates.(p) with
+        | Some rel -> Relation.counts_sync rel
+        | None -> ())
+      pc.members

@@ -159,9 +159,14 @@ val apply :
     order 0..k-1 — so results, including iteration order, are
     deterministic, and the database equals the unsharded one. Counting
     merges signed count deltas (counts add, newborn levels take the
-    minimum) before settling serially; its backward search stays
+    minimum) before settling serially, so store, counts and index end
+    up exactly as the unsharded run's; its backward search stays
     serial. [work] counts may differ between shard counts: cross-shard
-    duplicate derivations are dropped at the merge.
+    duplicate derivations are dropped at the merge. So may the split
+    of backward suspects into O(1) hits and full probes: within one
+    level the search drains suspects in count-table iteration order,
+    which follows the number of partitions, so retry probes and
+    dynamic admissions can differ slightly.
 
     With [domains > 1] or [shards > 1] every plan is compiled and every
     delta table created before the first task runs, and the driver

@@ -1,0 +1,339 @@
+(* What component maintenance shares: the net deltas and their helpers,
+   the overlay views, the update context, prepared components, and the
+   per-component environment that {!Dred.run} and {!Counting.run} — the
+   one maintainer signature, [env -> unit] — run against. Private to
+   the library; {!Incremental} is the public surface. *)
+
+(* Net per-predicate deltas relative to the pre-update snapshot. A
+   tuple sits in at most one of the two tables; re-adding a removed
+   tuple cancels instead of double-booking. *)
+type deltas = {
+  added : (string, Relation.t) Hashtbl.t;
+  removed : (string, Relation.t) Hashtbl.t;
+}
+
+let iter_net tbl pred f =
+  match Hashtbl.find_opt tbl pred with Some r -> Relation.iter f r | None -> ()
+
+let delta_rel tbl pred ~arity =
+  match Hashtbl.find_opt tbl pred with
+  | Some r -> r
+  | None ->
+    let r = Relation.create ~arity in
+    Hashtbl.add tbl pred r;
+    r
+
+let card tbl pred =
+  match Hashtbl.find_opt tbl pred with Some r -> Relation.cardinality r | None -> 0
+
+let nonempty tbl pred = card tbl pred > 0
+
+(* did the update add or remove any [pred] tuple *)
+let changed (d : deltas) pred = nonempty d.added pred || nonempty d.removed pred
+
+let mem_in tbl pred tup =
+  match Hashtbl.find_opt tbl pred with Some r -> Relation.mem r tup | None -> false
+
+(* add [tup] to [pred]'s relation in a delta-shaped table, created on
+   first use; [true] iff new *)
+let add_to tbl pred tup =
+  Relation.add (delta_rel tbl pred ~arity:(Array.length tup)) tup
+
+let any_live tbl =
+  Hashtbl.fold (fun _ r acc -> acc || Relation.cardinality r > 0) tbl false
+
+let record_add (d : deltas) pred ~arity tup =
+  let removed = delta_rel d.removed pred ~arity in
+  if not (Relation.remove removed tup) then
+    ignore (Relation.add (delta_rel d.added pred ~arity) tup)
+
+let record_remove (d : deltas) pred ~arity tup =
+  let added = delta_rel d.added pred ~arity in
+  if not (Relation.remove added tup) then
+    ignore (Relation.add (delta_rel d.removed pred ~arity) tup)
+
+(* Replace the [i]th body literal (a negated atom) by its positive
+   counterpart so that the semi-naive delta can range over it: a
+   derivation enabled/disabled by a change to a negated input is found
+   by unifying that literal against exactly the changed tuples. *)
+let flip_negation (rule : Ast.rule) i =
+  let body =
+    List.mapi
+      (fun j lit ->
+        if j = i then
+          match lit with
+          | Ast.Neg a -> Ast.Pos a
+          | Ast.Pos _ | Ast.Cmp _ -> invalid_arg "flip_negation: literal not negated"
+        else lit)
+      rule.Ast.body
+  in
+  { rule with Ast.body }
+
+(* [base] with the [plus] tuples restored and the [minus] tuples
+   hidden, per predicate: the update's old view (plus = net removed,
+   minus = net added), or one counting cascade round's pre-round
+   state (a death round restores its deaths, a birth round hides its
+   births). Invariants: [plus] is disjoint from [base] (its tuples
+   were just removed) and [minus] is contained in [base] (just added /
+   still present), so membership is plus-hit, else minus-miss, else
+   base. *)
+let overlay_view ~plus ~minus (base : Matcher.view) =
+  let find tbl p =
+    match Hashtbl.find_opt tbl p with
+    | Some r when Relation.cardinality r > 0 -> Some r
+    | Some _ | None -> None
+  in
+  {
+    Matcher.mem =
+      (fun p tup ->
+        (match find plus p with Some r -> Relation.mem r tup | None -> false)
+        || ((match find minus p with
+            | Some r -> not (Relation.mem r tup)
+            | None -> true)
+           && base.Matcher.mem p tup));
+    iter_matching =
+      (fun p ~col ~value f ->
+        (match find minus p with
+        | Some m ->
+          base.Matcher.iter_matching p ~col ~value (fun t ->
+              if not (Relation.mem m t) then f t)
+        | None -> base.Matcher.iter_matching p ~col ~value f);
+        match find plus p with
+        | Some r -> Relation.iter_matching r ~col ~value f
+        | None -> ());
+    iter =
+      (fun p f ->
+        (match find minus p with
+        | Some m -> base.Matcher.iter p (fun t -> if not (Relation.mem m t) then f t)
+        | None -> base.Matcher.iter p f);
+        iter_net plus p f);
+  }
+
+(* An overlay side that hides or restores nothing; never written. *)
+let no_overlay : (string, Relation.t) Hashtbl.t = Hashtbl.create 1
+
+(* ---- the update context -----------------------------------------
+
+   Everything component maintenance shares. After the serial prologue
+   ({!Incremental}'s [make_ctx], base updates, [prepare_deltas], then
+   [prepare_comp] / [precompile_comp]) the context's *structure* is
+   frozen: the delta and relation hashtables gain no further entries,
+   the views and plan stores are read-only. From then on maintaining
+   component [c] writes only the relations and delta relations of its
+   own predicates — every body predicate is upstream or same-component
+   by construction of the dependency graph — which is the ownership
+   rule that makes running components in parallel safe (see
+   [Incremental.apply]). *)
+type ctx = {
+  db : Database.t;
+  program : Ast.program;
+  anal : Stratify.t;
+  engine : Plan.engine;
+  strategy : Analyze.strategy array;  (* resolved per component *)
+  sanitize : bool;
+  on_warn : string -> unit;
+  symbols : Symbol.t;
+  card : string -> int;
+  make_exec : Ast.rule -> Plan.exec;
+  d : deltas;
+  old_view : Matcher.view;
+  new_view : Matcher.view;
+}
+
+(* ---- per-component preparation ----------------------------------
+
+   Everything a component's maintenance needs, resolved up front: its
+   rules with one shared executor each (so every (rule, delta position)
+   plan is compiled at most once per update), plus the flipped-positive
+   variant of each negated literal — shared by phases A and C, where
+   the original code rebuilt it per trigger. *)
+
+type prepared_rule = {
+  rule : Ast.rule;
+  ex : Plan.exec;
+  flipped : (int * Ast.rule * Plan.exec) list;  (* keyed by negated body position *)
+}
+
+(* [Rules] holds one independently compiled plan set per shard task
+   (length 1 when unsharded): plans carry non-reentrant scratch state,
+   so the per-shard enumerations of a sharded phase round must never
+   share one. Shard [s]'s list is touched only by the thread running
+   shard [s] (the crew pins shards to domains). *)
+type comp_body =
+  | Extensional
+  | Aggregate_rule of Ast.rule
+  | Rules of prepared_rule list array
+
+type prepared_comp = {
+  comp : int;
+  members : int array;
+  comp_preds : (string, unit) Hashtbl.t;
+  tag : string;  (* sanitizer owner/writer tag: names the component *)
+  body : comp_body;
+}
+
+let prepare_comp ?(shards = 1) ctx comp =
+  let anal = ctx.anal in
+  let members = anal.Stratify.condensation.Dag.Scc.members.(comp) in
+  let comp_preds = Hashtbl.create 4 in
+  Array.iter
+    (fun p -> Hashtbl.replace comp_preds anal.Stratify.predicates.(p) ())
+    members;
+  let tag =
+    Printf.sprintf "component %d [%s]" comp
+      (String.concat " "
+         (List.map
+            (fun p -> anal.Stratify.predicates.(p))
+            (Array.to_list members)))
+  in
+  let rules =
+    List.filter
+      (fun (r : Ast.rule) -> r.Ast.body <> [])
+      (Stratify.rules_for_comp anal ctx.program comp)
+  in
+  let body =
+    match rules with
+    | [] -> Extensional
+    | [ r ] when Ast.rule_is_aggregate r -> Aggregate_rule r
+    | rules ->
+      let prepare_set () =
+        List.map
+          (fun (r : Ast.rule) ->
+            let flipped =
+              List.mapi (fun i lit -> (i, lit)) r.Ast.body
+              |> List.filter_map (fun (i, lit) ->
+                     match lit with
+                     | Ast.Neg _ ->
+                       let fr = flip_negation r i in
+                       Some (i, fr, ctx.make_exec fr)
+                     | Ast.Pos _ | Ast.Cmp _ -> None)
+            in
+            { rule = r; ex = ctx.make_exec r; flipped })
+          rules
+      in
+      Rules (Array.init (max 1 shards) (fun _ -> prepare_set ()))
+  in
+  { comp; members; comp_preds; tag; body }
+
+(* Compile every plan a component's phases could reach: the base plan
+   (phase B), a delta plan per positive body position (phases A/C and
+   the in-component cascades), and a delta plan per flipped negation —
+   for every shard's plan set. Compilation interns constants into the
+   shared symbol table and consults relation cardinalities, so the
+   parallel driver runs this serially, before any worker domain
+   exists. *)
+let precompile_comp pc =
+  match pc.body with
+  | Extensional | Aggregate_rule _ -> ()
+  | Rules prs_by_shard ->
+    Array.iter
+      (fun prs ->
+        List.iter
+          (fun pr ->
+            Plan.prepare pr.ex;
+            List.iteri
+              (fun i lit ->
+                match lit with
+                | Ast.Pos _ -> Plan.prepare ~delta:i pr.ex
+                | Ast.Neg _ | Ast.Cmp _ -> ())
+              pr.rule.Ast.body;
+            List.iter (fun (i, _, fex) -> Plan.prepare ~delta:i fex) pr.flipped)
+          prs)
+      prs_by_shard
+
+let flipped_for pr i =
+  let rec go = function
+    | [] -> invalid_arg "Incremental: missing flipped plan"
+    | (j, fr, fex) :: rest -> if j = i then (fr, fex) else go rest
+  in
+  go pr.flipped
+
+let head_arity (r : Ast.rule) = List.length r.Ast.head.Ast.args
+
+let head_rel ctx (r : Ast.rule) =
+  Database.relation ctx.db r.Ast.head.Ast.pred ~arity:(head_arity r)
+
+(* ---- the maintainer environment ---------------------------------- *)
+
+(* Shared intra-component fan-out machinery, one per update: the crew
+   ([Shard_crew.run] serializes concurrent component tasks internally
+   so two executor workers can both reach a sharded phase round), the
+   shard count, and one dedicated obs ring per non-coordinator shard.
+   Crew worker [j] always runs shard [j] and at most one fan-out is in
+   flight, so the rings keep their single-writer contract; shard 0
+   runs on the coordinating thread and shares its ring. *)
+type shard_ctx = {
+  crew : Parallel.Shard_crew.t;
+  nshards : int;
+  shard_rings : Obs.Ring.t array;  (* length [nshards]; slot 0 unused *)
+}
+
+(* One [Rules] component's maintenance run: [rules] is its plan sets
+   (one per shard), [work] accumulates the tuples examined, and
+   [phase_begin]/[phase_end] record one span per phase, tagged with the
+   component id, on [ring] (a single mutable start stamp suffices
+   because phases never nest). *)
+type env = {
+  ctx : ctx;
+  pc : prepared_comp;
+  rules : prepared_rule list array;
+  work : int ref;
+  ring : Obs.Ring.t;
+  phase_begin : unit -> unit;
+  phase_end : Obs.Event.kind -> unit;
+  shard_ctx : shard_ctx option;
+}
+
+let nshards env = match env.shard_ctx with Some sc -> sc.nshards | None -> 1
+
+(* Driving tuples of a round fired at the external trigger
+   positions: positive literals over upstream predicates read
+   [pos], negated literals (through their flipped plans) read
+   [neg]. *)
+let ext_size env ~pos ~neg =
+  List.fold_left
+    (fun acc pr ->
+      List.fold_left
+        (fun acc lit ->
+          match lit with
+          | Ast.Pos a when not (Hashtbl.mem env.pc.comp_preds a.Ast.pred) ->
+            acc + card pos a.Ast.pred
+          | Ast.Neg a -> acc + card neg a.Ast.pred
+          | Ast.Pos _ | Ast.Cmp _ -> acc)
+        acc pr.rule.Ast.body)
+    0 env.rules.(0)
+
+(* One phase round's enumerations, fanned out over the shards. Job
+   [s] enumerates through shard [s]'s plan set, restricted by the
+   [?shard] filter to its hash slice of the driving delta, against
+   state frozen for the round, and returns what it derived; the
+   caller merges the results in shard order 0..k-1, so every
+   relation's insertion order is a pure function of the
+   derivations. Without a shard context this is the k = 1 case:
+   one job on the caller, no filter, no [shard] span. With k
+   shards the jobs run on the crew once the round has [size] >=
+   4·k driving tuples (below that the round-trip costs more than
+   it buys) and inline otherwise; each job writes only its own
+   result slot and records a [shard] span on its shard's ring. *)
+let fanout env ~size job =
+  match env.shard_ctx with
+  | None -> [| job 0 ~shard:None ~work:env.work |]
+  | Some sc ->
+    let k = sc.nshards in
+    let out = Array.make k None and works = Array.make k 0 in
+    let run s =
+      let ring_s = if s = 0 then env.ring else sc.shard_rings.(s) in
+      let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
+      let w = ref 0 in
+      out.(s) <- Some (job s ~shard:(Some (s, k)) ~work:w);
+      works.(s) <- !w;
+      if Obs.Ring.enabled ring_s then
+        Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
+    in
+    if size >= 4 * k then Parallel.Shard_crew.run sc.crew run
+    else
+      for s = 0 to k - 1 do
+        run s
+      done;
+    Array.iter (fun w -> env.work := !(env.work) + w) works;
+    Array.map Option.get out

@@ -1122,33 +1122,38 @@ let counting_differential_qcheck =
       done;
       !ok)
 
+(* Every relation's synced count cells, as sorted (atom, [fields cell])
+   lists; [None] for a relation without synced counts. Tuples are
+   decoded back to atoms: twin databases intern constants in different
+   orders, so raw tuple ints are not comparable. *)
+let count_cells fields db =
+  Datalog.Database.predicates db
+  |> List.map (fun (name, rel) ->
+         let cells =
+           match Datalog.Relation.counts_synced rel with
+           | None -> None
+           | Some c ->
+             let acc = ref [] in
+             Datalog.Relation.counts_iter
+               (fun tup cell ->
+                 acc :=
+                   ( Format.asprintf "%a" Datalog.Ast.pp_atom
+                       (Datalog.Database.tuple_to_atom db name tup),
+                     fields cell )
+                   :: !acc)
+               c;
+             Some (List.sort compare !acc)
+         in
+         (name, cells))
+  |> List.sort compare
+
 (* The count invariant: after any maintained stream, every relation's
    derivation counts equal the counts a fresh [prime] computes on a
    from-scratch twin — incremental bookkeeping never drifts from the
    ground truth. *)
 let counting_counts_invariant_qcheck =
-  (* decode tuples back to atoms: the twin databases intern constants
-     in different orders, so raw tuple ints are not comparable *)
-  let counts_of db =
-    Datalog.Database.predicates db
-    |> List.map (fun (name, rel) ->
-           let cells =
-             match Datalog.Relation.counts_synced rel with
-             | None -> None
-             | Some c ->
-               let acc = ref [] in
-               Datalog.Relation.counts_iter
-                 (fun tup (cell : Datalog.Relation.count_cell) ->
-                   acc :=
-                     ( Format.asprintf "%a" Datalog.Ast.pp_atom
-                         (Datalog.Database.tuple_to_atom db name tup),
-                       cell.exits, cell.recs )
-                     :: !acc)
-                 c;
-               Some (List.sort compare !acc)
-           in
-           (name, cells))
-    |> List.sort compare
+  let counts_of =
+    count_cells (fun (cell : Datalog.Relation.count_cell) -> (cell.exits, cell.recs))
   in
   QCheck.Test.make
     ~name:"counting: maintained counts equal a fresh prime of the same database"
@@ -1458,7 +1463,9 @@ let counting_level_index_qcheck =
 
 (* The sharded grid: counting with sharded count tables must restore
    the same database as serial DRed and as from-scratch recomputation
-   at every point of {shards 1, 2, 4} x {domains 1, 2}. *)
+   at every point of {shards 1, 2, 4} x {domains 1, 2}, and leave every
+   count cell — exits, recs, level, low — exactly as the (shards 1,
+   domains 1) run does. *)
 let counting_sharded_differential_qcheck =
   QCheck.Test.make
     ~name:"sharded counting equals serial DRed and from-scratch across the grid"
@@ -1480,6 +1487,10 @@ let counting_sharded_differential_qcheck =
         db
       in
       let grid = [ (1, 1); (2, 1); (4, 1); (1, 2); (2, 2); (4, 2) ] in
+      let cells =
+        count_cells (fun (c : Datalog.Relation.count_cell) ->
+            (c.exits, c.recs, c.level, c.low))
+      in
       let dred = load base in
       let cnts = List.map (fun cfg -> (cfg, load base)) grid in
       let live = ref base in
@@ -1504,10 +1515,12 @@ let counting_sharded_differential_qcheck =
                  ~shards ~domains db program ~additions ~deletions))
           cnts;
         let scratch = load !live in
+        let serial_cells = cells (List.assoc (1, 1) cnts) in
         List.iter
           (fun (_, db) ->
             ok := !ok && Datalog.Eval.databases_agree dred db = Ok ();
-            ok := !ok && Datalog.Eval.databases_agree scratch db = Ok ())
+            ok := !ok && Datalog.Eval.databases_agree scratch db = Ok ();
+            ok := !ok && cells db = serial_cells)
           cnts
       done;
       !ok)

@@ -37,10 +37,14 @@ let whitelist =
        timing-dependent run counts under "runs"/"net_changed", which
        stay unchecked) *)
     "rate"; "ops"; "commits";
+    (* counting: how many backward-search suspects the support index
+       resolved in O(1) vs by a full probe — deterministic at the
+       bench's fixed seed and shard count *)
+    "o1_hits"; "full_probes";
   ]
 
 (* subtrees that exist to report measurements; skipped entirely *)
-let skip = [ "headline"; "breakdown"; "sched_overhead"; "counting_phases" ]
+let skip = [ "headline"; "breakdown"; "sched_overhead" ]
 
 (* present but host-dependent *)
 let ignore_keys = [ "host_cores" ]
