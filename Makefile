@@ -1,4 +1,4 @@
-.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-shard bench-maintain-count bench-serve model-check model-check-smoke servebench-selftest ci clean
+.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-shard bench-maintain-count model-check model-check-smoke servebench-selftest ci clean
 
 all: build
 
@@ -55,26 +55,29 @@ bench-maintain-shard:
 bench-maintain-count:
 	dune exec bench/main.exe -- maintain-count
 
-# sustained update-server throughput: open-loop replay of a synthetic
-# update stream through Server.Engine in sync and async (coalescing)
-# modes, parity-asserted against a one-shot Incr_sched.update twin;
-# writes BENCH_serve.json
-bench-serve:
-	dune exec bench/main.exe -- serve
-
 # tiny traces through the full dispatch matrix (both executors, all
 # domain counts, Executor.check everywhere), a small compiled-vs-
 # interpreter pass, a 2-domain parallel-maintenance parity pass, the
-# sharded-maintenance parity grid, the counting-vs-DRed parity grid,
-# and the update-server replay (parity against a one-shot twin);
-# seconds; writes BENCH_*_smoke.json into the current directory
+# sharded-maintenance parity grid and the counting-vs-DRed parity
+# grid; then one short traced servebench run per serve-path workload
+# (parity against its twin), whose report line (configuration and
+# exact work counters) is kept; under a minute; writes
+# BENCH_*_smoke.json into the current directory. Needs at least 2
+# cores: servebench refuses wide-par (2 domains) and tc-read (driver
+# plus commit domain) on a 1-core host, and the target then fails
 bench-smoke:
-	dune exec bench/main.exe -- dispatch-smoke datalog-smoke maintain-par-smoke maintain-shard-smoke maintain-count-smoke serve-smoke
+	dune exec bench/main.exe -- dispatch-smoke datalog-smoke maintain-par-smoke maintain-shard-smoke maintain-count-smoke
+	@for w in tc-copy wide-par tc-read; do \
+	  echo "== servebench $$w"; \
+	  out=$$(python3 servebench/run.py --workload $$w --seed 7 --seconds 2 --trace 1) \
+	    || { printf '%s\n' "$$out"; exit 1; }; \
+	  printf '%s\n' "$$out" | tail -n 2 | head -n 1 > BENCH_servebench_$${w}_smoke.json; \
+	done
 
 # compare the BENCH_*_smoke.json of the last `make bench-smoke` against
 # the committed baselines: fails on parity drift (task/tuple/changed
-# counts, workload structure), never on timing noise — policy in
-# EXPERIMENTS.md. Refresh baselines by copying the fresh files over
+# counts, workload structure, servebench's exact work counters), never
+# on timing noise — policy in EXPERIMENTS.md. Refresh baselines by copying the fresh files over
 # tools/baselines/ when a change legitimately moves the counts.
 bench-check:
 	dune exec tools/bench_check.exe -- --baseline tools/baselines --fresh .

@@ -9,7 +9,7 @@
    Sections: table1 table2 table3 fig1 fig2 overhead memory bounds
              rescue datalog datalog-smoke maintain-par maintain-par-smoke
              maintain-shard maintain-shard-smoke maintain-count
-             maintain-count-smoke serve serve-smoke ablation parallel
+             maintain-count-smoke ablation parallel
              dispatch dispatch-smoke stream micro
 
    [--legacy-executor] restricts the dispatch sections to the retained
@@ -39,6 +39,30 @@ let run_sched ?(p = procs) trace name =
   Incr_sched.schedule ~procs:p ~sched:name trace
 
 let opt_str = function Some v -> Printf.sprintf "%12.3f" v | None -> "           -"
+
+(* Every section's BENCH_*.json is an Obs.Json value printed by
+   Obs.Json.to_string; a non-finite number raises there. *)
+let num f = Obs.Json.Number f
+
+let int = Obs.Json.int
+
+let str s = Obs.Json.String s
+
+let ratio a b = num (a /. Float.max b 1e-9)
+
+let opt key f = function Some v -> [ (key, f v) ] | None -> []
+
+let write_json ~benchmark path fields =
+  let oc = open_out path in
+  output_string oc
+    (Obs.Json.to_string
+       (Obs.Json.Object
+          (("benchmark", str benchmark)
+          :: ("host_cores", int (Domain.recommended_domain_count ()))
+          :: fields)));
+  output_char oc '\n';
+  close_out oc;
+  Format.printf "@.wrote %s@." path
 
 (* ---------------------------------------------------------------- *)
 (* Table I: structural statistics of the job traces                  *)
@@ -473,44 +497,32 @@ let dl_end_to_end ~smoke =
   (interp_total, comp_total, tasks)
 
 let datalog_json rows headline end_to_end path =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"datalog\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"host_cores\": %d,\n" (Domain.recommended_domain_count ()));
-  (match headline with
-  | Some (prog, interp, comp) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"headline\": {\"program\": \"%s\", \"phase\": \"maintain\", \
-          \"interpreted_s\": %.6f, \"compiled_s\": %.6f, \
-          \"compiled_tuples_per_sec\": %.0f, \"speedup\": %.3f},\n"
-         prog interp.dl_seconds comp.dl_seconds comp.dl_rate
-         (interp.dl_seconds /. Float.max comp.dl_seconds 1e-9))
-  | None -> ());
-  (match end_to_end with
-  | Some (interp_total, comp_total, tasks) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"end_to_end\": {\"program\": \"tc-neg\", \"tasks\": %d, \
-          \"interpreted_plus_legacy_s\": %.6f, \"compiled_plus_executor_s\": %.6f, \
-          \"speedup\": %.3f},\n"
-         tasks interp_total comp_total (interp_total /. Float.max comp_total 1e-9))
-  | None -> ());
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"program\": \"%s\", \"phase\": \"%s\", \"engine\": \"%s\", \
-            \"tuples\": %d, \"seconds\": %.6f, \"tuples_per_sec\": %.0f}%s\n"
-           r.dl_program r.dl_phase r.dl_engine r.dl_tuples r.dl_seconds r.dl_rate
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.printf "@.wrote %s@." path
+  write_json ~benchmark:"datalog" path
+    (opt "headline"
+       (fun (prog, interp, comp) ->
+         Obs.Json.Object
+           [ ("program", str prog); ("phase", str "maintain");
+             ("interpreted_s", num interp.dl_seconds); ("compiled_s", num comp.dl_seconds);
+             ("compiled_tuples_per_sec", num comp.dl_rate);
+             ("speedup", ratio interp.dl_seconds comp.dl_seconds) ])
+       headline
+    @ opt "end_to_end"
+        (fun (interp_total, comp_total, tasks) ->
+          Obs.Json.Object
+            [ ("program", str "tc-neg"); ("tasks", int tasks);
+              ("interpreted_plus_legacy_s", num interp_total);
+              ("compiled_plus_executor_s", num comp_total);
+              ("speedup", ratio interp_total comp_total) ])
+        end_to_end
+    @ [ ( "rows",
+          Obs.Json.Array
+            (List.map
+               (fun r ->
+                 Obs.Json.Object
+                   [ ("program", str r.dl_program); ("phase", str r.dl_phase);
+                     ("engine", str r.dl_engine); ("tuples", int r.dl_tuples);
+                     ("seconds", num r.dl_seconds); ("tuples_per_sec", num r.dl_rate) ])
+               rows) ) ])
 
 let datalog_core ~smoke () =
   banner "Datalog engine: compiled plans vs interpreter (materialize + maintain)";
@@ -661,39 +673,24 @@ let mp_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ?serial_threshold ~domains
   (db, s, !changed)
 
 let maintain_par_json rows headline breakdown domain_set path =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"maintain-par\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"host_cores\": %d,\n  \"sched\": \"levelbased\",\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string b
-    (Printf.sprintf "  \"breakdown\": %s,\n" (Obs.Summary.json breakdown));
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map string_of_int domain_set)));
-  (match headline with
-  | Some (wl, d, serial_s, par_s) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"headline\": {\"workload\": \"%s\", \"domains\": %d, \
-          \"serial_s\": %.6f, \"parallel_s\": %.6f, \"speedup\": %.3f},\n"
-         wl d serial_s par_s (serial_s /. Float.max par_s 1e-9))
-  | None -> ());
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"workload\": \"%s\", \"mode\": \"%s\", \"changed\": %d, \
-            \"seconds\": %.6f, \"speedup\": %.3f}%s\n"
-           r.mp_workload r.mp_mode r.mp_changed r.mp_seconds r.mp_speedup
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.printf "@.wrote %s@." path
+  write_json ~benchmark:"maintain-par" path
+    ([ ("sched", str "levelbased"); ("breakdown", Obs.Summary.json breakdown);
+       ("domains", Obs.Json.Array (List.map int domain_set)) ]
+    @ opt "headline"
+        (fun (wl, d, serial_s, par_s) ->
+          Obs.Json.Object
+            [ ("workload", str wl); ("domains", int d); ("serial_s", num serial_s);
+              ("parallel_s", num par_s); ("speedup", ratio serial_s par_s) ])
+        headline
+    @ [ ( "rows",
+          Obs.Json.Array
+            (List.map
+               (fun r ->
+                 Obs.Json.Object
+                   [ ("workload", str r.mp_workload); ("mode", str r.mp_mode);
+                     ("changed", int r.mp_changed); ("seconds", num r.mp_seconds);
+                     ("speedup", num r.mp_speedup) ])
+               rows) ) ])
 
 let maintain_par_core ~smoke () =
   banner "Parallel incremental maintenance: serial vs P-domain DRed (compiled engine)";
@@ -827,42 +824,25 @@ let shard_workload ~smoke =
   (Printf.sprintf "tc-neg-%dv" verts, program, updates)
 
 let maintain_shard_json workload rows headline shard_set domain_set path =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"maintain-shard\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"host_cores\": %d,\n  \"sched\": \"levelbased\",\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string b (Printf.sprintf "  \"workload\": \"%s\",\n" workload);
-  Buffer.add_string b
-    (Printf.sprintf "  \"shards\": [%s],\n"
-       (String.concat ", " (List.map string_of_int shard_set)));
-  Buffer.add_string b
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map string_of_int domain_set)));
-  (match headline with
-  | Some (sh, dm, serial_s, par_s) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"headline\": {\"shards\": %d, \"domains\": %d, \"serial_s\": %.6f, \
-          \"sharded_s\": %.6f, \"speedup\": %.3f},\n"
-         sh dm serial_s par_s (serial_s /. Float.max par_s 1e-9))
-  | None -> ());
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"shards\": %d, \"domains\": %d, \"changed\": %d, \"seconds\": \
-            %.6f, \"speedup\": %.3f, \"databases_agree\": %b}%s\n"
-           r.ms_shards r.ms_domains r.ms_changed r.ms_seconds r.ms_speedup
-           r.ms_agree
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.printf "@.wrote %s@." path
+  write_json ~benchmark:"maintain-shard" path
+    ([ ("sched", str "levelbased"); ("workload", str workload);
+       ("shards", Obs.Json.Array (List.map int shard_set));
+       ("domains", Obs.Json.Array (List.map int domain_set)) ]
+    @ opt "headline"
+        (fun (sh, dm, serial_s, par_s) ->
+          Obs.Json.Object
+            [ ("shards", int sh); ("domains", int dm); ("serial_s", num serial_s);
+              ("sharded_s", num par_s); ("speedup", ratio serial_s par_s) ])
+        headline
+    @ [ ( "rows",
+          Obs.Json.Array
+            (List.map
+               (fun r ->
+                 Obs.Json.Object
+                   [ ("shards", int r.ms_shards); ("domains", int r.ms_domains);
+                     ("changed", int r.ms_changed); ("seconds", num r.ms_seconds);
+                     ("speedup", num r.ms_speedup); ("databases_agree", Obs.Json.Bool r.ms_agree) ])
+               rows) ) ])
 
 let maintain_shard_core ~smoke () =
   banner "Sharded incremental maintenance: shards x domains grid on one big SCC";
@@ -1037,55 +1017,37 @@ let mc_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ~maint program steps =
   (db, s, !changed, prime_s)
 
 let maintain_count_json rows headline breakdown path =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"maintain-count\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"host_cores\": %d,\n  \"engine\": \"compiled\",\n"
-       (Domain.recommended_domain_count ()));
-  Buffer.add_string b
-    (Printf.sprintf "  \"breakdown\": %s,\n" (Obs.Summary.json breakdown));
-  (let p = breakdown.Obs.Summary.cnt_propagate_s
-   and bw = breakdown.Obs.Summary.cnt_backward_s
-   and f = breakdown.Obs.Summary.cnt_forward_s in
-   Buffer.add_string b
-     (Printf.sprintf
-        "  \"counting_phases\": {\"propagate_s\": %.6f, \"backward_s\": %.6f, \
-         \"forward_s\": %.6f, \"backward_share\": %.4f, \"o1_hits\": %d, \
-         \"full_probes\": %d},\n"
-        p bw f
-        (bw /. Float.max (p +. bw +. f) 1e-9)
-        breakdown.Obs.Summary.cnt_o1_hits breakdown.Obs.Summary.cnt_full_probes));
-  (match headline with
-  | Some ((np, nm, nd, nc), (rp, rm, rd, rc)) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"headline\": {\n\
-         \    \"nonrecursive\": {\"program\": \"%s\", \"mix\": \"%s\", \
-          \"dred_s\": %.6f, \"counting_s\": %.6f, \"speedup\": %.3f},\n\
-         \    \"recursive\": {\"program\": \"%s\", \"mix\": \"%s\", \
-          \"dred_s\": %.6f, \"counting_s\": %.6f, \"speedup\": %.3f}},\n"
-         np nm nd nc
-         (nd /. Float.max nc 1e-9)
-         rp rm rd rc
-         (rd /. Float.max rc 1e-9))
-  | None -> ());
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"program\": \"%s\", \"mix\": \"%s\", \"maint\": \"%s\", \
-            \"batches\": %d, \"changed\": %d, \"seconds\": %.6f, \"speedup\": \
-            %.3f, \"databases_agree\": %b, \"advice\": \"%s\"}%s\n"
-           r.mc_program r.mc_mix r.mc_maint r.mc_batches r.mc_changed
-           r.mc_seconds r.mc_speedup r.mc_agree r.mc_advice
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.printf "@.wrote %s@." path
+  let p = breakdown.Obs.Summary.cnt_propagate_s
+  and bw = breakdown.Obs.Summary.cnt_backward_s
+  and f = breakdown.Obs.Summary.cnt_forward_s in
+  let pair (prog, mix, dred_s, counting_s) =
+    Obs.Json.Object
+      [ ("program", str prog); ("mix", str mix); ("dred_s", num dred_s);
+        ("counting_s", num counting_s); ("speedup", ratio dred_s counting_s) ]
+  in
+  write_json ~benchmark:"maintain-count" path
+    ([ ("engine", str "compiled"); ("breakdown", Obs.Summary.json breakdown);
+       ( "counting_phases",
+         Obs.Json.Object
+           [ ("propagate_s", num p); ("backward_s", num bw); ("forward_s", num f);
+             ("backward_share", ratio bw (p +. bw +. f));
+             ("o1_hits", int breakdown.Obs.Summary.cnt_o1_hits);
+             ("full_probes", int breakdown.Obs.Summary.cnt_full_probes) ] ) ]
+    @ opt "headline"
+        (fun (nr, rc) ->
+          Obs.Json.Object [ ("nonrecursive", pair nr); ("recursive", pair rc) ])
+        headline
+    @ [ ( "rows",
+          Obs.Json.Array
+            (List.map
+               (fun r ->
+                 Obs.Json.Object
+                   [ ("program", str r.mc_program); ("mix", str r.mc_mix);
+                     ("maint", str r.mc_maint); ("batches", int r.mc_batches);
+                     ("changed", int r.mc_changed); ("seconds", num r.mc_seconds);
+                     ("speedup", num r.mc_speedup); ("databases_agree", Obs.Json.Bool r.mc_agree);
+                     ("advice", str r.mc_advice) ])
+               rows) ) ])
 
 let maintain_count_core ~smoke () =
   banner "Counting vs DRed maintenance on deletion-heavy update streams";
@@ -1233,239 +1195,6 @@ let maintain_count () = maintain_count_core ~smoke:false ()
 let maintain_count_smoke () = maintain_count_core ~smoke:true ()
 
 (* ---------------------------------------------------------------- *)
-(* serve: sustained update-server throughput (open-loop replay)      *)
-(* ---------------------------------------------------------------- *)
-
-(* The epoch-server benchmark: a driver replays a Synthetic.Update_stream
-   against Server.Engine at a fixed arrival rate — open loop, so a slow
-   commit cannot slow the offered load, only grow its own latency. Sync
-   rows commit every batch in the driver thread (one epoch per batch:
-   commit count, ops and net change are deterministic and parity-checked
-   against the baseline). Async rows commit on the background domain with
-   coalescing on, so the number of actual maintenance runs is timing-
-   dependent — those rows report it under non-whitelisted keys and the
-   correctness claim rests on [databases_agree] against a plain per-step
-   Incr_sched.update twin of the same stream (both walks go through the
-   stream cursor, so neither side can drift). *)
-
-type sv_row = {
-  sv_mode : string;  (* "sync" | "async" *)
-  sv_maint : string;
-  sv_batches : int;
-  sv_ops : int;  (* operations admitted over the whole run *)
-  sv_runs : int;  (* maintenance runs published (= batches when sync) *)
-  sv_changed : int;  (* net tuple churn over all commits *)
-  sv_wall_s : float;
-  sv_p50_ms : float;
-  sv_p99_ms : float;
-  sv_agree : bool;
-}
-
-let sv_rules = "path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z).\n"
-
-let sv_stream ~smoke =
-  Workload.Synthetic.Update_stream.generate
-    {
-      Workload.Synthetic.Update_stream.nodes = (if smoke then 36 else 220);
-      span = (if smoke then 4 else 12);
-      base_edges = (if smoke then 110 else 1500);
-      batches = (if smoke then 12 else 120);
-      batch_ops = (if smoke then 10 else 32);
-      delete_fraction = 0.5;
-      seed = 7177;
-    }
-
-let sv_materialize stream =
-  Incr_sched.materialize
-    (String.concat ""
-       (List.map (fun f -> f ^ ".\n")
-          stream.Workload.Synthetic.Update_stream.base)
-    ^ sv_rules)
-
-(* per-step Incr_sched.update twin — the reference the server database
-   must agree with *)
-let sv_reference ~maint stream =
-  let twin = sv_materialize stream in
-  let cur = Workload.Synthetic.Update_stream.cursor stream in
-  let rec loop () =
-    match Workload.Synthetic.Update_stream.next cur with
-    | None -> ()
-    | Some (additions, deletions) ->
-      ignore (Incr_sched.update ~maint twin ~additions ~deletions);
-      loop ()
-  in
-  loop ();
-  twin
-
-let sv_submit engine side fact =
-  match Server.Engine.submit engine side fact with
-  | Ok () -> ()
-  | Error m -> failwith ("serve: stream fact rejected: " ^ m)
-
-(* Open-loop replay: batch i is offered at t0 + i/rate regardless of
-   how the server is doing; pacing gaps poll for finished background
-   commits. Returns every commit published plus the driver wall time. *)
-let sv_drive ~mode ~rate engine stream =
-  let cur = Workload.Synthetic.Update_stream.cursor stream in
-  let stats = ref [] in
-  let collect more = stats := !stats @ more in
-  let t0 = Prelude.Mclock.now () in
-  let i = ref 0 in
-  let rec loop () =
-    match Workload.Synthetic.Update_stream.next cur with
-    | None -> ()
-    | Some (additions, deletions) ->
-      let arrival = t0 +. (float_of_int !i /. rate) in
-      while Prelude.Mclock.now () < arrival do
-        collect (Server.Engine.drain engine)
-      done;
-      incr i;
-      List.iter (sv_submit engine `Insert) additions;
-      List.iter (sv_submit engine `Remove) deletions;
-      (match mode with
-      | `Sync -> collect (Server.Engine.commit engine)
-      | `Async ->
-        ignore (Server.Engine.commit_async engine);
-        collect (Server.Engine.drain engine));
-      loop ()
-  in
-  loop ();
-  collect (Server.Engine.await engine);
-  (!stats, Prelude.Mclock.now () -. t0)
-
-let sv_run ~smoke ~mode ~maint ?obs () =
-  let stream = sv_stream ~smoke in
-  let session = sv_materialize stream in
-  let engine =
-    Server.Engine.create ~maint ?obs session
-  in
-  let rate = if smoke then 400.0 else 150.0 in
-  let stats, wall = sv_drive ~mode ~rate engine stream in
-  let twin = sv_reference ~maint:Datalog.Incremental.Dred stream in
-  let agree =
-    match
-      Datalog.Eval.databases_agree (Server.Engine.db engine) twin.Incr_sched.db
-    with
-    | Ok () -> true
-    | Error e ->
-      Format.printf "  *** SERVER DIVERGED from the one-shot run: %s ***@." e;
-      failwith "serve: parity violation"
-  in
-  let ops =
-    List.fold_left (fun a (s : Server.Engine.commit_stats) -> a + s.ops) 0 stats
-  in
-  let changed =
-    List.fold_left
-      (fun a (s : Server.Engine.commit_stats) -> a + s.changed)
-      0 stats
-  in
-  let lat =
-    Array.of_list
-      (List.map
-         (fun (s : Server.Engine.commit_stats) -> 1000.0 *. s.latency_s)
-         stats)
-  in
-  {
-    sv_mode = (match mode with `Sync -> "sync" | `Async -> "async");
-    sv_maint =
-      (match maint with
-      | Datalog.Incremental.Dred -> "dred"
-      | Datalog.Incremental.Counting -> "counting"
-      | Datalog.Incremental.Auto -> "auto");
-    sv_batches =
-      List.length stream.Workload.Synthetic.Update_stream.steps;
-    sv_ops = ops;
-    sv_runs = List.length stats;
-    sv_changed = changed;
-    sv_wall_s = wall;
-    sv_p50_ms = Prelude.Stats.percentile lat 50.0;
-    sv_p99_ms = Prelude.Stats.percentile lat 99.0;
-    sv_agree = agree;
-  }
-
-let sv_json rows rate breakdown path =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"serve\",\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"host_cores\": %d,\n  \"workload\": \"tc-mix50\",\n  \"rate\": %.1f,\n"
-       (Domain.recommended_domain_count ())
-       rate);
-  Buffer.add_string b
-    (Printf.sprintf "  \"breakdown\": %s,\n" (Obs.Summary.json breakdown));
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      (* sync rows: op/run/changed counts are deterministic —
-         parity-checked keys. Async rows: coalescing makes all three
-         timing-dependent (merged batches dedup facts across steps), so
-         they travel under non-whitelisted names. *)
-      let counts =
-        if r.sv_mode = "sync" then
-          Printf.sprintf "\"ops\": %d, \"commits\": %d, \"changed\": %d"
-            r.sv_ops r.sv_runs r.sv_changed
-        else
-          Printf.sprintf "\"admitted\": %d, \"runs\": %d, \"net_changed\": %d"
-            r.sv_ops r.sv_runs r.sv_changed
-      in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"mode\": \"%s\", \"maint\": \"%s\", \"batches\": %d, %s, \
-            \"databases_agree\": %b, \"seconds\": %.6f, \
-            \"commits_per_s\": %.1f, \"updates_per_s\": %.1f, \"p50_ms\": \
-            %.3f, \"p99_ms\": %.3f}%s\n"
-           r.sv_mode r.sv_maint r.sv_batches counts r.sv_agree
-           r.sv_wall_s
-           (float_of_int r.sv_runs /. Float.max r.sv_wall_s 1e-9)
-           (float_of_int r.sv_ops /. Float.max r.sv_wall_s 1e-9)
-           r.sv_p50_ms r.sv_p99_ms
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.printf "@.wrote %s@." path
-
-let serve_core ~smoke () =
-  banner "Sustained update-server throughput (open-loop stream replay)";
-  let rate = if smoke then 400.0 else 150.0 in
-  Format.printf "offered load: %.0f commits/s, workload tc-mix50@.@." rate;
-  Format.printf "%-7s %-10s %8s %8s %6s %10s %10s %9s %9s@." "mode" "maint"
-    "batches" "ops" "runs" "commits/s" "updates/s" "p50 ms" "p99 ms";
-  let rows =
-    List.concat_map
-      (fun mode ->
-        List.map
-          (fun maint ->
-            let r = sv_run ~smoke ~mode ~maint () in
-            Format.printf "%-7s %-10s %8d %8d %6d %10.1f %10.1f %9.3f %9.3f@."
-              r.sv_mode r.sv_maint r.sv_batches r.sv_ops r.sv_runs
-              (float_of_int r.sv_runs /. Float.max r.sv_wall_s 1e-9)
-              (float_of_int r.sv_ops /. Float.max r.sv_wall_s 1e-9)
-              r.sv_p50_ms r.sv_p99_ms;
-            r)
-          [ Datalog.Incremental.Dred; Datalog.Incremental.Counting ])
-      [ `Sync; `Async ]
-  in
-  (* traced sync/dred rerun: the commit spans and epoch lifetimes land
-     in the summary's srv section, attached as the (skipped) breakdown *)
-  let breakdown =
-    let obs = Obs.Trace.create ~domains:1 () in
-    let _r = sv_run ~smoke ~mode:`Sync ~maint:Datalog.Incremental.Dred ~obs () in
-    let s = Obs.Summary.of_trace obs in
-    Format.printf "@.measured breakdown (sync dred, traced rerun):@.@[<v>%a@]@."
-      Obs.Summary.pp s;
-    s
-  in
-  sv_json rows rate breakdown
-    (if smoke then "BENCH_serve_smoke.json" else "BENCH_serve.json")
-
-let serve () = serve_core ~smoke:false ()
-
-let serve_smoke () = serve_core ~smoke:true ()
-
-(* ---------------------------------------------------------------- *)
 (* Ablations: design choices called out in DESIGN.md                 *)
 (* ---------------------------------------------------------------- *)
 
@@ -1610,43 +1339,31 @@ let dispatch_run ~legacy ~domains ~reps trace =
   Option.get !best
 
 let dispatch_json rows headline sched_overhead path =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n  \"benchmark\": \"dispatch\",\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"host_cores\": %d,\n  \"work_unit\": 0.0,\n  \"batch\": 256,\n"
-       (Domain.recommended_domain_count ()));
-  (match sched_overhead with
-  | Some (tname, domains, measured, ops, modeled, util) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"sched_overhead\": {\"trace\": \"%s\", \"domains\": %d, \
-          \"measured_sched_s\": %.6f, \"ops\": %d, \"modeled_s\": %.6f, \
-          \"measured_over_modeled\": %.3f, \"utilization\": %.4f},\n"
-         tname domains measured ops modeled
-         (measured /. Float.max modeled 1e-12)
-         util)
-  | None -> ());
-  (match headline with
-  | Some (l, n) ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"headline\": {\"trace\": \"%s\", \"domains\": 8, \"legacy_tasks_per_sec\": %.0f, \"new_tasks_per_sec\": %.0f, \"speedup\": %.3f},\n"
-         l.d_trace l.d_rate n.d_rate (n.d_rate /. l.d_rate))
-  | None -> ());
-  Buffer.add_string b "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"trace\": \"%s\", \"executor\": \"%s\", \"domains\": %d, \"tasks\": %d, \"wall_makespan_s\": %.6f, \"tasks_per_sec\": %.0f}%s\n"
-           r.d_trace r.d_exec r.d_domains r.d_tasks r.d_makespan r.d_rate
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.printf "@.wrote %s@." path
+  write_json ~benchmark:"dispatch" path
+    ([ ("work_unit", num 0.0); ("batch", int 256) ]
+    @ opt "sched_overhead"
+        (fun (tname, domains, measured, ops, modeled, util) ->
+          Obs.Json.Object
+            [ ("trace", str tname); ("domains", int domains); ("measured_sched_s", num measured);
+              ("ops", int ops); ("modeled_s", num modeled);
+              ("measured_over_modeled", num (measured /. Float.max modeled 1e-12));
+              ("utilization", num util) ])
+        sched_overhead
+    @ opt "headline"
+        (fun (l, n) ->
+          Obs.Json.Object
+            [ ("trace", str l.d_trace); ("domains", int 8); ("legacy_tasks_per_sec", num l.d_rate);
+              ("new_tasks_per_sec", num n.d_rate); ("speedup", num (n.d_rate /. l.d_rate)) ])
+        headline
+    @ [ ( "rows",
+          Obs.Json.Array
+            (List.map
+               (fun r ->
+                 Obs.Json.Object
+                   [ ("trace", str r.d_trace); ("executor", str r.d_exec);
+                     ("domains", int r.d_domains); ("tasks", int r.d_tasks);
+                     ("wall_makespan_s", num r.d_makespan); ("tasks_per_sec", num r.d_rate) ])
+               rows) ) ])
 
 let dispatch_core ~smoke () =
   banner "Dispatch throughput: Executor vs big-lock Legacy (work_unit = 0)";
@@ -1923,8 +1640,6 @@ let sections =
     ("maintain-shard-smoke", maintain_shard_smoke);
     ("maintain-count", maintain_count);
     ("maintain-count-smoke", maintain_count_smoke);
-    ("serve", serve);
-    ("serve-smoke", serve_smoke);
     ("ablation", ablation);
     ("parallel", parallel);
     ("dispatch", dispatch);

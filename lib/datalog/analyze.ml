@@ -348,77 +348,36 @@ let pp_report ppf t =
     Format.fprintf ppf "ownership: verified (every component writes itself, reads only upstream)@."
   | Error m -> Format.fprintf ppf "ownership: VIOLATION — %s@." m
 
-(* Strict JSON, by hand: lib/datalog does not depend on a JSON printer,
-   and the emitted object must round-trip through [Obs.Json.parse]
-   (pinned by the CLI tests). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_report t =
-  let b = Buffer.create 1024 in
-  let str s = Buffer.add_string b (Printf.sprintf "\"%s\"" (json_escape s)) in
-  let strs l =
-    Buffer.add_char b '[';
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char b ',';
-        str s)
-      l;
-    Buffer.add_char b ']'
-  in
+  let open Obs.Json in
+  let strs l = Array (List.map (fun s -> String s) l) in
   let anal = t.anal in
-  Buffer.add_string b
-    (Printf.sprintf "{\"predicates\":%d,\"components\":%d,\"strata\":%d,\"engine\":\"%s\","
-       (Array.length anal.Stratify.predicates)
-       anal.Stratify.condensation.Dag.Scc.count anal.Stratify.stratum_count
-       (match t.engine with Plan.Compiled -> "compiled" | Plan.Interpreted -> "interpreted"));
-  Buffer.add_string b "\"rules\":[";
-  Array.iteri
-    (fun i ri ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"index\":%d,\"head\":\"%s\",\"plan\":%b,\"reads\":"
-           ri.rule_index (json_escape ri.head) ri.plan_derived);
-      strs ri.reads;
-      Buffer.add_char b '}')
-    t.rules;
-  Buffer.add_string b "],\"comps\":[";
-  Array.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      let ci = t.comps.(c) in
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"comp\":%d,\"stratum\":%d,\"extensional\":%b,\"recursion\":\"%s\",\"rules\":%d,\"exit_rules\":%d,\"negation\":%b,\"aggregate\":%b,\"shardable\":%b,\"level_index\":%b,\"advice\":\"%s\",\"reason\":\"%s\",\"members\":"
-           ci.comp ci.stratum ci.extensional (recursion_name ci.recursion)
-           ci.rule_count ci.exit_rules ci.has_negation ci.has_aggregate
-           ci.shardable ci.level_index (strategy_name ci.verdict)
-           (json_escape ci.reason));
-      strs ci.members;
-      Buffer.add_string b ",\"reads\":";
-      strs ci.reads;
-      Buffer.add_string b ",\"external_reads\":";
-      strs ci.external_reads;
-      Buffer.add_string b ",\"writes\":";
-      strs ci.writes;
-      Buffer.add_string b ",\"deltas\":";
-      strs ci.deltas;
-      Buffer.add_char b '}')
-    (Stratify.scc_order anal);
-  Buffer.add_string b "],\"ownership\":";
-  (match verify t with
-  | Ok () -> str "verified"
-  | Error m -> str m);
-  Buffer.add_char b '}';
-  Buffer.contents b
+  let rule ri =
+    Object
+      [ ("index", int ri.rule_index); ("head", String ri.head); ("plan", Bool ri.plan_derived);
+        ("reads", strs ri.reads) ]
+  in
+  let comp c =
+    let ci = t.comps.(c) in
+    Object
+      [ ("comp", int ci.comp); ("stratum", int ci.stratum); ("extensional", Bool ci.extensional);
+        ("recursion", String (recursion_name ci.recursion)); ("rules", int ci.rule_count);
+        ("exit_rules", int ci.exit_rules); ("negation", Bool ci.has_negation);
+        ("aggregate", Bool ci.has_aggregate); ("shardable", Bool ci.shardable);
+        ("level_index", Bool ci.level_index); ("advice", String (strategy_name ci.verdict));
+        ("reason", String ci.reason); ("members", strs ci.members); ("reads", strs ci.reads);
+        ("external_reads", strs ci.external_reads); ("writes", strs ci.writes);
+        ("deltas", strs ci.deltas) ]
+  in
+  to_string
+    (Object
+       [ ("predicates", int (Array.length anal.Stratify.predicates));
+         ("components", int anal.Stratify.condensation.Dag.Scc.count);
+         ("strata", int anal.Stratify.stratum_count);
+         ( "engine",
+           String
+             (match t.engine with Plan.Compiled -> "compiled" | Plan.Interpreted -> "interpreted")
+         );
+         ("rules", Array (Array.to_list (Array.map rule t.rules)));
+         ("comps", Array (Array.to_list (Array.map comp (Stratify.scc_order anal))));
+         ("ownership", String (match verify t with Ok () -> "verified" | Error m -> m)) ])

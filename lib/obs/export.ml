@@ -6,76 +6,59 @@
    Perfetto. The event kind always travels in "cat" and the payload in
    args.v, so a parsed file maps losslessly back onto ring records. *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let us ns = Json.Number (float_of_int ns /. 1e3)
 
-let us ns = float_of_int ns /. 1e3
-
+(* events go into the buffer one object at a time; only the frame
+   around the traceEvents array is written by hand *)
 let write ?task_label oc tr =
   let buf = Buffer.create 65536 in
-  Buffer.add_string buf "{ \"traceEvents\": [\n";
+  Buffer.add_string buf "{\"traceEvents\": [\n";
   let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_string buf ",\n"
+  let emit fields =
+    if not !first then Buffer.add_string buf ",\n";
+    first := false;
+    Json.to_buffer buf (Json.Object (("pid", Json.int 1) :: fields))
   in
-  sep ();
-  Buffer.add_string buf
-    "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": \
-     {\"name\": \"incremental maintenance\"}}";
+  let meta name tid label =
+    emit
+      [ ("name", Json.String name); ("ph", Json.String "M"); ("tid", Json.int tid);
+        ("args", Json.Object [ ("name", Json.String label) ]) ]
+  in
+  meta "process_name" 0 "incremental maintenance";
   let n = Trace.domains tr in
   for w = 0 to n - 1 do
-    sep ();
-    Printf.bprintf buf
-      "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"args\": \
-       {\"name\": \"worker %d\"}}"
-      w w
+    meta "thread_name" w ("worker " ^ string_of_int w)
   done;
   for w = 0 to n - 1 do
     Ring.iter (Trace.ring tr w) (fun ~kind ~t_ns ~a ~b ->
-        sep ();
+        let cat = Event.name kind in
+        let args = ("args", Json.Object [ ("v", Json.int a) ]) in
         if Event.is_instant kind then
-          Printf.bprintf buf
-            "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \
-             \"pid\": 1, \"tid\": %d, \"ts\": %.3f, \"args\": {\"v\": %d}}"
-            (Event.name kind) (Event.name kind) w (us t_ns) a
+          emit
+            [ ("name", Json.String cat); ("cat", Json.String cat); ("ph", Json.String "i");
+              ("s", Json.String "t"); ("tid", Json.int w); ("ts", us t_ns); args ]
         else begin
           let t0 = Event.span_start_ns kind ~a ~b in
           let name =
             if kind = Event.shard then "shard " ^ string_of_int a
             else
               match task_label with
-              | Some label when kind = Event.task -> escape (label a)
+              | Some label when kind = Event.task -> label a
               | Some label when Event.is_dred kind || Event.is_cnt kind ->
-                escape (Event.name kind ^ " " ^ label a)
-              | _ -> Event.name kind
+                cat ^ " " ^ label a
+              | _ -> cat
           in
-          Printf.bprintf buf
-            "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"X\", \"pid\": 1, \
-             \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": {\"v\": %d}}"
-            name (Event.name kind) w (us t0)
-            (us (max 0 (t_ns - t0)))
-            a
+          emit
+            [ ("name", Json.String name); ("cat", Json.String cat); ("ph", Json.String "X");
+              ("tid", Json.int w); ("ts", us t0); ("dur", us (max 0 (t_ns - t0))); args ]
         end)
   done;
-  Buffer.add_string buf "\n], \"displayTimeUnit\": \"ms\",\n\"otherData\": { \"domains\": ";
-  Printf.bprintf buf "%d, \"dropped\": [" n;
-  for w = 0 to n - 1 do
-    if w > 0 then Buffer.add_string buf ", ";
-    Printf.bprintf buf "%d" (Ring.dropped (Trace.ring tr w))
-  done;
-  Buffer.add_string buf "] } }\n";
+  Buffer.add_string buf "\n], \"displayTimeUnit\": \"ms\", \"otherData\": ";
+  Json.to_buffer buf
+    (Json.Object
+       [ ("domains", Json.int n);
+         ("dropped", Json.Array (List.init n (fun w -> Json.int (Ring.dropped (Trace.ring tr w))))) ]);
+  Buffer.add_string buf "}\n";
   Buffer.output_buffer oc buf
 
 let to_file ?task_label path tr =

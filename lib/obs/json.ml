@@ -1,8 +1,8 @@
-(* Minimal JSON: just enough to read back the trace files and bench
-   JSON this repo emits (tests, [dms trace], tools/bench_check). No
-   external dependency; strict — anything outside RFC 8259 (bare NaN,
-   trailing commas, comments) is a parse error, which is the point for
-   a well-formedness check. *)
+(* Minimal JSON: the one printer every writer in this repo uses, and a
+   reader just strong enough to take that output back (tests,
+   [dms trace], tools/bench_check). No external dependency; strict —
+   anything outside RFC 8259 (bare NaN, trailing commas, comments) is a
+   parse error, which is the point for a well-formedness check. *)
 
 type t =
   | Null
@@ -13,6 +13,8 @@ type t =
   | Object of (string * t) list
 
 exception Parse_error of string
+
+let int n = Number (float_of_int n)
 
 let fail pos msg = raise (Parse_error (Printf.sprintf "at byte %d: %s" pos msg))
 
@@ -209,3 +211,58 @@ let to_int = function
   | _ -> None
 
 let to_bool = function Bool b -> Some b | _ -> None
+
+(* ---- printing ---------------------------------------------------- *)
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 -> Printf.bprintf buf "\\u%04x" (Char.code c)
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
+(* integral values print bare; anything else as the shortest of 15, 16
+   or 17 significant digits that reads back to the same float *)
+let number f =
+  if not (Float.is_finite f) then
+    invalid_arg ("Obs.Json: non-finite number " ^ string_of_float f)
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let fits p = float_of_string (Printf.sprintf "%.*g" p f) = f in
+    Printf.sprintf "%.*g" (if fits 15 then 15 else if fits 16 then 16 else 17) f
+
+let rec to_buffer buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Number f -> Buffer.add_string buf (number f)
+  | String s -> add_string buf s
+  | Array l ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_string buf ", ";
+        to_buffer buf v)
+      l;
+    Buffer.add_char buf ']'
+  | Object kvs ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_string buf k;
+        Buffer.add_string buf ": ";
+        to_buffer buf v)
+      kvs;
+    Buffer.add_char buf '}'
+
+let to_string j =
+  let buf = Buffer.create 256 in
+  to_buffer buf j;
+  Buffer.contents buf

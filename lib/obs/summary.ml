@@ -230,38 +230,32 @@ let pp ppf t =
       (if t.dropped = 1 then "" else "s")
 
 let json t =
-  let buf = Buffer.create 1024 in
-  let fld name v = Printf.bprintf buf "\"%s\": %.9f, " name v in
-  Buffer.add_string buf "{ ";
-  fld "makespan_s" t.makespan_s;
-  fld "utilization" t.utilization;
-  fld "busy_s" t.busy_s;
-  fld "sched_s" t.sched_s;
-  fld "steal_s" t.steal_s;
-  fld "park_s" t.park_s;
-  fld "idle_s" t.idle_s;
-  Printf.bprintf buf
-    "\"dred\": { \"delete_s\": %.9f, \"rederive_s\": %.9f, \"insert_s\": %.9f }, "
-    t.dred_delete_s t.dred_rederive_s t.dred_insert_s;
-  Printf.bprintf buf
-    "\"cnt\": { \"propagate_s\": %.9f, \"backward_s\": %.9f, \"forward_s\": %.9f, \
-     \"o1_hits\": %d, \"full_probes\": %d }, "
-    t.cnt_propagate_s t.cnt_backward_s t.cnt_forward_s t.cnt_o1_hits t.cnt_full_probes;
-  Printf.bprintf buf
-    "\"srv\": { \"commit_s\": %.9f, \"epoch_s\": %.9f, \"commits\": %d, \
-     \"epochs\": %d, \"admitted\": %d }, "
-    t.srv_commit_s t.srv_epoch_s t.srv_commits t.srv_epochs t.srv_admitted;
-  Printf.bprintf buf "\"events\": %d, \"dropped\": %d, \"workers\": [ " t.events
-    t.dropped;
-  Array.iteri
-    (fun i (w : worker) ->
-      if i > 0 then Buffer.add_string buf ", ";
-      Printf.bprintf buf
-        "{ \"wid\": %d, \"busy_s\": %.9f, \"sched_s\": %.9f, \"steal_s\": %.9f, \
-         \"park_s\": %.9f, \"idle_s\": %.9f, \"tasks\": %d, \"steal_attempts\": %d, \
-         \"stolen\": %d, \"wakes\": %d, \"events\": %d, \"dropped\": %d }"
-        w.wid w.busy_s w.sched_s w.steal_s w.park_s w.idle_s w.tasks w.steal_attempts
-        w.stolen w.wakes w.events w.dropped)
-    t.workers;
-  Buffer.add_string buf " ] }";
-  Buffer.contents buf
+  let num f = Json.Number f and int = Json.int in
+  let worker (w : worker) =
+    Json.Object
+      [ ("wid", int w.wid); ("busy_s", num w.busy_s); ("sched_s", num w.sched_s);
+        ("steal_s", num w.steal_s); ("park_s", num w.park_s); ("idle_s", num w.idle_s);
+        ("tasks", int w.tasks); ("steal_attempts", int w.steal_attempts);
+        ("stolen", int w.stolen); ("wakes", int w.wakes); ("events", int w.events);
+        ("dropped", int w.dropped) ]
+  in
+  Json.Object
+    [ ("makespan_s", num t.makespan_s); ("utilization", num t.utilization);
+      ("busy_s", num t.busy_s); ("sched_s", num t.sched_s); ("steal_s", num t.steal_s);
+      ("park_s", num t.park_s); ("idle_s", num t.idle_s);
+      ( "dred",
+        Json.Object
+          [ ("delete_s", num t.dred_delete_s); ("rederive_s", num t.dred_rederive_s);
+            ("insert_s", num t.dred_insert_s) ] );
+      ( "cnt",
+        Json.Object
+          [ ("propagate_s", num t.cnt_propagate_s); ("backward_s", num t.cnt_backward_s);
+            ("forward_s", num t.cnt_forward_s); ("o1_hits", int t.cnt_o1_hits);
+            ("full_probes", int t.cnt_full_probes) ] );
+      ( "srv",
+        Json.Object
+          [ ("commit_s", num t.srv_commit_s); ("epoch_s", num t.srv_epoch_s);
+            ("commits", int t.srv_commits); ("epochs", int t.srv_epochs);
+            ("admitted", int t.srv_admitted) ] );
+      ("events", int t.events); ("dropped", int t.dropped);
+      ("workers", Json.Array (Array.to_list (Array.map worker t.workers))) ]

@@ -78,6 +78,5 @@ val sched_overhead_s : t -> float
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable table (use within a vertical box). *)
 
-val json : t -> string
-(** The breakdown as a JSON object string, for embedding in
-    [BENCH_*.json]. *)
+val json : t -> Json.t
+(** The breakdown as a JSON object, for embedding in [BENCH_*.json]. *)

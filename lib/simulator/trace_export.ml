@@ -15,19 +15,15 @@ let write ?(labels = string_of_int) oc ~procs (log : Engine.log_entry array) =
     if entry.Engine.finish > free_at.(r) then free_at.(r) <- entry.Engine.finish;
     r
   in
-  let us t = t *. 1e6 in
-  output_string oc "[\n";
-  Array.iteri
-    (fun i e ->
-      let row = row_of e in
-      Printf.fprintf oc
-        "  {\"name\": %S, \"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"ts\": %.3f, \
-         \"dur\": %.3f}%s\n"
-        (labels e.Engine.task) row (us e.Engine.start)
-        (us (e.Engine.finish -. e.Engine.start))
-        (if i = Array.length entries - 1 then "" else ","))
-    entries;
-  output_string oc "]\n"
+  let us t = Obs.Json.Number (t *. 1e6) in
+  let event e =
+    Obs.Json.Object
+      [ ("name", Obs.Json.String (labels e.Engine.task)); ("ph", Obs.Json.String "X");
+        ("pid", Obs.Json.int 1); ("tid", Obs.Json.int (row_of e));
+        ("ts", us e.Engine.start); ("dur", us (e.Engine.finish -. e.Engine.start)) ]
+  in
+  output_string oc (Obs.Json.to_string (Obs.Json.Array (Array.to_list (Array.map event entries))));
+  output_char oc '\n'
 
 let to_file ?labels path ~procs log =
   let oc = open_out path in

@@ -150,6 +150,56 @@ let json_parses_and_rejects () =
   rejects "{\"a\": NaN}";
   rejects "[1] trailing"
 
+(* printer: every value the generator makes reads back equal; strings
+   draw from all 256 byte values, numbers from finite floats and small
+   and large integers *)
+let json_gen =
+  let open QCheck.Gen in
+  let number =
+    oneof
+      [
+        map (fun f -> if Float.is_finite f then f else 0.5) float;
+        map float_of_int (int_range (-1000) 1000);
+        map float_of_int (int_range (-(1 lsl 60)) (1 lsl 60));
+      ]
+  in
+  let bytes = string_size ~gen:char (0 -- 12) in
+  sized
+    (fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Obs.Json.Null;
+               map (fun b -> Obs.Json.Bool b) bool;
+               map (fun f -> Obs.Json.Number f) number;
+               map (fun s -> Obs.Json.String s) bytes;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Obs.Json.Array l) (list_size (0 -- 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Obs.Json.Object l)
+                   (list_size (0 -- 4) (pair bytes (self (n / 4)))) );
+             ]))
+
+let json_print_round_trip =
+  QCheck.Test.make ~name:"parse (to_string j) = j" ~count:500
+    (QCheck.make ~print:Obs.Json.to_string json_gen)
+    (fun j -> Obs.Json.parse (Obs.Json.to_string j) = j)
+
+let json_print_rejects_non_finite () =
+  List.iter
+    (fun f ->
+      match Obs.Json.to_string (Obs.Json.Number f) with
+      | exception Invalid_argument _ -> ()
+      | s -> Alcotest.failf "printed %h as %s" f s)
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* ---- executor with tracing + chrome export round trip ---- *)
 
 let traced_executor_run () =
@@ -300,7 +350,12 @@ let () =
           test `Quick "per-worker math" summary_math;
           test `Quick "dred phase totals" summary_counts_dred_phases;
         ] );
-      ( "json", [ test `Quick "parses and rejects" json_parses_and_rejects ] );
+      ( "json",
+        [
+          test `Quick "parses and rejects" json_parses_and_rejects;
+          QCheck_alcotest.to_alcotest json_print_round_trip;
+          test `Quick "printer rejects non-finite" json_print_rejects_non_finite;
+        ] );
       ( "export",
         [ test `Quick "traced run round trips" traced_executor_run ] );
       ( "maintenance",

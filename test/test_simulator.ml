@@ -422,6 +422,27 @@ let export_wellformed () =
   String.iter (fun c -> if c = 'X' then incr count) contents;
   check_int "one event per task" (Array.length log) !count
 
+(* labels with a quote, a control byte and UTF-8 must come back byte
+   for byte: OCaml's %S escapes (\001, \195\169) are not JSON *)
+let export_labels_round_trip () =
+  let t = Workload.Pathological.deep_chain ~n:3 in
+  let r = Simulator.Engine.run ~config:(cfg ()) ~sched:lb t in
+  let log = Option.get r.Simulator.Engine.log in
+  let label i = Printf.sprintf "t%d \"q\" \001 \xc3\xa9" i in
+  let tmp = Filename.temp_file "sched" ".json" in
+  Simulator.Trace_export.to_file ~labels:label tmp ~procs:2 log;
+  let j = Obs.Json.of_file tmp in
+  Sys.remove tmp;
+  let names =
+    List.filter_map
+      (fun e -> Option.bind (Obs.Json.member "name" e) Obs.Json.to_str)
+      (Option.value (Obs.Json.to_list j) ~default:[])
+  in
+  let expected =
+    List.sort compare (Array.to_list (Array.map (fun e -> label e.Simulator.Engine.task) log))
+  in
+  Alcotest.(check (list string)) "labels byte for byte" expected (List.sort compare names)
+
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
 let () =
@@ -463,7 +484,11 @@ let () =
           test `Quick "min of both arms" meta_min_behaviour;
           test `Quick "printable" meta_pp;
         ] );
-      ("export", [ test `Quick "chrome trace wellformed" export_wellformed ]);
+      ( "export",
+        [
+          test `Quick "chrome trace wellformed" export_wellformed;
+          test `Quick "labels round trip" export_labels_round_trip;
+        ] );
       ( "bounds",
         qsuite
           [
