@@ -433,10 +433,11 @@ let dl_run_engine engine program updates =
     List.fold_left (fun acc s -> acc + s.Datalog.Eval.derived) 0 stats
   in
   let changed = ref 0 in
+  let session = Datalog.Incremental.prepare ~engine db program in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (adds, dels) ->
-      let r = Datalog.Incremental.apply ~engine db program ~additions:adds ~deletions:dels in
+      let r = Datalog.Incremental.apply session ~additions:adds ~deletions:dels in
       List.iter
         (fun (c : Datalog.Incremental.pred_change) ->
           changed := !changed + c.Datalog.Incremental.added + c.Datalog.Incremental.removed)
@@ -472,8 +473,9 @@ let dl_end_to_end ~smoke =
   let run engine legacy =
     let db = Datalog.Database.create () in
     ignore (Datalog.Eval.run ~engine db program);
+    let session = Datalog.Incremental.prepare ~engine db program in
     let t0 = Unix.gettimeofday () in
-    let tt = Datalog.To_trace.of_update ~work_unit:1.0 ~engine db program ~additions ~deletions in
+    let tt = Datalog.To_trace.of_update ~work_unit:1.0 session ~additions ~deletions in
     let maint = Unix.gettimeofday () -. t0 in
     let trace = tt.Datalog.To_trace.trace in
     let domains = 4 in
@@ -657,12 +659,13 @@ let mp_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ?serial_threshold ~domains
   let db = Datalog.Database.create () in
   ignore (Datalog.Eval.run ~engine db program);
   let changed = ref 0 in
+  let session = Datalog.Incremental.prepare ~engine ~shards db program in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (adds, dels) ->
       let r =
-        Datalog.Incremental.apply ~engine ~domains ~shards ?serial_threshold ~obs db
-          program ~additions:adds ~deletions:dels
+        Datalog.Incremental.apply ~domains ?serial_threshold ~obs session
+          ~additions:adds ~deletions:dels
       in
       List.iter
         (fun (c : Datalog.Incremental.pred_change) ->
@@ -774,7 +777,7 @@ let maintain_par_smoke () = maintain_par_core ~smoke:true ()
 (* The complement of maintain-par: a workload that is ONE big SCC, so
    component-level task parallelism has nothing to chew on and any
    speedup must come from the sharded phase rounds inside the
-   component (Incremental.apply ~shards). A dense transitive
+   component (a session prepared with ~shards). A dense transitive
    closure with a negation stratum on top: edge deletions trigger deep
    overdelete/rederive cascades whose per-round delta is large enough
    to split. The grid runs every shards x domains combination with
@@ -921,7 +924,7 @@ let maintain_shard_smoke () = maintain_shard_core ~smoke:true ()
 
 (* The maintenance-algorithm benchmark: the same update stream applied
    to twin materializations, once under DRed and once under counting
-   (Incremental.apply ~maint). Streams come from
+   (a session prepared with ~maint). Streams come from
    Synthetic.Update_stream — banded acyclic edge spaces where derived
    tuples carry many alternative derivations, the regime where DRed's
    overdelete/rederive storm is at its worst and counting's
@@ -998,16 +1001,17 @@ let mc_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ~maint program steps =
     else 0.0
   in
   let changed = ref 0 in
+  let session =
+    (* counting composes with sharded phase rounds: any warning here (a
+       refused ownership check) would invalidate the row *)
+    Datalog.Incremental.prepare ~engine ~maint ~shards
+      ~on_warn:(fun m -> failwith ("maintain-count: unexpected warning: " ^ m))
+      db program
+  in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (adds, dels) ->
-      let r =
-        (* counting composes with sharded phase rounds: any warning
-           here (a refused ownership check) would invalidate the row *)
-        Datalog.Incremental.apply ~engine ~maint ~shards
-          ~on_warn:(fun m -> failwith ("maintain-count: unexpected warning: " ^ m))
-          ~obs db program ~additions:adds ~deletions:dels
-      in
+      let r = Datalog.Incremental.apply ~obs session ~additions:adds ~deletions:dels in
       List.iter
         (fun (c : Datalog.Incremental.pred_change) ->
           changed := !changed + c.Datalog.Incremental.added + c.Datalog.Incremental.removed)

@@ -28,39 +28,58 @@ let trace_of_file = Workload.Trace_io.of_file
 
 let trace_of_string = Workload.Trace_io.of_string
 
-type datalog_session = { db : Datalog.Database.t; program : Datalog.Ast.program }
+type maintainer = {
+  mutable current :
+    ((Datalog.Incremental.maint * int * bool) * Datalog.Incremental.session) option;
+}
+
+type datalog_session = {
+  db : Datalog.Database.t;
+  program : Datalog.Ast.program;
+  maintainer : maintainer;
+}
 
 let materialize ?(lint = false) src =
   let program = Datalog.Parser.parse src in
   let db = Datalog.Database.create () in
   let _analysis, _stats = Datalog.Eval.run ~lint db program in
-  { db; program }
+  { db; program; maintainer = { current = None } }
 
 let lint session = Datalog.Lint.check session.program
 
-let update ?work_unit ?maint ?domains ?shards ?sanitize ?trace ?obs session
-    ~additions ~deletions =
+(* The prepared maintenance session for this configuration: reused
+   while updates keep asking for the same one, replaced (and prepared
+   on the spot) when they switch. *)
+let maintenance session ~maint ~shards ~sanitize =
+  let key = (maint, shards, sanitize) in
+  match session.maintainer.current with
+  | Some (k, prepared) when k = key -> prepared
+  | Some _ | None ->
+    let prepared =
+      Datalog.Incremental.prepare ~maint ~shards ~sanitize session.db session.program
+    in
+    session.maintainer.current <- Some (key, prepared);
+    prepared
+
+let update ?work_unit ?(maint = Datalog.Incremental.Dred) ?domains ?(shards = 1)
+    ?(sanitize = false) ?trace ?obs session ~additions ~deletions =
   let parse = List.map Datalog.Parser.parse_atom in
   let additions = parse additions and deletions = parse deletions in
+  let prepared = maintenance session ~maint ~shards ~sanitize in
   match (obs, trace) with
   | Some obs, _ ->
     (* the caller owns the rings (and their export); a long-lived
        server threads one trace through many updates this way *)
-    Datalog.To_trace.of_update ?work_unit ?maint ?domains ?shards ?sanitize ~obs
-      session.db session.program ~additions ~deletions
-  | None, None ->
-    Datalog.To_trace.of_update ?work_unit ?maint ?domains ?shards ?sanitize
-      session.db session.program ~additions ~deletions
+    Datalog.To_trace.of_update ?work_unit ?domains ~obs prepared ~additions ~deletions
+  | None, None -> Datalog.To_trace.of_update ?work_unit ?domains prepared ~additions ~deletions
   | None, Some path ->
     (* one ring per executor worker, plus one per crew worker (shard
        [j >= 1] emits on ring [domains + j - 1], see
        {!Datalog.Incremental.apply}) *)
     let nd = max 1 (Option.value domains ~default:1) in
-    let ns = max 1 (Option.value shards ~default:1) in
-    let obs = Obs.Trace.create ~domains:(nd + ns - 1) () in
+    let obs = Obs.Trace.create ~domains:(nd + shards - 1) () in
     let tt =
-      Datalog.To_trace.of_update ?work_unit ?maint ?domains ?shards ?sanitize
-        ~obs session.db session.program ~additions ~deletions
+      Datalog.To_trace.of_update ?work_unit ?domains ~obs prepared ~additions ~deletions
     in
     (* name task (and DRed) spans by their component's predicates *)
     let labels = tt.Datalog.To_trace.labels in

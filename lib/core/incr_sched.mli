@@ -53,9 +53,14 @@ val trace_of_string : ?name:string -> string -> Workload.Trace.t
 
 (** {1 Datalog entry points} *)
 
+type maintainer
+(** The prepared maintenance session ({!Datalog.Incremental.session})
+    that {!update} keeps for the last configuration it was asked for. *)
+
 type datalog_session = {
   db : Datalog.Database.t;
   program : Datalog.Ast.program;
+  maintainer : maintainer;
 }
 
 val materialize : ?lint:bool -> string -> datalog_session
@@ -84,6 +89,12 @@ val update :
   Datalog.To_trace.t
 (** Apply a base-fact update incrementally (atoms given as text, e.g.
     ["edge(\"a\",\"b\")"]) and return the revealed scheduling trace.
+    The first update prepares a maintenance session
+    ({!Datalog.Incremental.prepare}) for its [(maint, shards,
+    sanitize)]; later updates asking for the same configuration reuse
+    it, so they pay only for the batch and the components it reaches.
+    Asking for another configuration prepares a new session in its
+    place.
     [maint] (default DRed) selects the maintenance strategy — see
     {!Datalog.Incremental.maint}; ["auto"]-style per-component advice
     is [Datalog.Incremental.Auto]. [sanitize] (default off) arms the

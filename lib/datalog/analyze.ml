@@ -181,8 +181,7 @@ let run ?(engine = Plan.default_engine) ~anal (program : Ast.program) =
               | None -> true)
             members
         in
-        let comp_rules = Stratify.rules_for_comp anal program c in
-        let comp_rules = List.filter (fun (r : Ast.rule) -> r.Ast.body <> []) comp_rules in
+        let comp_rules = anal.Stratify.comp_rules.(c) in
         let infos =
           Array.to_list rule_infos
           |> List.filter (fun ri -> comp_of ri.head = Some c)

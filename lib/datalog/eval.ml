@@ -11,18 +11,13 @@ let insert_facts db program =
     program
 
 (* One component's fixpoint: semi-naive once seeded by a full round. *)
-let eval_comp ~engine db (anal : Stratify.t) program comp =
+let eval_comp ~engine db (anal : Stratify.t) comp =
   let symbols = Database.symbols db in
   let view = Matcher.view_of_db db in
   let card pred =
     match Database.find db pred with Some r -> Relation.cardinality r | None -> 0
   in
-  let rules =
-    List.filter
-      (fun (r : Ast.rule) -> r.Ast.body <> [])
-      (Stratify.rules_for_comp anal program comp)
-  in
-  match rules with
+  match anal.Stratify.comp_rules.(comp) with
   | [] -> { comp; rounds = 0; derived = 0; work = 0 }
   | [ r ] when Ast.rule_is_aggregate r ->
     (* aggregates are functional over strictly-lower strata: one shot *)
@@ -138,7 +133,7 @@ let run ?(engine = Plan.default_engine) ?(lint = false) db program =
   insert_facts db program;
   let stats =
     Array.to_list
-      (Array.map (eval_comp ~engine db anal program) (Stratify.scc_order anal))
+      (Array.map (eval_comp ~engine db anal) (Stratify.scc_order anal))
   in
   (anal, stats)
 

@@ -53,7 +53,51 @@ let resolve_strategies ~engine anal program maint =
     let az = Analyze.run ~engine ~anal program in
     Array.init n (fun c -> az.Analyze.comps.(c).Analyze.verdict)
 
-let make_ctx ?(sanitize = false) ?(on_warn = default_warn) ~engine ~maint db program =
+(* ---- the prepared session ----------------------------------------
+
+   Everything that depends only on the program, paid once: the
+   validated analysis and resolved strategies, [Matcher] registration,
+   the prepared components with their plan executors, the condensation
+   as a trace skeleton with its LevelBased levels, the component labels
+   and — on the first parallel apply — the ownership verdict. Each
+   [apply] advances [epoch], which is what makes a cached plan re-check
+   its cardinality order at its first use in the update (see
+   {!Plan.executor}). *)
+type session = {
+  db : Database.t;
+  anal : Stratify.t;
+  engine : Plan.engine;
+  strategy : Analyze.strategy array;
+  shards : int;
+  sanitize : bool;
+  on_warn : string -> unit;
+  symbols : Symbol.t;
+  card : string -> int;
+  epoch : int ref;
+  prepared : prepared_comp array;
+  order : int array;  (* {!Stratify.scc_order} *)
+  sources : int array;  (* extensional components, ascending *)
+  skeleton : Workload.Trace.t;  (* every edge changed, no initial task *)
+  level_based : Sched.Intf.factory;  (* over the precomputed levels *)
+  labels : string array;
+  mutable ownership : (unit, string) result option;
+  busy : bool Atomic.t;
+}
+
+let prepare ?(engine = Plan.default_engine) ?(maint = Dred) ?(shards = 1)
+    ?(sanitize = false) ?(on_warn = default_warn) db program =
+  if shards < 1 then invalid_arg "Incremental.prepare: shards < 1";
+  (match (maint, engine) with
+  | Counting, Plan.Interpreted ->
+    invalid_arg
+      "Incremental.prepare: counting maintenance requires the compiled engine (the \
+       interpretive oracle has no split-view mode)"
+  (* Auto resolves to DRed everywhere under the interpretive engine *)
+  | (Counting | Dred | Auto), _ -> ());
+  if shards > 1 && engine = Plan.Interpreted then
+    invalid_arg
+      "Incremental.prepare: the interpretive oracle is not domain-safe; use the \
+       compiled engine";
   Aggregate.validate program;
   let anal = Stratify.analyze program in
   let strategy = resolve_strategies ~engine anal program maint in
@@ -62,8 +106,69 @@ let make_ctx ?(sanitize = false) ?(on_warn = default_warn) ~engine ~maint db pro
   let card pred =
     match Database.find db pred with Some r -> Relation.cardinality r | None -> 0
   in
-  let make_exec r = Plan.executor ~engine ~symbols ~card r in
-  let new_view = Matcher.view_of_db db in
+  let epoch = ref 0 in
+  let make_exec = Plan.executor ~epoch ~engine ~symbols ~card in
+  let cond = anal.Stratify.condensation in
+  let g = cond.Dag.Scc.dag in
+  let n = Dag.Graph.node_count g in
+  let members c = Array.to_list cond.Dag.Scc.members.(c) in
+  let skeleton =
+    Workload.Trace.create ~name:"dred-parallel" ~graph:g
+      ~kind:(Array.make n Workload.Trace.Task)
+      ~shape:(Array.make n (Workload.Trace.Seq 1.0))
+      ~initial:[||]
+      ~edge_changed:(Array.make (Dag.Graph.edge_count g) true)
+  in
+  {
+    db;
+    anal;
+    engine;
+    strategy;
+    shards;
+    sanitize;
+    on_warn;
+    symbols;
+    card;
+    epoch;
+    prepared = Array.init n (prepare_comp ~shards ~anal ~make_exec);
+    order = Stratify.scc_order anal;
+    sources =
+      Array.of_list
+        (List.filter
+           (fun c -> List.for_all (fun p -> anal.Stratify.edb.(p)) (members c))
+           (List.init n Fun.id));
+    skeleton;
+    level_based =
+      (let levels = Dag.Levels.compute g in
+       { Sched.Level_based.factory with
+         make = (fun g -> Sched.Level_based.make ~levels g) });
+    labels =
+      Array.init n (fun c ->
+          String.concat "," (List.map (fun p -> anal.Stratify.predicates.(p)) (members c)));
+    ownership = None;
+    busy = Atomic.make false;
+  }
+
+let labels (s : session) = s.labels
+
+let replans (s : session) =
+  Array.fold_left
+    (fun acc pc ->
+      match pc.body with
+      | Extensional | Aggregate_rule _ -> acc
+      | Rules prs_by_shard ->
+        Array.fold_left
+          (List.fold_left (fun acc pr ->
+               List.fold_left
+                 (fun acc (_, _, fex) -> acc + Plan.replans fex)
+                 (acc + Plan.replans pr.ex) pr.flipped))
+          acc prs_by_shard)
+    0 s.prepared
+
+(* One update's context: the session's program-level parts plus fresh
+   net deltas and the views over them. *)
+let update_ctx (s : session) : ctx =
+  let new_view = Matcher.view_of_db s.db in
   let d = { added = Hashtbl.create 16; removed = Hashtbl.create 16 } in
   (* The pre-update state as a delta overlay over the live database:
      old = (new \ added) ∪ removed. The net-delta invariant maintained
@@ -71,10 +176,10 @@ let make_ctx ?(sanitize = false) ?(on_warn = default_warn) ~engine ~maint db pro
      cancellation on re-add) makes this identity hold at every point
      during processing, so no O(database) snapshot copy is needed. *)
   let old_view = overlay_view ~plus:d.removed ~minus:d.added new_view in
-  { db; program; anal; engine; strategy; sanitize; on_warn; symbols; card;
-    make_exec; d; old_view; new_view }
+  { db = s.db; anal = s.anal; engine = s.engine; strategy = s.strategy;
+    symbols = s.symbols; card = s.card; d; old_view; new_view }
 
-let apply_base_updates ctx ~additions ~deletions =
+let apply_base_updates (ctx : ctx) ~additions ~deletions =
   List.iter
     (fun (a : Ast.atom) ->
       let tup = Database.intern_atom ctx.db a in
@@ -96,7 +201,7 @@ let apply_base_updates ctx ~additions ~deletions =
    thing [record_add]/[record_remove] would otherwise do outside their
    component's write set. ([Matcher.register] has already created every
    predicate's relation, fixing the arities.) *)
-let prepare_deltas ctx =
+let prepare_deltas (ctx : ctx) =
   Array.iter
     (fun name ->
       match Database.find ctx.db name with
@@ -116,7 +221,7 @@ let prepare_deltas ctx =
    Phase spans (one per phase, tagged with the component id) go to
    [ring]; a single mutable start stamp suffices because phases never
    nest. *)
-let maintain_component ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepared_comp) =
+let maintain_component ?(ring = Obs.Ring.null) ?shard_ctx (ctx : ctx) (pc : prepared_comp) =
   let d = ctx.d and comp = pc.comp in
   let traced = Obs.Ring.enabled ring in
   let phase0 = ref 0 in
@@ -191,20 +296,20 @@ let maintain_component ?(ring = Obs.Ring.null) ?shard_ctx ctx (pc : prepared_com
    this call (shard crew jobs only fill private buffers; merges run
    here), so one writer scope around the whole body is exactly the
    ownership granularity the sanitizer checks. *)
-let process_comp ?ring ?shard_ctx ctx (pc : prepared_comp) =
-  if ctx.sanitize then
+let process_comp ?ring ?shard_ctx (s : session) (ctx : ctx) (pc : prepared_comp) =
+  if s.sanitize then
     Relation.Sanitize.with_writer pc.tag (fun () ->
         maintain_component ?ring ?shard_ctx ctx pc)
   else maintain_component ?ring ?shard_ctx ctx pc
 
 (* ---- report assembly -------------------------------------------- *)
 
-let assemble_report ctx slots =
+let assemble_report (s : session) (ctx : ctx) slots =
   (* components the parallel run never reached are provably untouched
      (no upstream delta, see [apply]); report them exactly as
      the serial walk would: zero work, nothing changed *)
   let activity =
-    Stratify.scc_order ctx.anal
+    s.order
     |> Array.to_list
     |> List.map (fun c ->
            match slots.(c) with
@@ -240,12 +345,12 @@ let assemble_report ctx slots =
    as the sanitizer found it. *)
 (* [f name rel] over the relations a predicate's owner writes: the
    store and its delta pair, the latter named "+pred" / "-pred" *)
-let iter_owned ctx name f =
+let iter_owned (ctx : ctx) name f =
   Option.iter (f name) (Database.find ctx.db name);
   Option.iter (f ("+" ^ name)) (Hashtbl.find_opt ctx.d.added name);
   Option.iter (f ("-" ^ name)) (Hashtbl.find_opt ctx.d.removed name)
 
-let sanitize_tag_all ctx prepared =
+let sanitize_tag_all (ctx : ctx) prepared =
   Array.iter
     (fun pc ->
       Array.iter
@@ -255,60 +360,39 @@ let sanitize_tag_all ctx prepared =
         pc.members)
     prepared
 
-let sanitize_untag_all ctx =
+let sanitize_untag_all (ctx : ctx) =
   Array.iter
     (fun name -> iter_owned ctx name (fun _ rel -> Relation.Sanitize.clear_owner rel))
     ctx.anal.Stratify.predicates
 
-let with_sanitize ctx prepared f =
-  if not ctx.sanitize then f ()
+let with_sanitize (s : session) (ctx : ctx) f =
+  if not s.sanitize then f ()
   else begin
-    sanitize_tag_all ctx prepared;
+    sanitize_tag_all ctx s.prepared;
     Fun.protect ~finally:(fun () -> sanitize_untag_all ctx) f
   end
 
-let setup ~shards ?sanitize ?on_warn ~engine ~maint db program ~additions ~deletions =
-  let ctx = make_ctx ?sanitize ?on_warn ~engine ~maint db program in
-  List.iter (check_edb ctx.anal) additions;
-  List.iter (check_edb ctx.anal) deletions;
-  apply_base_updates ctx ~additions ~deletions;
-  prepare_deltas ctx;
-  let n = Dag.Graph.node_count ctx.anal.Stratify.condensation.Dag.Scc.dag in
-  (ctx, Array.init n (prepare_comp ~shards ctx))
-
 (* the serial component walk: [apply] below its parallel thresholds
    and after a refused ownership check; records phase spans on ring 0 *)
-let run_serial_walk ~obs ?shard_ctx ctx prepared =
-  let slots = Array.make (Array.length prepared) None in
+let run_serial_walk ~obs ?shard_ctx (s : session) ctx =
+  let slots = Array.make (Array.length s.prepared) None in
   let ring = Obs.Trace.ring obs 0 in
   Array.iter
-    (fun c -> slots.(c) <- Some (process_comp ~ring ?shard_ctx ctx prepared.(c)))
-    (Stratify.scc_order ctx.anal);
-  assemble_report ctx slots
-
-let check_maint_engine ~who maint engine =
-  match (maint, engine) with
-  | Counting, Plan.Interpreted ->
-    invalid_arg
-      (who
-     ^ ": counting maintenance requires the compiled engine (the interpretive \
-        oracle has no split-view mode)")
-  (* Auto resolves to DRed everywhere under the interpretive engine *)
-  | (Counting | Dred | Auto), _ -> ()
+    (fun c -> slots.(c) <- Some (process_comp ~ring ?shard_ctx s ctx s.prepared.(c)))
+    s.order;
+  assemble_report s ctx slots
 
 (* Build and stamp the counting side tables of every derived component
    against the database's current (materialized) contents — one full-
    join pass per rule. Callers run this once after {!Eval}
-   materialization so the first [apply ~maint:Counting] update doesn't
-   pay the rebuild inside the measured batch; skipping it is still
-   correct, merely slower once. *)
-let prime ?(engine = Plan.default_engine) db program =
-  check_maint_engine ~who:"Incremental.prime" Counting engine;
-  let ctx = make_ctx ~engine ~maint:Counting db program in
+   materialization so the first [~maint:Counting] update doesn't pay
+   the rebuild inside the measured batch; skipping it is still correct,
+   merely slower once. *)
+let prime ?engine db program =
+  let s = prepare ?engine ~maint:Counting db program in
+  let ctx = update_ctx s in
   let work = ref 0 in
-  Array.iter
-    (fun c -> Counting.prime ctx (prepare_comp ctx c) ~work)
-    (Stratify.scc_order ctx.anal);
+  Array.iter (fun c -> Counting.prime ctx s.prepared.(c) ~work) s.order;
   !work
 
 (* ---- parallel maintenance over the multicore executor -----------
@@ -335,15 +419,17 @@ let prime ?(engine = Plan.default_engine) db program =
      with happens-before established by the scheduler's lock
      ({!Sched.Protected}) on the release path.
 
-   The serial prologue above freezes all shared structure (plans
-   compiled, delta tables pre-created, relations registered); the one
+   The serial prologue freezes all shared structure (the plans of
+   every component in the wavefront compiled or re-planned, delta
+   tables pre-created, relations registered at prepare time); the one
    remaining cross-component write — aggregate tasks interning fresh
    constants — is what {!Symbol}'s internal mutex is for.
 
    With [shards > 1] each component task additionally fans its phase
    rounds out over a {!Parallel.Shard_crew} (see [process_comp]); the
-   crew is created once per update and shared — its entry mutex
-   serializes fan-outs from concurrently running component tasks.
+   crew is borrowed from [shard_crews] for the update and shared — its
+   entry mutex serializes fan-outs from concurrently running component
+   tasks.
 
    When the conservative activation wavefront holds fewer than
    [serial_threshold] tasks, dispatching them through the executor
@@ -351,8 +437,8 @@ let prime ?(engine = Plan.default_engine) db program =
    serial walk instead — still sharded when [shards > 1]. The value
    was sized (wide-48tc bench: 0.87x at 2 domains for a 96-task trace
    on a small host) when every run also spawned and joined its worker
-   domains; runs now borrow a parked crew, which is cheaper, and the
-   threshold has not been re-tuned since. *)
+   domains and re-paid the program-sized setup; it has not been
+   re-tuned since. *)
 
 let serial_task_threshold = 8
 
@@ -365,7 +451,7 @@ let serial_task_threshold = 8
    rule heads; {!Analyze.check_ownership} decides against the
    condensation. Aggregate components have no plans; their single rule
    is checked from its body. *)
-let verify_ownership ctx prepared =
+let verify_ownership (s : session) =
   let union_reads acc reads =
     List.fold_left (fun acc p -> if List.mem p acc then acc else p :: acc) acc reads
   in
@@ -377,7 +463,7 @@ let verify_ownership ctx prepared =
         match pc.body with
         | Extensional -> Ok ()
         | Aggregate_rule r ->
-          Analyze.check_ownership ctx.anal ~comp:pc.comp
+          Analyze.check_ownership s.anal ~comp:pc.comp
             ~writes:[ r.Ast.head.Ast.pred ] ~reads:(Plan.body_reads r)
         | Rules prs_by_shard ->
           let writes, reads =
@@ -396,98 +482,103 @@ let verify_ownership ctx prepared =
                   acc prs)
               ([], []) prs_by_shard
           in
-          Analyze.check_ownership ctx.anal ~comp:pc.comp ~writes ~reads))
-    (Ok ()) prepared
+          Analyze.check_ownership s.anal ~comp:pc.comp ~writes ~reads))
+    (Ok ()) s.prepared
 
-let apply ?(engine = Plan.default_engine) ?(maint = Dred) ?(domains = 1) ?(shards = 1)
-    ?(serial_threshold = serial_task_threshold) ?sched ?sanitize ?on_warn
-    ?(obs = Obs.Trace.disabled) db program ~additions ~deletions =
-  if shards < 1 then invalid_arg "Incremental.apply: shards < 1";
-  check_maint_engine ~who:"Incremental.apply" maint engine;
-  let parallel = domains > 1 || shards > 1 in
-  (match engine with
-  | Plan.Interpreted when parallel ->
-    invalid_arg
-      "Incremental.apply: the interpretive oracle is not domain-safe; use the \
-       compiled engine"
-  | Plan.Compiled | Plan.Interpreted -> ());
-  let ctx, prepared =
-    setup ~shards ?sanitize ?on_warn ~engine ~maint db program ~additions ~deletions
-  in
-  if parallel then Array.iter precompile_comp prepared;
-  with_sanitize ctx prepared @@ fun () ->
-  if not parallel then run_serial_walk ~obs ctx prepared
+(* The verdict is computed once per session, on its first parallel
+   apply, over plans compiled for every component. Re-planning only
+   reorders a plan's steps, never changes the relations it reads, so
+   the verdict holds for the session's lifetime. *)
+let ownership (s : session) =
+  match s.ownership with
+  | Some verdict -> verdict
+  | None ->
+    Array.iter precompile_comp s.prepared;
+    let verdict = verify_ownership s in
+    s.ownership <- Some verdict;
+    verdict
+
+(* Sharded updates borrow their fan-out crew here. This pool is apart
+   from the executor's worker crews: component tasks fan out from
+   inside executor workers, so a crew serving both would deadlock on
+   its entry mutex. *)
+let shard_crews = Parallel.Shard_crew.pool ()
+
+let with_shard_ctx ~obs ~domains (s : session) f =
+  if s.shards <= 1 then f None
   else
-    match verify_ownership ctx prepared with
-    | Error msg ->
-      (* a plan set reaching outside its declared ownership would make
-         parallel dispatch unsound: refuse it and run serially, which
-         needs no ownership at all *)
-      ctx.on_warn
-        ("apply: static ownership verification failed — " ^ msg
-       ^ "; refusing parallel dispatch, running the serial walk");
-      run_serial_walk ~obs ctx prepared
-    | Ok () ->
-    let cond = ctx.anal.Stratify.condensation in
-    let g = cond.Dag.Scc.dag in
-    let n = Dag.Graph.node_count g in
-    (* initial tasks: extensional components whose base facts changed *)
-    let initial =
-      Array.to_list (Array.init n Fun.id)
-      |> List.filter (fun c ->
-             let members = cond.Dag.Scc.members.(c) in
-             Array.for_all (fun p -> ctx.anal.Stratify.edb.(p)) members
-             && Array.exists (fun p -> changed ctx.d ctx.anal.Stratify.predicates.(p)) members)
-      |> Array.of_list
-    in
-    if Array.length initial = 0 then assemble_report ctx (Array.make n None)
-    else begin
-      let kind = Array.make n Workload.Trace.Task in
-      let shape = Array.make n (Workload.Trace.Seq 1.0) in
-      let edge_changed = Array.make (Dag.Graph.edge_count g) true in
-      let trace =
-        Workload.Trace.create ~name:"dred-parallel" ~graph:g ~kind ~shape ~initial
-          ~edge_changed
-      in
-      (* active tasks under the conservative all-edges-changed
-         wavefront — an upper bound on how many component tasks the
-         executor could run for this update *)
-      let active =
-        let s = Workload.Trace.stats trace in
-        s.Workload.Trace.initial_tasks + s.Workload.Trace.active_jobs
-      in
-      let with_shard_ctx f =
-        if shards <= 1 then f None
-        else begin
-          let crew = Parallel.Shard_crew.create ~shards in
-          Fun.protect
-            ~finally:(fun () -> Parallel.Shard_crew.shutdown crew)
-            (fun () ->
-              let shard_rings =
-                (* crew worker [j] (= shard j, j >= 1) owns the ring
-                   after the executor workers' *)
-                Array.init shards (fun s ->
-                    if s = 0 then Obs.Ring.null
-                    else Obs.Trace.ring obs (max 1 domains + s - 1))
-              in
-              f (Some { crew; nshards = shards; shard_rings }))
-        end
-      in
-      with_shard_ctx (fun shard_ctx ->
-          if domains <= 1 || active < serial_threshold then
-            run_serial_walk ~obs ?shard_ctx ctx prepared
+    Parallel.Shard_crew.with_crew shard_crews ~shards:s.shards (fun crew ->
+        let shard_rings =
+          (* crew worker [j] (= shard j, j >= 1) owns the ring after the
+             executor workers' *)
+          Array.init s.shards (fun j ->
+              if j = 0 then Obs.Ring.null else Obs.Trace.ring obs (max 1 domains + j - 1))
+        in
+        f (Some { crew; nshards = s.shards; shard_rings }))
+
+let run_parallel ~domains ~serial_threshold ~sched ~obs (s : session) (ctx : ctx) =
+  (* initial tasks: extensional components whose base facts changed *)
+  let initial =
+    Array.of_list
+      (List.filter
+         (fun c ->
+           Array.exists
+             (fun p -> changed ctx.d s.anal.Stratify.predicates.(p))
+             s.anal.Stratify.condensation.Dag.Scc.members.(c))
+         (Array.to_list s.sources))
+  in
+  let trace = { s.skeleton with Workload.Trace.initial } in
+  (* every component the conservative all-edges-changed wavefront can
+     reach: the parallel path's re-plan point is here, before any task
+     runs, for exactly these components *)
+  let wavefront = Workload.Trace.active_set trace in
+  Prelude.Bitset.iter (fun c -> precompile_comp s.prepared.(c)) wavefront;
+  match ownership s with
+  | Error msg ->
+    (* a plan set reaching outside its declared ownership would make
+       parallel dispatch unsound: refuse it and run serially, which
+       needs no ownership at all *)
+    s.on_warn
+      ("apply: static ownership verification failed — " ^ msg
+     ^ "; refusing parallel dispatch, running the serial walk");
+    run_serial_walk ~obs s ctx
+  | Ok () ->
+    if Array.length initial = 0 then
+      assemble_report s ctx (Array.make (Array.length s.prepared) None)
+    else
+      with_shard_ctx ~obs ~domains s (fun shard_ctx ->
+          if domains <= 1 || Prelude.Bitset.cardinal wavefront < serial_threshold then
+            run_serial_walk ~obs ?shard_ctx s ctx
           else begin
-            let sched = Option.value sched ~default:Sched.Level_based.factory in
-            let slots = Array.make n None in
+            let sched = Option.value sched ~default:s.level_based in
+            let slots = Array.make (Array.length s.prepared) None in
             let run_task ~wid c =
               slots.(c) <-
                 Some
-                  (process_comp ~ring:(Obs.Trace.ring obs wid) ?shard_ctx ctx
-                     prepared.(c))
+                  (process_comp ~ring:(Obs.Trace.ring obs wid) ?shard_ctx s ctx
+                     s.prepared.(c))
             in
             ignore
-              (Parallel.Executor.run ~domains ~work_unit:0.0 ~run_task ~obs ~sched
-                 trace);
-            assemble_report ctx slots
+              (Parallel.Executor.run ~domains ~work_unit:0.0 ~run_task ~obs ~sched trace);
+            assemble_report s ctx slots
           end)
-    end
+
+let apply ?(domains = 1) ?(serial_threshold = serial_task_threshold) ?sched
+    ?(obs = Obs.Trace.disabled) (s : session) ~additions ~deletions =
+  if domains > 1 && s.engine = Plan.Interpreted then
+    invalid_arg
+      "Incremental.apply: the interpretive oracle is not domain-safe; use the \
+       compiled engine";
+  List.iter (check_edb s.anal) additions;
+  List.iter (check_edb s.anal) deletions;
+  if not (Atomic.compare_and_set s.busy false true) then
+    invalid_arg "Incremental.apply: the session is already running an apply";
+  Fun.protect ~finally:(fun () -> Atomic.set s.busy false) @@ fun () ->
+  incr s.epoch;
+  let ctx = update_ctx s in
+  apply_base_updates ctx ~additions ~deletions;
+  prepare_deltas ctx;
+  with_sanitize s ctx @@ fun () ->
+  if domains > 1 || s.shards > 1 then
+    run_parallel ~domains ~serial_threshold ~sched ~obs s ctx
+  else run_serial_walk ~obs s ctx

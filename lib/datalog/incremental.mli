@@ -32,6 +32,10 @@
     stale (first use, or after DRed/Eval touched the relation), or
     ahead of time with {!prime}.
 
+    Maintenance follows the paper's split of scheduling cost: a
+    program-sized precompute, paid once per program by {!prepare},
+    and a runtime in the active tasks, paid per update by {!apply}.
+
     This is the computation whose task DAG the paper's schedulers order:
     each dependency-graph component is one task, activated exactly when
     the update actually changes one of its inputs. {!apply} records per-
@@ -97,6 +101,43 @@ type maint = Dred | Counting | Auto
     interpretive engine the advisor resolves every component of [Auto]
     to DRed, silently. *)
 
+type session
+(** A program prepared for maintaining one database: everything that
+    depends only on the program, paid once by {!prepare}, so that each
+    {!apply} pays only for its update and the components it reaches.
+    A session serves one {!apply} at a time. *)
+
+val prepare :
+  ?engine:Plan.engine ->
+  ?maint:maint ->
+  ?shards:int ->
+  ?sanitize:bool ->
+  ?on_warn:(string -> unit) ->
+  Database.t ->
+  Ast.program ->
+  session
+(** Prepare [program] for maintaining [db], which must hold a completed
+    materialization of it (via {!Eval.run}) by the first {!apply}.
+    Paid once, in time linear in the program: aggregate validation and
+    {!Stratify.analyze}, the resolved per-component strategies
+    ([maint], default {!Dred}; see {!maint}), {!Matcher.register}, one
+    prepared component per condensation node with its rule executors
+    (plans compile lazily, on first use), the condensation as the
+    executor's task-DAG skeleton with its LevelBased levels, and the
+    component labels. The static ownership verdict (see {!apply}) is
+    computed once too, on the session's first parallel apply.
+
+    [engine] (default {!Plan.Compiled}) selects compiled plans or the
+    interpretive oracle; both restore the same database. [shards]
+    (default 1) > 1 splits each round of a component over that many
+    shard tasks (see {!apply}). [sanitize] (default false) arms the
+    write-set sanitizer and [on_warn] (default: print to stderr) gets
+    the ownership-refusal message, both for every apply of the session.
+    @raise Invalid_argument if [shards < 1], for [~maint:Counting] with
+    the interpretive engine, or for the interpretive engine with
+    [shards > 1]
+    @raise Stratify.Unstratifiable on negative recursion. *)
+
 val serial_task_threshold : int
 (** Default [serial_threshold] of {!apply}: activation wavefronts
     smaller than this run the serial walk — the executor's per-run
@@ -105,28 +146,34 @@ val serial_task_threshold : int
     cost on such small task counts. *)
 
 val apply :
-  ?engine:Plan.engine ->
-  ?maint:maint ->
   ?domains:int ->
-  ?shards:int ->
   ?serial_threshold:int ->
   ?sched:Sched.Intf.factory ->
-  ?sanitize:bool ->
-  ?on_warn:(string -> unit) ->
   ?obs:Obs.Trace.t ->
-  Database.t ->
-  Ast.program ->
+  session ->
   additions:Ast.atom list ->
   deletions:Ast.atom list ->
   report
-(** Update base facts and restore the materialization. [db] must hold a
-    completed materialization of [program] (via {!Eval.run}). Atoms must
-    be ground and extensional. [engine] (default {!Plan.Compiled})
-    selects compiled plans or the interpretive oracle; both restore the
-    same database. [maint] (default {!Dred}) selects the per-component
-    maintenance algorithm. Components are walked in evaluation order;
-    one whose inputs did not change is skipped (zero work, no phase
-    spans).
+(** Update base facts and restore the materialization of the session's
+    database. Atoms must be ground and extensional; an update that
+    fails this check raises before touching anything and leaves the
+    session usable. Per call, [apply] pays for fresh net deltas and
+    views, the base updates, and the components the update reaches;
+    components are walked in evaluation order, and one whose inputs
+    did not change is skipped (zero work, no phase spans). Only the
+    report's [activity] list, one entry per component, is
+    program-sized.
+
+    {b Re-planning.} Plans stay cached in the session across applies.
+    {!Plan.compile} reads cardinalities only to break join-order ties,
+    so each cached plan records the order of its body-atom
+    cardinalities, and a plan is re-planned exactly when that order
+    changed since it was last used — checked at the point where a
+    fresh compilation would plan it: its first use in the apply on the
+    serial walk, the prologue (for the components of the activation
+    wavefront) when [domains > 1] or [shards > 1]. Plans, and hence
+    the database, report and [work] counts, are the same as a freshly
+    prepared session's.
 
     Every component runs one round driver. A DRed phase (delete,
     insert) fires its rules at the external trigger positions, then
@@ -136,58 +183,60 @@ val apply :
 
     [domains] (default 1) > 1 maintains the components as real tasks on
     the multicore executor ({!Parallel.Executor}) under [sched] (default
-    the paper's LevelBased scheduler). The task DAG is the condensation
-    of the predicate dependency graph with every edge marked changed —
-    which inputs actually changed is only discovered as tasks run — and
-    the changed extensional components as initial tasks. Each task
-    writes only its own component's relations and deltas and reads
-    upstream state that the scheduler's precedence guarantees is
-    quiescent, so the final database and report equal the serial walk's
-    (up to interning order of aggregate-minted constants, and [work]
-    counts, whose rederive round structure may follow hash order). When the
-    conservative wavefront holds fewer than [serial_threshold] (default
+    the paper's LevelBased scheduler, over the session's precomputed
+    levels). The task DAG is the condensation of the predicate
+    dependency graph with every edge marked changed — which inputs
+    actually changed is only discovered as tasks run — and the changed
+    extensional components as initial tasks. Each task writes only its
+    own component's relations and deltas and reads upstream state that
+    the scheduler's precedence guarantees is quiescent, so the final
+    database and report equal the serial walk's (up to interning order
+    of aggregate-minted constants, and [work] counts, whose rederive
+    round structure may follow hash order). When the conservative
+    wavefront holds fewer than [serial_threshold] (default
     {!serial_task_threshold}) component tasks, the update runs the
     serial walk instead of paying the executor's dispatch overhead.
 
-    [shards] (default 1) > 1 splits each round of a component — DRed's
-    delete and insert rounds, counting's propagation rounds (the
-    external delta, death cascades, birth rounds) — into per-shard
-    enumerations over a {!Parallel.Shard_crew}: round inputs are
-    partitioned by the {!Relation.shard_of_tuple} hash of the delta
-    tuple's key column, each shard derives into a private buffer
-    against frozen state, and the coordinator merges buffers in shard
-    order 0..k-1 — so results, including iteration order, are
-    deterministic, and the database equals the unsharded one. Counting
-    merges signed count deltas (counts add, newborn levels take the
-    minimum) before settling serially, so store, counts and index end
-    up exactly as the unsharded run's; its backward search stays
-    serial. [work] counts may differ between shard counts: cross-shard
-    duplicate derivations are dropped at the merge. So may the split
-    of backward suspects into O(1) hits and full probes: within one
-    level the search drains suspects in count-table iteration order,
-    which follows the number of partitions, so retry probes and
-    dynamic admissions can differ slightly.
+    A session prepared with [shards] > 1 splits each round of a
+    component — DRed's delete and insert rounds, counting's propagation
+    rounds (the external delta, death cascades, birth rounds) — into
+    per-shard enumerations over a {!Parallel.Shard_crew} borrowed for
+    the update from a process-wide pool: round inputs are partitioned
+    by the {!Relation.shard_of_tuple} hash of the delta tuple's key
+    column, each shard derives into a private buffer against frozen
+    state, and the coordinator merges buffers in shard order 0..k-1 —
+    so results, including iteration order, are deterministic, and the
+    database equals the unsharded one. Counting merges signed count
+    deltas (counts add, newborn levels take the minimum) before
+    settling serially, so store, counts and index end up exactly as
+    the unsharded run's; its backward search stays serial. [work]
+    counts may differ between shard counts: cross-shard duplicate
+    derivations are dropped at the merge. So may the split of backward
+    suspects into O(1) hits and full probes: within one level the
+    search drains suspects in count-table iteration order, which
+    follows the number of partitions, so retry probes and dynamic
+    admissions can differ slightly.
 
-    With [domains > 1] or [shards > 1] every plan is compiled and every
-    delta table created before the first task runs, and the driver
-    statically verifies the ownership rule it relies on: every prepared
-    component's write set (rule heads) and read set (the
+    With [domains > 1] or [shards > 1] every plan of the wavefront is
+    compiled and every delta table created before the first task runs,
+    and the driver relies on a statically verified ownership rule:
+    every prepared component's write set (rule heads) and read set (the
     {!Plan.exec_reads} of its compiled plan stores, flipped-negation
     variants included) are checked by {!Analyze.check_ownership}
-    against the condensation. A violation — a plan probing a relation
-    that is neither same-component nor upstream — refuses parallel
-    dispatch: the update runs the unsharded serial walk, which needs
-    no ownership, and [on_warn] (default: print to stderr) carries the
-    verifier message. That refusal is the only message [on_warn] ever
-    receives.
+    against the condensation, once per session. A violation — a plan
+    probing a relation that is neither same-component nor upstream —
+    refuses parallel dispatch: every such update runs the unsharded
+    serial walk, which needs no ownership, and the session's [on_warn]
+    carries the verifier message. That refusal is the only message
+    [on_warn] ever receives.
 
-    [sanitize] (default false) arms the write-set sanitizer: every
-    relation and delta pair is tagged with its owning component, each
-    component's maintenance runs inside a matching
-    {!Relation.Sanitize.with_writer} scope (domain-local, so tags work
-    unchanged across worker domains), and a mutation that crosses
-    component ownership raises {!Relation.Sanitize.Violation} naming
-    the relation and both tasks (tags are removed before returning).
+    With [sanitize] armed at {!prepare}, every relation and delta pair
+    is tagged with its owning component, each component's maintenance
+    runs inside a matching {!Relation.Sanitize.with_writer} scope
+    (domain-local, so tags work unchanged across worker domains), and a
+    mutation that crosses component ownership raises
+    {!Relation.Sanitize.Violation} naming the relation and both tasks
+    (tags are removed before returning).
 
     [obs] (default disabled) records a phase span per maintained
     component — delete / rederive / insert under DRed, count-propagate
@@ -198,18 +247,26 @@ val apply :
     shard 0 on the coordinating ring, shard [j >= 1] on ring
     [max 1 domains + j - 1]. Recording never changes maintenance
     results.
-    @raise Invalid_argument on a non-ground or intensional atom, if
-    [shards < 1], for [~maint:Counting] with the interpretive engine,
-    or for the interpretive engine with [domains > 1] or [shards > 1]
+    @raise Invalid_argument on a non-ground or intensional atom, for
+    the interpretive engine with [domains > 1], or when another apply
+    of the same session is running
     @raise Failure if a maintenance task raises. *)
+
+val labels : session -> string array
+(** Per condensation component, its predicates joined by commas. *)
+
+val replans : session -> int
+(** Plans the session re-compiled because their cardinality order
+    changed (see {!apply}); first compilations are not counted. *)
 
 val prime : ?engine:Plan.engine -> Database.t -> Ast.program -> int
 (** Build and version-stamp the derivation-count side tables of every
     derived predicate against the database's current (materialized)
-    contents — one full-join pass per rule; returns the tuples
-    examined. Optional: the first [apply ~maint:Counting] rebuilds
-    stale counts itself; priming just moves that cost out of the
-    update. Counts are per program: priming with one program and
-    maintaining with another is only safe if the database was touched
-    in between (the version stamp then forces a rebuild).
+    contents — one full-join pass per rule, over a session prepared
+    for [~maint:Counting]; returns the tuples examined. Optional: the
+    first counting apply rebuilds stale counts itself; priming just
+    moves that cost out of the update. Counts are per program: priming
+    with one program and maintaining with another is only safe if the
+    database was touched in between (the version stamp then forces a
+    rebuild).
     @raise Invalid_argument with the interpretive engine. *)

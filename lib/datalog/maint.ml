@@ -114,27 +114,26 @@ let no_overlay : (string, Relation.t) Hashtbl.t = Hashtbl.create 1
 
 (* ---- the update context -----------------------------------------
 
-   Everything component maintenance shares. After the serial prologue
-   ({!Incremental}'s [make_ctx], base updates, [prepare_deltas], then
-   [prepare_comp] / [precompile_comp]) the context's *structure* is
-   frozen: the delta and relation hashtables gain no further entries,
-   the views and plan stores are read-only. From then on maintaining
-   component [c] writes only the relations and delta relations of its
-   own predicates — every body predicate is upstream or same-component
-   by construction of the dependency graph — which is the ownership
-   rule that makes running components in parallel safe (see
-   [Incremental.apply]). *)
+   Everything component maintenance shares during one update: the
+   program-level parts a session prepared once (analysis, resolved
+   strategies, the symbol table and live cardinalities) and the
+   update's own net deltas and views. After the serial prologue
+   ({!Incremental}'s base updates and [prepare_deltas], plus
+   [precompile_comp] when running in parallel) the context's
+   *structure* is frozen: the delta and relation hashtables gain no
+   further entries, the views and plan stores are read-only. From then
+   on maintaining component [c] writes only the relations and delta
+   relations of its own predicates — every body predicate is upstream
+   or same-component by construction of the dependency graph — which
+   is the ownership rule that makes running components in parallel
+   safe (see [Incremental.apply]). *)
 type ctx = {
   db : Database.t;
-  program : Ast.program;
   anal : Stratify.t;
   engine : Plan.engine;
   strategy : Analyze.strategy array;  (* resolved per component *)
-  sanitize : bool;
-  on_warn : string -> unit;
   symbols : Symbol.t;
   card : string -> int;
-  make_exec : Ast.rule -> Plan.exec;
   d : deltas;
   old_view : Matcher.view;
   new_view : Matcher.view;
@@ -142,11 +141,12 @@ type ctx = {
 
 (* ---- per-component preparation ----------------------------------
 
-   Everything a component's maintenance needs, resolved up front: its
-   rules with one shared executor each (so every (rule, delta position)
-   plan is compiled at most once per update), plus the flipped-positive
-   variant of each negated literal — shared by phases A and C, where
-   the original code rebuilt it per trigger. *)
+   Everything a component's maintenance needs, resolved once per
+   session: its rules with one shared executor each (so every (rule,
+   delta position) plan is compiled once and re-planned only when its
+   cardinality order changes, see {!Plan.executor}), plus the
+   flipped-positive variant of each negated literal — shared by phases
+   A and C. *)
 
 type prepared_rule = {
   rule : Ast.rule;
@@ -172,8 +172,7 @@ type prepared_comp = {
   body : comp_body;
 }
 
-let prepare_comp ?(shards = 1) ctx comp =
-  let anal = ctx.anal in
+let prepare_comp ~shards ~anal ~make_exec comp =
   let members = anal.Stratify.condensation.Dag.Scc.members.(comp) in
   let comp_preds = Hashtbl.create 4 in
   Array.iter
@@ -186,13 +185,8 @@ let prepare_comp ?(shards = 1) ctx comp =
             (fun p -> anal.Stratify.predicates.(p))
             (Array.to_list members)))
   in
-  let rules =
-    List.filter
-      (fun (r : Ast.rule) -> r.Ast.body <> [])
-      (Stratify.rules_for_comp anal ctx.program comp)
-  in
   let body =
-    match rules with
+    match anal.Stratify.comp_rules.(comp) with
     | [] -> Extensional
     | [ r ] when Ast.rule_is_aggregate r -> Aggregate_rule r
     | rules ->
@@ -205,23 +199,23 @@ let prepare_comp ?(shards = 1) ctx comp =
                      match lit with
                      | Ast.Neg _ ->
                        let fr = flip_negation r i in
-                       Some (i, fr, ctx.make_exec fr)
+                       Some (i, fr, make_exec fr)
                      | Ast.Pos _ | Ast.Cmp _ -> None)
             in
-            { rule = r; ex = ctx.make_exec r; flipped })
+            { rule = r; ex = make_exec r; flipped })
           rules
       in
       Rules (Array.init (max 1 shards) (fun _ -> prepare_set ()))
   in
   { comp; members; comp_preds; tag; body }
 
-(* Compile every plan a component's phases could reach: the base plan
-   (phase B), a delta plan per positive body position (phases A/C and
-   the in-component cascades), and a delta plan per flipped negation —
-   for every shard's plan set. Compilation interns constants into the
-   shared symbol table and consults relation cardinalities, so the
-   parallel driver runs this serially, before any worker domain
-   exists. *)
+(* Compile (or re-plan, see {!Plan.executor}) every plan a component's
+   phases could reach: the base plan (phase B), a delta plan per
+   positive body position (phases A/C and the in-component cascades),
+   and a delta plan per flipped negation — for every shard's plan set.
+   Compilation interns constants into the shared symbol table and
+   consults relation cardinalities, so the parallel driver runs this
+   serially, before any worker domain runs a task. *)
 let precompile_comp pc =
   match pc.body with
   | Extensional | Aggregate_rule _ -> ()
@@ -255,9 +249,10 @@ let head_rel ctx (r : Ast.rule) =
 
 (* ---- the maintainer environment ---------------------------------- *)
 
-(* Shared intra-component fan-out machinery, one per update: the crew
-   ([Shard_crew.run] serializes concurrent component tasks internally
-   so two executor workers can both reach a sharded phase round), the
+(* Shared intra-component fan-out machinery, one per update: the crew,
+   borrowed from a process-wide pool for the update ([Shard_crew.run]
+   serializes concurrent component tasks internally so two executor
+   workers can both reach a sharded phase round), the
    shard count, and one dedicated obs ring per non-coordinator shard.
    Crew worker [j] always runs shard [j] and at most one fan-out is in
    flight, so the rings keep their single-writer contract; shard 0

@@ -360,20 +360,73 @@ type engine = Compiled | Interpreted
 
 let default_engine = Compiled
 
-type exec =
-  | Interp of { rule : Ast.rule; symbols : Symbol.t }
-  | Plans of {
-      rule : Ast.rule;
-      symbols : Symbol.t;
-      card : string -> int;
-      mutable base : t option;
-      deltas : (int, t) Hashtbl.t;  (* keyed by delta body position *)
-    }
+(* [compile] reads [card] only to break ties between positive atoms
+   with equally many unbound variables, so two compilations of one rule
+   (and delta position) are identical whenever the pairwise order of
+   its positive body atoms' cardinalities agrees. [order] records that
+   order; [checked] is the epoch in which it was last confirmed. *)
+type cached = { plan : t; order : int array; mutable checked : int }
 
-let executor ~engine ~symbols ~card (rule : Ast.rule) =
+type plans = {
+  rule : Ast.rule;
+  symbols : Symbol.t;
+  card : string -> int;
+  epoch : int ref;
+  mutable base : cached option;
+  deltas : (int, cached) Hashtbl.t;  (* keyed by delta body position *)
+  mutable replans : int;
+}
+
+type exec = Interp of { rule : Ast.rule; symbols : Symbol.t } | Plans of plans
+
+let executor ?(epoch = ref 0) ~engine ~symbols ~card (rule : Ast.rule) =
   match engine with
   | Interpreted -> Interp { rule; symbols }
-  | Compiled -> Plans { rule; symbols; card; base = None; deltas = Hashtbl.create 4 }
+  | Compiled ->
+    Plans
+      { rule; symbols; card; epoch; base = None; deltas = Hashtbl.create 4; replans = 0 }
+
+let card_order ~card (rule : Ast.rule) =
+  let cards =
+    Array.of_list
+      (List.filter_map
+         (function Ast.Pos a -> Some (card a.Ast.pred) | Ast.Neg _ | Ast.Cmp _ -> None)
+         rule.Ast.body)
+  in
+  let k = Array.length cards in
+  let order = Array.make (k * (k - 1) / 2) 0 in
+  let n = ref 0 in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      order.(!n) <- Int.compare cards.(i) cards.(j);
+      incr n
+    done
+  done;
+  order
+
+(* The plan of [delta] position, valid for the current epoch: the first
+   fetch in an epoch compares the cardinality order with the cached
+   plan's and re-plans only when it changed; later fetches in the same
+   epoch reuse the plan without looking. *)
+let fetch ?delta p =
+  let epoch = !(p.epoch) in
+  let slot = match delta with None -> p.base | Some i -> Hashtbl.find_opt p.deltas i in
+  match slot with
+  | Some c when c.checked = epoch -> c.plan
+  | Some _ | None -> (
+    let order = card_order ~card:p.card p.rule in
+    match slot with
+    | Some c when c.order = order ->
+      c.checked <- epoch;
+      c.plan
+    | Some _ | None ->
+      if slot <> None then p.replans <- p.replans + 1;
+      let plan = compile ?delta ~symbols:p.symbols ~card:p.card p.rule in
+      let c = { plan; order; checked = epoch } in
+      (match delta with None -> p.base <- Some c | Some i -> Hashtbl.replace p.deltas i c);
+      plan)
+
+let replans = function Interp _ -> 0 | Plans p -> p.replans
 
 let exec_rule ?delta ?shard ?late_view ?witness ~view ~work ~on_derived e =
   match e with
@@ -403,44 +456,16 @@ let exec_rule ?delta ?shard ?late_view ?witness ~view ~work ~on_derived e =
     Matcher.eval_rule ~symbols ~view ?delta ~work ~on_derived rule
   | Plans p -> (
     match delta with
-    | None ->
-      let plan =
-        match p.base with
-        | Some plan -> plan
-        | None ->
-          let plan = compile ~symbols:p.symbols ~card:p.card p.rule in
-          p.base <- Some plan;
-          plan
-      in
-      run ?late_view ?witness ~view ~work ~on_derived plan
+    | None -> run ?late_view ?witness ~view ~work ~on_derived (fetch p)
     | Some (i, d) ->
-      let plan =
-        match Hashtbl.find_opt p.deltas i with
-        | Some plan -> plan
-        | None ->
-          let plan = compile ~delta:i ~symbols:p.symbols ~card:p.card p.rule in
-          Hashtbl.add p.deltas i plan;
-          plan
-      in
-      run ~delta:d ?shard ?late_view ?witness ~view ~work ~on_derived plan)
+      run ~delta:d ?shard ?late_view ?witness ~view ~work ~on_derived (fetch ~delta:i p))
 
-(* Force the compilation a later [exec_rule ?delta] call would perform
-   lazily. Compilation interns the rule's constants into the shared
-   symbol table and consults [card]; a parallel maintenance driver
-   pre-compiles every plan it may need serially, so that task-time
-   execution only reads the plan store. *)
-let prepare ?delta e =
-  match e with
-  | Interp _ -> ()
-  | Plans p -> (
-    match delta with
-    | None -> (
-      match p.base with
-      | Some _ -> ()
-      | None -> p.base <- Some (compile ~symbols:p.symbols ~card:p.card p.rule))
-    | Some i ->
-      if not (Hashtbl.mem p.deltas i) then
-        Hashtbl.add p.deltas i (compile ~delta:i ~symbols:p.symbols ~card:p.card p.rule))
+(* Force the compilation (or the re-plan check) a later [exec_rule
+   ?delta] call would perform lazily. Compilation interns the rule's
+   constants into the shared symbol table and consults [card]; a
+   parallel maintenance driver prepares every plan it may need serially,
+   so that task-time execution only reads the plan store. *)
+let prepare ?delta = function Interp _ -> () | Plans p -> ignore (fetch ?delta p : t)
 
 (* ---- static effect extraction ------------------------------------ *)
 
@@ -483,8 +508,8 @@ let exec_reads e =
     match p.base with
     | Some base ->
       let acc =
-        Hashtbl.fold (fun _ plan acc -> List.fold_left add_pred acc (reads plan))
-          p.deltas (reads base)
+        Hashtbl.fold (fun _ c acc -> List.fold_left add_pred acc (reads c.plan))
+          p.deltas (reads base.plan)
       in
       List.sort_uniq String.compare acc
     | None ->

@@ -107,9 +107,24 @@ val default_engine : engine
 
 type exec
 
-val executor : engine:engine -> symbols:Symbol.t -> card:(string -> int) -> Ast.rule -> exec
+val executor :
+  ?epoch:int ref -> engine:engine -> symbols:Symbol.t -> card:(string -> int) ->
+  Ast.rule -> exec
 (** Plans are compiled lazily, on first use of each delta position, and
-    cached for the lifetime of the [exec]. *)
+    cached for the lifetime of the [exec].
+
+    [epoch] (default: a private counter nobody advances) lets a caller
+    that runs one executor across many updates keep its plans exactly
+    as fresh compilation would make them. {!compile} reads [card] only
+    to break join-order ties, so each cached plan records the pairwise
+    order of its rule's positive body-atom cardinalities. The first use
+    of a plan after the caller advanced [epoch] recomputes that order
+    and re-plans exactly when it changed; later uses in the same epoch
+    reuse the plan without looking. *)
+
+val replans : exec -> int
+(** Plans this executor re-compiled because their cardinality order
+    changed (never counts a first compilation). *)
 
 val exec_rule :
   ?delta:int * Relation.t ->
@@ -133,8 +148,9 @@ val exec_rule :
     interpretive engine. *)
 
 val prepare : ?delta:int -> exec -> unit
-(** Force compilation of the plan a later {!exec_rule} call with the
-    same [delta] position would build lazily. Compilation interns the
+(** Force compilation (or the epoch's re-plan check) of the plan a
+    later {!exec_rule} call with the same [delta] position would
+    perform lazily. Compilation interns the
     rule's constants into the shared symbol table; a parallel driver
     calls this for every plan it may need {e before} spawning worker
     domains, so task-time execution only reads the memoized store.

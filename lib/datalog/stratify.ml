@@ -7,6 +7,7 @@ type t = {
   stratum_of_comp : int array;
   stratum_count : int;
   edb : bool array;
+  comp_rules : Ast.rule list array;
 }
 
 exception Unstratifiable of string
@@ -91,6 +92,17 @@ let analyze program =
         condensation.Dag.Scc.members.(comp))
     order;
   let stratum_count = 1 + Array.fold_left max 0 stratum_of_comp in
+  (* derivation rules grouped by head component in one pass, program
+     order kept within each component *)
+  let comp_rules = Array.make condensation.Dag.Scc.count [] in
+  List.iter
+    (fun (r : Ast.rule) ->
+      if r.body <> [] then begin
+        let c = condensation.Dag.Scc.component.(Hashtbl.find index_of r.head.Ast.pred) in
+        comp_rules.(c) <- r :: comp_rules.(c)
+      end)
+    program;
+  let comp_rules = Array.map List.rev comp_rules in
   {
     predicates;
     index_of;
@@ -100,6 +112,7 @@ let analyze program =
     stratum_of_comp;
     stratum_count;
     edb;
+    comp_rules;
   }
 
 let stratum t name =
@@ -126,11 +139,3 @@ let scc_order t =
     List.stable_sort (fun (s1, _) (s2, _) -> compare s1 s2) (Array.to_list a)
   in
   Array.of_list (List.map snd sorted)
-
-let rules_for_comp t program comp =
-  List.filter
-    (fun (r : Ast.rule) ->
-      match Hashtbl.find_opt t.index_of r.Ast.head.Ast.pred with
-      | Some i -> t.condensation.Dag.Scc.component.(i) = comp
-      | None -> false)
-    program

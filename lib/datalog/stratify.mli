@@ -17,6 +17,9 @@ type t = {
   stratum_count : int;
   edb : bool array;
       (** per predicate: extensional (never a rule head; facts only) *)
+  comp_rules : Ast.rule list array;
+      (** per component: its derivation rules (non-empty body) in
+          program order; facts are not included *)
 }
 
 exception Unstratifiable of string
@@ -34,6 +37,3 @@ val predicates_by_stratum : t -> string list array
 val scc_order : t -> int array
 (** Component ids in a topological evaluation order (dependencies
     first), grouped by increasing stratum. *)
-
-val rules_for_comp : t -> Ast.program -> int -> Ast.rule list
-(** The rules whose head belongs to the given component. *)

@@ -4,27 +4,14 @@ type t = {
   labels : string array;
 }
 
-let of_update ?(work_unit = 1e-6) ?engine ?maint ?domains ?shards ?sanitize ?on_warn
-    ?obs db program ~additions ~deletions =
-  let report =
-    Incremental.apply ?engine ?maint ?domains ?shards ?sanitize ?on_warn ?obs db
-      program ~additions ~deletions
-  in
+let of_update ?(work_unit = 1e-6) ?domains ?obs session ~additions ~deletions =
+  let report = Incremental.apply ?domains ?obs session ~additions ~deletions in
   let anal = report.Incremental.analysis in
   let cond = anal.Stratify.condensation in
   let graph = cond.Dag.Scc.dag in
   let n = Dag.Graph.node_count graph in
-  let labels =
-    Array.init n (fun c ->
-        cond.Dag.Scc.members.(c)
-        |> Array.to_list
-        |> List.map (fun p -> anal.Stratify.predicates.(p))
-        |> String.concat ",")
-  in
   let work = Array.make n 0.0 in
   let output_changed = Array.make n false in
-  let is_source = Array.make n false in
-  Array.iteri (fun c members -> is_source.(c) <- Array.length members > 0) cond.Dag.Scc.members;
   List.iter
     (fun (a : Incremental.comp_activity) ->
       work.(a.Incremental.comp) <- float_of_int a.Incremental.work *. work_unit;
@@ -47,13 +34,21 @@ let of_update ?(work_unit = 1e-6) ?engine ?maint ?domains ?shards ?sanitize ?on_
     Array.init (Dag.Graph.edge_count graph) (fun eid ->
         output_changed.(Dag.Graph.edge_src graph eid))
   in
-  let shape = Array.map (fun wk -> Workload.Trace.Seq wk) work in
-  let kind = Array.make n Workload.Trace.Task in
+  (* built directly rather than through [Workload.Trace.create]: the
+     condensation is acyclic by construction, work counts are
+     non-negative and [initial] is sorted, so its O(V+E) validation
+     would only re-pay the program on every update *)
   let trace =
-    Workload.Trace.create ~name:"datalog-update" ~graph ~kind ~shape ~initial
-      ~edge_changed
+    {
+      Workload.Trace.name = "datalog-update";
+      graph;
+      kind = Array.make n Workload.Trace.Task;
+      shape = Array.map (fun wk -> Workload.Trace.Seq wk) work;
+      initial;
+      edge_changed;
+    }
   in
-  { trace; report; labels }
+  { trace; report; labels = Incremental.labels session }
 
 let node_of_pred t name =
   let anal = t.report.Incremental.analysis in

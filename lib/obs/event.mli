@@ -43,7 +43,7 @@ val cnt_propagate : kind
 val cnt_backward : kind
 val cnt_forward : kind
 (** Counting maintenance phases per condensation component
-    ({!Incremental.apply} with [~maint:Counting]): count-delta
+    (a session prepared with [~maint:Counting]): count-delta
     propagation from the external update, backward alternative-
     derivation search, and forward death/birth cascades. Fields as for
     the [dred_*] kinds: [a] = component id, [b] = phase start, [t] =

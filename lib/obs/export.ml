@@ -67,6 +67,12 @@ let to_file ?task_label path tr =
 
 (* ---- reading back ------------------------------------------------ *)
 
+(* µs back to ns, to the nearest ns: a printed [ns / 1e3] reads back
+   as the nearest float, which can sit just below the exact value
+   (1001 ns comes back as 1000.9999...), so truncating would move a
+   span 1 ns early *)
+let ns_of_us us = Float.to_int (Float.round (us *. 1e3))
+
 let events_of_json j =
   let evs =
     match Json.member "traceEvents" j with
@@ -94,13 +100,13 @@ let events_of_json j =
                  Option.bind (Json.member "v" a) Json.to_int))
             ~default:0
         in
-        let t0_ns = int_of_float (ts *. 1e3) in
+        let t0_ns = ns_of_us ts in
         Some
           {
             Summary.wid;
             kind;
             t0_ns;
-            t1_ns = t0_ns + int_of_float (dur *. 1e3);
+            t1_ns = t0_ns + ns_of_us dur;
             arg;
           }
       | Some "i", Some kind, Some ts ->
@@ -113,7 +119,7 @@ let events_of_json j =
                  Option.bind (Json.member "v" a) Json.to_int))
             ~default:0
         in
-        let t = int_of_float (ts *. 1e3) in
+        let t = ns_of_us ts in
         Some { Summary.wid; kind; t0_ns = t; t1_ns = t; arg }
       | _ -> None)
     evs

@@ -73,35 +73,10 @@ let[@inline] tlog_push l task start finish =
 (* Long-lived worker domains. A [d]-domain run executes worker 0 on the
    caller and workers 1..d-1 on an idle [d]-shard crew lent from this
    pool and returned after the run, so back-to-back runs spawn no
-   domains. Each run borrows a crew of its own: concurrent runs (two
-   domains maintaining at once) never queue behind one another. The
-   pool is separate from the per-update shard crews of sharded
-   maintenance, whose fan-outs run from inside executor workers — a
-   shared crew would deadlock on its entry mutex. *)
-let idle_crews : (int, Shard_crew.t list) Hashtbl.t = Hashtbl.create 4
-
-let idle_lock = Mutex.create ()
-
-let with_crew d f =
-  Mutex.lock idle_lock;
-  let lent =
-    match Hashtbl.find_opt idle_crews d with
-    | Some (crew :: rest) ->
-      Hashtbl.replace idle_crews d rest;
-      Some crew
-    | Some [] | None -> None
-  in
-  Mutex.unlock idle_lock;
-  let crew =
-    match lent with Some crew -> crew | None -> Shard_crew.create ~shards:d
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock idle_lock;
-      Hashtbl.replace idle_crews d
-        (crew :: Option.value (Hashtbl.find_opt idle_crews d) ~default:[]);
-      Mutex.unlock idle_lock)
-    (fun () -> f crew)
+   domains. The pool is separate from sharded maintenance's crews,
+   whose fan-outs run from inside executor workers — a shared crew
+   would deadlock on its entry mutex. *)
+let worker_crews = Shard_crew.pool ()
 
 let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
     ?(obs = Obs.Trace.disabled) ~sched (trace : Workload.Trace.t) =
@@ -526,7 +501,7 @@ let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
       raise e
   in
   if domains = 1 then worker 0
-  else with_crew domains (fun crew -> Shard_crew.run crew worker);
+  else Shard_crew.with_crew worker_crews ~shards:domains (fun crew -> Shard_crew.run crew worker);
   (match Vatomic.get failure with
   | Some msg -> failwith ("Executor: " ^ msg)
   | None -> ());

@@ -111,3 +111,30 @@ let shutdown t =
     Array.iter Domain.join t.workers;
     t.workers <- [||]
   end
+
+(* Idle crews keyed by size. A borrower takes an idle crew of its size
+   or spawns one, and returns it afterwards, so back-to-back borrowers
+   spawn no domains; concurrent borrowers get distinct crews. Idle
+   crews stay parked on [posted]. *)
+type pool = { idle : (int, t list) Hashtbl.t; lock : Mutex.t }
+
+let pool () = { idle = Hashtbl.create 4; lock = Mutex.create () }
+
+let with_crew pool ~shards f =
+  Mutex.lock pool.lock;
+  let lent =
+    match Hashtbl.find_opt pool.idle shards with
+    | Some (crew :: rest) ->
+      Hashtbl.replace pool.idle shards rest;
+      Some crew
+    | Some [] | None -> None
+  in
+  Mutex.unlock pool.lock;
+  let crew = match lent with Some crew -> crew | None -> create ~shards in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock pool.lock;
+      Hashtbl.replace pool.idle shards
+        (crew :: Option.value (Hashtbl.find_opt pool.idle shards) ~default:[]);
+      Mutex.unlock pool.lock)
+    (fun () -> f crew)

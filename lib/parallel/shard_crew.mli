@@ -22,10 +22,12 @@
     tasks fanning out at once) queue on the crew's mutex and their
     fan-outs interleave at round granularity.
 
-    {!Executor.run} uses crews too, for its workers [1 .. domains-1]:
-    a pool of long-lived crews, distinct from the per-update shard
-    crew, since component tasks call {!run} from inside executor
-    workers. *)
+    Crews are long-lived and lent out by a {!pool}. {!Executor.run}
+    borrows its workers [1 .. domains-1] from one process-wide pool;
+    sharded maintenance borrows its fan-out crews from another. The two
+    must stay apart: component tasks call {!run} from inside executor
+    workers, and a crew shared between both roles would deadlock on
+    its entry mutex. *)
 
 type t
 
@@ -45,3 +47,15 @@ val run : t -> (int -> unit) -> unit
 val shutdown : t -> unit
 (** Join the worker domains. Idempotent; {!run} after shutdown raises
     [Invalid_argument]. *)
+
+type pool
+(** A set of idle crews, keyed by size. *)
+
+val pool : unit -> pool
+
+val with_crew : pool -> shards:int -> (t -> 'a) -> 'a
+(** [with_crew pool ~shards f] runs [f] with an idle [shards]-crew of
+    [pool], spawning one only when none is idle, and returns the crew
+    to the pool afterwards (also when [f] raises). Concurrent callers
+    get distinct crews, so a borrower never queues behind another.
+    Idle crews park and do not keep the process alive. *)

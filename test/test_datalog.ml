@@ -13,6 +13,15 @@ let parse = Datalog.Parser.parse
 
 let atom = Datalog.Parser.parse_atom
 
+(* One update through a freshly prepared session: every apply pays the
+   whole program, which is what the session differential below compares
+   a long-lived session against. *)
+let apply ?engine ?maint ?domains ?shards ?serial_threshold ?sched ?sanitize ?on_warn
+    ?obs db program ~additions ~deletions =
+  Datalog.Incremental.apply ?domains ?serial_threshold ?sched ?obs
+    (Datalog.Incremental.prepare ?engine ?maint ?shards ?sanitize ?on_warn db program)
+    ~additions ~deletions
+
 let cardinal db pred =
   match Datalog.Database.find db pred with
   | None -> 0
@@ -323,7 +332,7 @@ let check_incremental program_rules base_facts additions deletions =
   let db = Datalog.Database.create () in
   List.iter (fun a -> ignore (Datalog.Database.add_fact db a)) fact_atoms;
   let _ = Datalog.Eval.run db rules in
-  let _report = Datalog.Incremental.apply db rules ~additions:adds ~deletions:dels in
+  let _report = apply db rules ~additions:adds ~deletions:dels in
   (* from-scratch path *)
   let scratch = Datalog.Database.create () in
   List.iter (fun a -> ignore (Datalog.Database.add_fact scratch a)) fact_atoms;
@@ -386,7 +395,7 @@ let incr_rejects_intensional () =
   ignore (Datalog.Database.add_fact db (atom "e(\"a\")"));
   let _ = Datalog.Eval.run db rules in
   match
-    Datalog.Incremental.apply db rules ~additions:[ atom "p(\"b\")" ] ~deletions:[]
+    apply db rules ~additions:[ atom "p(\"b\")" ] ~deletions:[]
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of intensional update"
@@ -435,7 +444,7 @@ let incremental_report_changes () =
   ignore (Datalog.Database.add_fact db (atom "edge(\"a\",\"b\")"));
   let _ = Datalog.Eval.run db rules in
   let report =
-    Datalog.Incremental.apply db rules
+    apply db rules
       ~additions:[ atom "edge(\"b\",\"c\")" ]
       ~deletions:[]
   in
@@ -460,7 +469,7 @@ let incremental_noop_update () =
   let db = Datalog.Database.create () in
   ignore (Datalog.Database.add_fact db (atom "edge(\"a\",\"b\")"));
   let _ = Datalog.Eval.run db rules in
-  let report = Datalog.Incremental.apply db rules ~additions:[] ~deletions:[] in
+  let report = apply db rules ~additions:[] ~deletions:[] in
   check_int "no changes" 0 (List.length report.Datalog.Incremental.changes);
   List.iter
     (fun (a : Datalog.Incremental.comp_activity) ->
@@ -788,10 +797,10 @@ let engine_differential_qcheck =
         (* deletions may name absent facts: a no-op for both engines *)
         let dels = List.init (Prelude.Rng.int rng 2) (fun _ -> atom (mk ())) in
         ignore
-          (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled dbc program
+          (apply ~engine:Datalog.Plan.Compiled dbc program
              ~additions:adds ~deletions:dels);
         ignore
-          (Datalog.Incremental.apply ~engine:Datalog.Plan.Interpreted dbi program
+          (apply ~engine:Datalog.Plan.Interpreted dbi program
              ~additions:adds ~deletions:dels);
         ok := !ok && Datalog.Eval.databases_agree dbc dbi = Ok ()
       done;
@@ -839,13 +848,13 @@ let parallel_differential_qcheck =
         let adds = List.init (Prelude.Rng.int rng 3) (fun _ -> atom (mk ())) in
         let dels = List.init (Prelude.Rng.int rng 2) (fun _ -> atom (mk ())) in
         let r0 =
-          Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled serial program
+          apply ~engine:Datalog.Plan.Compiled serial program
             ~additions:adds ~deletions:dels
         in
         List.iter
           (fun (domains, db) ->
             let r =
-              Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
+              apply ~engine:Datalog.Plan.Compiled
                 ~domains db program ~additions:adds ~deletions:dels
             in
             ok := !ok && Datalog.Eval.databases_agree serial db = Ok ();
@@ -860,7 +869,7 @@ let parallel_rejects_interpreter () =
   let db = Datalog.Database.create () in
   let _ = Datalog.Eval.run db program in
   match
-    Datalog.Incremental.apply ~engine:Datalog.Plan.Interpreted ~domains:2
+    apply ~engine:Datalog.Plan.Interpreted ~domains:2
       db program ~additions:[ atom {|e("b","c")|} ] ~deletions:[]
   with
   | _ -> Alcotest.fail "interpreted engine must be rejected at domains > 1"
@@ -947,7 +956,7 @@ let sharded_differential_qcheck =
         let adds = List.init (Prelude.Rng.int rng 3) (fun _ -> atom (mk ())) in
         let dels = List.init (Prelude.Rng.int rng 2) (fun _ -> atom (mk ())) in
         let r0 =
-          Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled serial program
+          apply ~engine:Datalog.Plan.Compiled serial program
             ~additions:adds ~deletions:dels
         in
         List.iter
@@ -956,7 +965,7 @@ let sharded_differential_qcheck =
                sanitizer must be inert on safe runs — bit-identical
                results, no violations, across the whole grid *)
             let r =
-              Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
+              apply ~engine:Datalog.Plan.Compiled
                 ~shards ~domains ?serial_threshold ~sanitize:true db program
                 ~additions:adds ~deletions:dels
             in
@@ -966,6 +975,160 @@ let sharded_differential_qcheck =
           twins
       done;
       !ok)
+
+(* ---------- prepared sessions ---------- *)
+
+(* The session property: one session kept for a whole update stream
+   maintains exactly like a session prepared afresh for every batch —
+   same database, same report, same per-component [work] (so the cached
+   plans, re-planned on cardinality-order changes, are the plans fresh
+   compilation would make) — and both equal the from-scratch oracle.
+   Over DRed and counting, 1 and 2 domains, 1 and 2 shards. *)
+let session_differential_qcheck =
+  QCheck.Test.make
+    ~name:"a long-lived session equals a fresh session per batch and from-scratch"
+    ~count:40
+    QCheck.(triple (1 -- 4) (0 -- 18) (0 -- 10_000))
+    (fun (preds, nfacts, seed) ->
+      let rng = Prelude.Rng.create ((seed * 733) + (preds * 41) + nfacts) in
+      let program = parse (random_program ~aggregates:true rng ~preds) in
+      let mk () =
+        Printf.sprintf {|e("n%d","n%d")|} (Prelude.Rng.int rng 5)
+          (Prelude.Rng.int rng 5)
+      in
+      let base = List.init nfacts (fun _ -> mk ()) |> List.sort_uniq compare in
+      let load facts =
+        let db = Datalog.Database.create () in
+        List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) facts;
+        let _ = Datalog.Eval.run db program in
+        db
+      in
+      let grid =
+        List.concat_map
+          (fun maint ->
+            List.concat_map
+              (fun domains -> List.map (fun shards -> (maint, domains, shards)) [ 1; 2 ])
+              [ 1; 2 ])
+          [ Datalog.Incremental.Dred; Datalog.Incremental.Counting ]
+      in
+      let twins =
+        List.map
+          (fun (maint, domains, shards) ->
+            let kept = load base and fresh = load base in
+            let session = Datalog.Incremental.prepare ~maint ~shards kept program in
+            (maint, domains, shards, session, kept, fresh))
+          grid
+      in
+      let live = ref base in
+      let ok = ref true in
+      for _ = 1 to 4 do
+        let adds = List.init (Prelude.Rng.int rng 4) (fun _ -> mk ()) in
+        let dels =
+          List.filteri (fun i _ -> i < Prelude.Rng.int rng 3) !live
+          @ List.init (Prelude.Rng.int rng 2) (fun _ -> mk ())
+          |> List.sort_uniq compare
+        in
+        let adds = List.filter (fun f -> not (List.mem f dels)) adds in
+        live := List.sort_uniq compare (List.filter (fun f -> not (List.mem f dels)) !live @ adds);
+        let additions = List.map atom adds and deletions = List.map atom dels in
+        let oracle = load !live in
+        List.iter
+          (fun (maint, domains, shards, session, kept, fresh) ->
+            (* [serial_threshold:1] sends every 2-domain update through
+               the executor's prologue rather than the serial walk *)
+            let r =
+              Datalog.Incremental.apply ~domains ~serial_threshold:1 session
+                ~additions ~deletions
+            in
+            let r' =
+              apply ~maint ~shards ~domains ~serial_threshold:1 fresh program
+                ~additions ~deletions
+            in
+            ok := !ok && Datalog.Eval.databases_agree kept fresh = Ok ();
+            ok := !ok && Datalog.Eval.databases_agree oracle kept = Ok ();
+            ok := !ok && r.Datalog.Incremental.changes = r'.Datalog.Incremental.changes;
+            ok := !ok && r.Datalog.Incremental.activity = r'.Datalog.Incremental.activity)
+          twins
+      done;
+      !ok)
+
+(* A join whose tie-break flips mid-stream. The rule's delta plan on
+   [d] joins [a] and [b], each with one unbound variable, so only their
+   cardinalities order them. The first batch plans it with |a| < |b|;
+   the second makes |a| > |b| without touching [d]; the third fires the
+   plan again, which must re-plan to exactly the fresh compilation —
+   equal [work] says the enumeration order matches. *)
+let session_replans_on_order_flip () =
+  let src =
+    {|d("k"). a("k","y0"). a("k","y1").
+      b("k","z0"). b("k","z1"). b("k","z2"). b("k","z3"). b("k","z4").
+      p(X,Y,Z) :- d(X), a(X,Y), b(X,Z).|}
+  in
+  let program = parse src in
+  let load () =
+    let db = Datalog.Database.create () in
+    let _ = Datalog.Eval.run db program in
+    db
+  in
+  let kept = load () and fresh = load () in
+  let session = Datalog.Incremental.prepare kept program in
+  let batches =
+    [
+      ([], [ {|d("k")|} ]);
+      (List.init 10 (fun i -> Printf.sprintf {|a("m","y%d")|} i), []);
+      ([ {|d("k")|} ], []);
+    ]
+  in
+  List.iteri
+    (fun i (adds, dels) ->
+      let additions = List.map atom adds and deletions = List.map atom dels in
+      let r = Datalog.Incremental.apply session ~additions ~deletions in
+      let r' = apply fresh program ~additions ~deletions in
+      let work (r : Datalog.Incremental.report) =
+        List.map (fun (a : Datalog.Incremental.comp_activity) -> a.work) r.activity
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "batch %d work" i) (work r') (work r);
+      match Datalog.Eval.databases_agree kept fresh with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "batch %d diverged: %s" i e)
+    batches;
+  check_bool "the flipped plan was re-planned" true
+    (Datalog.Incremental.replans session > 0);
+  check_int "p rebuilt" 10 (cardinal kept "p")
+
+(* A rejected update leaves the session as it was: the check runs
+   before anything is touched, and the next batch maintains exactly as
+   on a session that never saw the bad one. *)
+let session_survives_rejected_update () =
+  let rules = "path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z)." in
+  let facts = {|edge("a","b"). edge("b","c").|} in
+  let program = parse (facts ^ rules) in
+  let load () =
+    let db = Datalog.Database.create () in
+    let _ = Datalog.Eval.run db program in
+    db
+  in
+  let db = load () in
+  let session = Datalog.Incremental.prepare db program in
+  let rejected additions =
+    match Datalog.Incremental.apply session ~additions ~deletions:[] with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check_bool "intensional atom rejected" true
+    (rejected [ atom {|edge("c","d")|}; atom {|path("x","y")|} ]);
+  check_bool "non-ground atom rejected" true (rejected [ atom {|edge("c",X)|} ]);
+  check_int "nothing was applied" 3 (cardinal db "path");
+  let additions = [ atom {|edge("c","d")|} ] and deletions = [ atom {|edge("a","b")|} ] in
+  let r = Datalog.Incremental.apply session ~additions ~deletions in
+  let twin = load () in
+  let r' = apply twin program ~additions ~deletions in
+  (match Datalog.Eval.databases_agree twin db with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "session diverged after a rejected update: %s" e);
+  check_bool "same report" true
+    (r.Datalog.Incremental.activity = r'.Datalog.Incremental.activity
+    && r.Datalog.Incremental.changes = r'.Datalog.Incremental.changes)
 
 (* The merge is deterministic, not merely set-equal: two runs of the
    same sharded update produce every relation in the same insertion
@@ -987,7 +1150,7 @@ let sharded_merge_deterministic () =
     List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) base;
     let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db program in
     ignore
-      (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled ~shards:4
+      (apply ~engine:Datalog.Plan.Compiled ~shards:4
          ~domains:2 ~serial_threshold:0 db program
          ~additions:[ atom {|edge("n3","n0")|}; atom {|edge("n12","n1")|} ]
          ~deletions:[ atom {|edge("n0","n1")|} ]);
@@ -1021,7 +1184,7 @@ let sharded_fallback_serial () =
     let obs = Obs.Trace.create ~domains () in
     let db = load () in
     ignore
-      (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled ~domains
+      (apply ~engine:Datalog.Plan.Compiled ~domains
          ?serial_threshold ~obs db program
          ~additions:[ atom {|edge("b","c")|} ]
          ~deletions:[]);
@@ -1107,11 +1270,11 @@ let counting_differential_qcheck =
         live := List.filter (fun f -> not (List.mem f dels)) !live @ adds;
         let additions = List.map atom adds and deletions = List.map atom dels in
         let r0 =
-          Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
+          apply ~engine:Datalog.Plan.Compiled
             ~maint:Datalog.Incremental.Dred dred program ~additions ~deletions
         in
         let r =
-          Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
+          apply ~engine:Datalog.Plan.Compiled
             ~maint:Datalog.Incremental.Counting cnt program ~additions ~deletions
         in
         ok := !ok && Datalog.Eval.databases_agree dred cnt = Ok ();
@@ -1188,7 +1351,7 @@ let counting_counts_invariant_qcheck =
         let dels = List.filteri (fun i _ -> i < Prelude.Rng.int rng 3) !live in
         live := List.filter (fun f -> not (List.mem f dels)) !live @ adds;
         ignore
-          (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
+          (apply ~engine:Datalog.Plan.Compiled
              ~maint:Datalog.Incremental.Counting cnt program
              ~additions:(List.map atom adds) ~deletions:(List.map atom dels))
       done;
@@ -1235,7 +1398,7 @@ let counting_diamond_counts () =
     check_int "path(a,b) low" 0 cell.Datalog.Relation.low
   | None -> Alcotest.fail "path(a,b) has no count cell");
   ignore
-    (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting db program
+    (apply ~maint:Datalog.Incremental.Counting db program
        ~additions:[] ~deletions:[ atom {|edge("b","d")|} ]);
   check_bool "path(a,d) survives one diagonal" true
     (Datalog.Database.mem_fact db (atom {|path("a","d")|}));
@@ -1248,7 +1411,7 @@ let counting_diamond_counts () =
     check_int "path(a,d) low after delete" 1 cell.Datalog.Relation.low
   | None -> Alcotest.fail "path(a,d) lost its count cell");
   ignore
-    (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting db program
+    (apply ~maint:Datalog.Incremental.Counting db program
        ~additions:[] ~deletions:[ atom {|edge("c","d")|} ]);
   check_bool "path(a,d) dies at count zero" false
     (Datalog.Database.mem_fact db (atom {|path("a","d")|}));
@@ -1280,8 +1443,8 @@ let counting_survives_dred_interleaving () =
   List.iter
     (fun (maint, adds, dels) ->
       let additions = List.map atom adds and deletions = List.map atom dels in
-      ignore (Datalog.Incremental.apply ~maint db program ~additions ~deletions);
-      ignore (Datalog.Incremental.apply ~maint:Datalog.Incremental.Dred scratch
+      ignore (apply ~maint db program ~additions ~deletions);
+      ignore (apply ~maint:Datalog.Incremental.Dred scratch
                 program ~additions ~deletions))
     steps;
   check_bool "interleaved engines agree" true
@@ -1310,10 +1473,10 @@ let counting_unfounded_cycle () =
   ignore (Datalog.Incremental.prime cnt program);
   let deletions = [ atom {|e0("a")|} ] in
   ignore
-    (Datalog.Incremental.apply ~maint:Datalog.Incremental.Dred dred program
+    (apply ~maint:Datalog.Incremental.Dred dred program
        ~additions:[] ~deletions);
   ignore
-    (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting cnt program
+    (apply ~maint:Datalog.Incremental.Counting cnt program
        ~additions:[] ~deletions);
   check_bool "p(a) gone" false (Datalog.Database.mem_fact cnt (atom {|p("a")|}));
   check_bool "p(b) gone" false (Datalog.Database.mem_fact cnt (atom {|p("b")|}));
@@ -1446,7 +1609,7 @@ let counting_level_index_qcheck =
         let dels = List.filteri (fun i _ -> i < ndel) !edges in
         edges := List.filter (fun e -> not (List.mem e dels)) !edges;
         ignore
-          (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting db program
+          (apply ~maint:Datalog.Incremental.Counting db program
              ~additions:[]
              ~deletions:
                (List.map
@@ -1506,12 +1669,12 @@ let counting_sharded_differential_qcheck =
         live := List.filter (fun f -> not (List.mem f dels)) !live @ adds;
         let additions = List.map atom adds and deletions = List.map atom dels in
         ignore
-          (Datalog.Incremental.apply ~engine:Datalog.Plan.Compiled
+          (apply ~engine:Datalog.Plan.Compiled
              ~maint:Datalog.Incremental.Dred dred program ~additions ~deletions);
         List.iter
           (fun ((shards, domains), db) ->
             ignore
-              (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting
+              (apply ~maint:Datalog.Incremental.Counting
                  ~shards ~domains db program ~additions ~deletions))
           cnts;
         let scratch = load !live in
@@ -1544,7 +1707,7 @@ let counting_rejects_unsupported () =
   let db = load () in
   let adds = [ atom {|e("b","c")|} ] in
   (match
-     Datalog.Incremental.apply ~engine:Datalog.Plan.Interpreted
+     apply ~engine:Datalog.Plan.Interpreted
        ~maint:Datalog.Incremental.Counting db program ~additions:adds
        ~deletions:[]
    with
@@ -1553,11 +1716,11 @@ let counting_rejects_unsupported () =
   (* counting + shards > 1: native sharded counting, no warning *)
   let serial = load () in
   ignore
-    (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting serial program
+    (apply ~maint:Datalog.Incremental.Counting serial program
        ~additions:adds ~deletions:[]);
   let warned = ref [] in
   let r =
-    Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting ~domains:4
+    apply ~maint:Datalog.Incremental.Counting ~domains:4
       ~shards:2 ~on_warn:(fun m -> warned := m :: !warned) db program
       ~additions:adds ~deletions:[]
   in
@@ -1576,7 +1739,7 @@ let counting_rejects_unsupported () =
   (* domains > 1 with shards = 1 stays legal: component-level
      parallelism is algorithm-agnostic *)
   ignore
-    (Datalog.Incremental.apply ~maint:Datalog.Incremental.Counting
+    (apply ~maint:Datalog.Incremental.Counting
        ~domains:2 db program ~additions:adds ~deletions:[])
 
 (* ---------- Static analysis (Analyze) ---------- *)
@@ -1751,9 +1914,9 @@ let sanitizer_inert_and_cleans_up () =
   in
   let plain = load () and armed = load () in
   let adds = [ atom {|edge("c","d")|} ] and dels = [ atom {|edge("a","b")|} ] in
-  let r0 = Datalog.Incremental.apply plain program ~additions:adds ~deletions:dels in
+  let r0 = apply plain program ~additions:adds ~deletions:dels in
   let r =
-    Datalog.Incremental.apply ~sanitize:true armed program ~additions:adds
+    apply ~sanitize:true armed program ~additions:adds
       ~deletions:dels
   in
   check_bool "sanitizer is inert on a safe run" true
@@ -1800,15 +1963,15 @@ let auto_differential () =
     (fun (adds, dels) ->
       let additions = List.map atom adds and deletions = List.map atom dels in
       let r0 =
-        Datalog.Incremental.apply ~maint:Datalog.Incremental.Dred dred program
+        apply ~maint:Datalog.Incremental.Dred dred program
           ~additions ~deletions
       in
       let r =
-        Datalog.Incremental.apply ~maint:Datalog.Incremental.Auto auto program
+        apply ~maint:Datalog.Incremental.Auto auto program
           ~additions ~deletions
       in
       let rp =
-        Datalog.Incremental.apply ~maint:Datalog.Incremental.Auto
+        apply ~maint:Datalog.Incremental.Auto
           ~domains:2 ~serial_threshold:0 par program ~additions ~deletions
       in
       check_bool "auto equals dred" true
@@ -1998,7 +2161,8 @@ let to_trace_basic () =
     [ "edge(\"a\",\"b\")"; "edge(\"b\",\"a\")" ];
   let _ = Datalog.Eval.run db (parse rules) in
   let tt =
-    Datalog.To_trace.of_update db (parse rules)
+    Datalog.To_trace.of_update
+      (Datalog.Incremental.prepare db (parse rules))
       ~additions:[ atom "edge(\"b\",\"c\")" ]
       ~deletions:[]
   in
@@ -2029,7 +2193,8 @@ let to_trace_activation_matches_report () =
   let _ = Datalog.Eval.run db (parse rules) in
   (* update touches only e: the f -> r chain must stay inactive *)
   let tt =
-    Datalog.To_trace.of_update db (parse rules)
+    Datalog.To_trace.of_update
+      (Datalog.Incremental.prepare db (parse rules))
       ~additions:[ atom "e(\"c\")" ]
       ~deletions:[]
   in
@@ -2270,6 +2435,12 @@ let () =
           test `Quick "compiled plan matches interpreter" plan_matches_interpreter;
         ]
         @ qsuite [ engine_differential_qcheck ] );
+      ( "session",
+        [
+          test `Quick "re-plans on a cardinality-order flip" session_replans_on_order_flip;
+          test `Quick "survives a rejected update" session_survives_rejected_update;
+        ]
+        @ qsuite [ session_differential_qcheck ] );
       ( "parallel-maintenance",
         [ test `Quick "interpreted engine rejected" parallel_rejects_interpreter ]
         @ qsuite [ parallel_differential_qcheck ] );

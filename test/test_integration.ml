@@ -78,6 +78,42 @@ let session_unstratifiable () =
 
 (* The whole pipeline preserves semantics: schedule order never affects
    the final database (the single-execution model's point). *)
+(* [update] keeps one prepared session per configuration: a stream
+   that switches strategy and shard count between updates, and back,
+   still ends where a from-scratch materialization of the final facts
+   does. *)
+let update_switches_sessions () =
+  let rules =
+    {|anc(X,Y) :- parent(X,Y).
+      anc(X,Z) :- anc(X,Y), parent(Y,Z).
+      leaf(X) :- isnode(X), !haskid(X).
+      haskid(X) :- parent(X,Y).
+      isnode(X) :- parent(X,Y).
+      isnode(Y) :- parent(X,Y).|}
+  in
+  let s = Incr_sched.materialize ({|parent("r","a"). parent("a","b").|} ^ rules) in
+  let steps =
+    [
+      (Datalog.Incremental.Dred, 1, [ {|parent("b","c")|} ], []);
+      (Datalog.Incremental.Dred, 1, [ {|parent("c","d")|} ], [ {|parent("r","a")|} ]);
+      (Datalog.Incremental.Counting, 2, [ {|parent("r","a")|} ], [ {|parent("a","b")|} ]);
+      (Datalog.Incremental.Dred, 1, [ {|parent("a","b")|} ], [ {|parent("c","d")|} ]);
+    ]
+  in
+  List.iter
+    (fun (maint, shards, additions, deletions) ->
+      ignore (Incr_sched.update ~maint ~shards s ~additions ~deletions))
+    steps;
+  let fresh =
+    Incr_sched.materialize
+      ({|parent("r","a"). parent("a","b"). parent("b","c").|} ^ rules)
+  in
+  List.iter
+    (fun pred ->
+      check_bool ("same " ^ pred) true
+        (Incr_sched.query s pred = Incr_sched.query fresh pred))
+    [ "anc"; "leaf"; "isnode" ]
+
 let update_then_requery_consistency () =
   let mk () =
     Incr_sched.materialize
@@ -182,6 +218,7 @@ let () =
           test `Quick "syntax errors surface" session_syntax_error;
           test `Quick "unstratifiable programs surface" session_unstratifiable;
           test `Quick "incremental equals rebuild" update_then_requery_consistency;
+          test `Quick "sessions follow the configuration" update_switches_sessions;
         ] );
       ( "paper-shapes",
         [

@@ -240,6 +240,28 @@ let traced_executor_run () =
       in
       check_int "re-read summary sees the same tasks" tasks tasks')
 
+(* Timestamps survive the µs export exactly: 1001 ns prints as 1.001 µs,
+   which reads back as 1000.9999... ns and must round, not truncate. *)
+let export_rounds_to_ns () =
+  let obs = Obs.Trace.create ~domains:1 () in
+  let r = Obs.Trace.ring obs 0 in
+  let spans = [ (1001, 2003); (2002, 5005); (1023, 1023) ] in
+  List.iter
+    (fun (t0, t1) -> Obs.Ring.emit_at r ~t_ns:t1 ~kind:Obs.Event.task ~a:0 ~b:t0)
+    spans;
+  Obs.Ring.emit_at r ~t_ns:3007 ~kind:Obs.Event.wake ~a:1 ~b:0;
+  let path = Filename.temp_file "obs_round" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.Export.to_file path obs;
+      let events = Obs.Export.events_of_json (Obs.Json.of_file path) in
+      let got =
+        List.map (fun (e : Obs.Summary.event) -> (e.t0_ns, e.t1_ns)) events
+      in
+      Alcotest.(check (list (pair int int)))
+        "span and instant stamps in ns" (spans @ [ (3007, 3007) ]) got)
+
 (* ---- maintenance parity with tracing on ---- *)
 
 let maintenance_unchanged_by_tracing () =
@@ -259,14 +281,17 @@ let maintenance_unchanged_by_tracing () =
   let dels = [ Datalog.Parser.parse_atom {|edge("b","c")|} ] in
   let reference = load () in
   let _ =
-    Datalog.Incremental.apply reference program ~additions:adds ~deletions:dels
+    Datalog.Incremental.apply
+      (Datalog.Incremental.prepare reference program)
+      ~additions:adds ~deletions:dels
   in
   List.iter
     (fun domains ->
       let obs = Obs.Trace.create ~domains:(max 1 domains) () in
       let db = load () in
       let _ =
-        Datalog.Incremental.apply ~domains ~obs db program
+        Datalog.Incremental.apply ~domains ~obs
+          (Datalog.Incremental.prepare db program)
           ~additions:adds ~deletions:dels
       in
       (match Datalog.Eval.databases_agree reference db with
@@ -295,7 +320,7 @@ let phase_spans_follow_activation () =
     let _ = Datalog.Eval.run db program in
     let obs = Obs.Trace.create ~domains:2 () in
     let r =
-      Datalog.Incremental.apply ?shards ~obs db program
+      Datalog.Incremental.apply ~obs (Datalog.Incremental.prepare ?shards db program)
         ~additions:[ Datalog.Parser.parse_atom {|e("c","d")|} ]
         ~deletions:[ Datalog.Parser.parse_atom {|e("a","b")|} ]
     in
@@ -357,7 +382,8 @@ let () =
           test `Quick "printer rejects non-finite" json_print_rejects_non_finite;
         ] );
       ( "export",
-        [ test `Quick "traced run round trips" traced_executor_run ] );
+        [ test `Quick "traced run round trips" traced_executor_run;
+          test `Quick "export rounds to the nearest ns" export_rounds_to_ns ] );
       ( "maintenance",
         [
           test `Quick "parity under tracing" maintenance_unchanged_by_tracing;

@@ -314,10 +314,15 @@ let parallel_maintenance_smoke () =
   let adds = [ Datalog.Parser.parse_atom {|edge("e","a")|} ] in
   let dels = [ Datalog.Parser.parse_atom {|edge("b","c")|} ] in
   let serial = load () and par = load () in
-  let _ = Datalog.Incremental.apply serial program ~additions:adds ~deletions:dels in
   let _ =
-    Datalog.Incremental.apply ~domains:2 par program ~additions:adds
-      ~deletions:dels
+    Datalog.Incremental.apply
+      (Datalog.Incremental.prepare serial program)
+      ~additions:adds ~deletions:dels
+  in
+  let _ =
+    Datalog.Incremental.apply ~domains:2
+      (Datalog.Incremental.prepare par program)
+      ~additions:adds ~deletions:dels
   in
   match Datalog.Eval.databases_agree serial par with
   | Ok () -> ()
@@ -422,13 +427,17 @@ let wide_load program =
 
 let wide_update db program ~shards ~sanitize =
   ignore
-    (Datalog.Incremental.apply ~domains:2 ~shards ~serial_threshold:1 ~sanitize db
-       program ~additions:wide_adds ~deletions:wide_dels)
+    (Datalog.Incremental.apply ~domains:2 ~serial_threshold:1
+       (Datalog.Incremental.prepare ~shards ~sanitize db program)
+       ~additions:wide_adds ~deletions:wide_dels)
 
 let sharded_executor_no_deadlock () =
   let program = Datalog.Parser.parse wide_src in
   let serial = wide_load program and par = wide_load program in
-  ignore (Datalog.Incremental.apply serial program ~additions:wide_adds ~deletions:wide_dels);
+  ignore
+    (Datalog.Incremental.apply
+       (Datalog.Incremental.prepare serial program)
+       ~additions:wide_adds ~deletions:wide_dels);
   within ~seconds:60.0 "apply ~domains:2 ~shards:2" (fun () ->
       wide_update par program ~shards:2 ~sanitize:false);
   match Datalog.Eval.databases_agree serial par with
