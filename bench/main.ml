@@ -1036,7 +1036,8 @@ let maintain_count_json rows headline breakdown path =
            [ ("propagate_s", num p); ("backward_s", num bw); ("forward_s", num f);
              ("backward_share", ratio bw (p +. bw +. f));
              ("o1_hits", int breakdown.Obs.Summary.cnt_o1_hits);
-             ("full_probes", int breakdown.Obs.Summary.cnt_full_probes) ] ) ]
+             ("full_probes", int breakdown.Obs.Summary.cnt_full_probes);
+             ("healed", int breakdown.Obs.Summary.cnt_healed) ] ) ]
     @ opt "headline"
         (fun (nr, rc) ->
           Obs.Json.Object [ ("nonrecursive", pair nr); ("recursive", pair rc) ])
@@ -1186,9 +1187,10 @@ let maintain_count_core ~smoke () =
       +. s.Obs.Summary.cnt_forward_s
     in
     Format.printf
-      "backward share %.1f%%; suspects: %d O(1) by the level index, %d full probes@."
+      "backward share %.1f%%; suspects: %d O(1) by the level index, %d full probes; \
+       %d tuples re-leveled@."
       (100.0 *. s.Obs.Summary.cnt_backward_s /. Float.max tot 1e-9)
-      s.Obs.Summary.cnt_o1_hits s.Obs.Summary.cnt_full_probes;
+      s.Obs.Summary.cnt_o1_hits s.Obs.Summary.cnt_full_probes s.Obs.Summary.cnt_healed;
     s
   in
   maintain_count_json (List.rev !rows) headline breakdown

@@ -1,7 +1,8 @@
 (* Counting maintenance of one [Rules] component — derivation counts
-   with Backward/Forward search and the well-founded support index —
-   and the count-table (re)build behind it. The only module that knows
-   the count-cell encoding; see {!Maint.env} for what [run] reads. *)
+   with Backward/Forward search and the well-founded support index,
+   healed after every run — and the count-table (re)build behind it.
+   The only module that knows the count-cell encoding; see {!Maint.env}
+   for what [run] reads. *)
 
 open Maint
 
@@ -42,6 +43,32 @@ let witness comp_preds level_of (r : Ast.rule) =
   | Some (w, p) ->
     let supr = ref max_int in
     (Some (w, fun tup -> supr := level_of p tup), fun () -> !supr)
+
+(* Is every recursive rule linear? Then every recursive derivation
+   names its supporter, so the index can vouch for each tuple it
+   levels, and the backward pool can start from the decrements. *)
+let all_linear comp_preds prs =
+  List.for_all
+    (fun pr ->
+      (not (is_recursive comp_preds pr.rule)) || linear_pos comp_preds pr.rule <> None)
+    prs
+
+module Levels = Set.Make (Int)
+
+(* One tuple of the healing pass's member set (see [run]'s [heal]):
+   its cell, the level it entered with, the least level a certified
+   witness allows ([key]), whether that level is final, the witness
+   of each of its derivations, and each derivation it witnesses. *)
+type heal_member = {
+  hpred : string;
+  htup : Relation.tuple;
+  hcell : Relation.count_cell;
+  old_level : int;
+  mutable key : int;
+  mutable fin : bool;
+  mutable witnesses : (string * Relation.tuple * Relation.count_cell) list;
+  mutable consumers : (string * Relation.tuple * Relation.count_cell) list;
+}
 
 (* Fire every rule at each in-component positive position whose
    predicate has tuples in [round], joining earlier positions against
@@ -224,6 +251,18 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
       end
     done
   end;
+  (* a linear component's unvouched set: what the index cannot vouch
+     for — only tuples leveled through pinned base facts *)
+  if all_linear pc.comp_preds prs then
+    Hashtbl.iter
+      (fun _ c ->
+        let u = ref [] in
+        Relation.counts_iter
+          (fun tup cell ->
+            if cell.Relation.exits = 0 && cell.Relation.low = 0 then u := tup :: !u)
+          c;
+        Relation.counts_set_unvouched c !u)
+      counts_of;
   counts_of
 
 (* ---- counting maintenance (derivation counts + B/F search) ----
@@ -249,10 +288,15 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
 
    The well-founded support index rides in the same cells: [level]
    is the recount fixpoint round of a tuple's first well-founded
-   derivation (immutable once assigned — lowering it would
-   misclassify later derivation deaths) and [low] counts surviving
-   linear-rule derivations whose witness supporter sits at a
-   strictly lower level. The backward search pops its suspects in
+   derivation, or the least candidate level of its birth (never
+   lowered — that would misclassify later derivation deaths; the
+   healing pass may raise it, debiting the consumers that counted
+   it) and [low] counts surviving linear-rule derivations whose
+   witness supporter sits at a strictly lower level. In a linear
+   component the healing pass ends every run with [low >= 1] for
+   each present exits = 0 tuple, or lists the tuple unvouched, so
+   the next run's backward pool starts from the decrements instead
+   of the whole component. The backward search pops its suspects in
    ascending level order and condemns each failed probe by filing
    a debt against every consumer derivation the index counted
    through it; a suspect with [exits = 0] but [low] minus its debt
@@ -290,6 +334,7 @@ let run env =
   let nshards = nshards env in
   let rec_rule = is_recursive comp_preds in
   let recursive = List.exists (fun pr -> rec_rule pr.rule) prs in
+  let linear = recursive && all_linear comp_preds prs in
   let heads : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun pr ->
@@ -341,9 +386,11 @@ let run env =
     | None -> level_in morgue pred tup
   in
   (* scratch signed count deltas of the round being enumerated;
-     [dec_touched] accumulates every tuple that lost a derivation —
-     the backward phase's suspect pool (recursive comps only; a
-     tuple with surviving exit support never needs the check).
+     [dec_touched] accumulates, over the whole run, every tuple that
+     lost a derivation (recursive comps only) — in a linear component
+     only the losses of an exit derivation or of a [low] entry, the
+     only ones that can leave a tuple unvouched. It feeds the
+     backward phase's trigger and pool and the healing pass.
      [sct]/[dec] parameterize the targets so shard jobs can fill
      private buffers; the unsharded path passes the globals. *)
   let sc : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
@@ -360,15 +407,24 @@ let run env =
        an uncelled tuple is a newborn candidate — scratch [level]
        takes the least candidate level seen this round (0 for an
        exit derivation, supporter + 1 for a leveled linear one)
-       and [low] counts the recursive derivations attaining it. *)
-    (match canon_cell pred tup with
-    | Some ccell ->
-      if (not exit) && sup < ccell.Relation.level then
-        cell.Relation.low <- cell.Relation.low + sign
-    | None ->
-      if sign > 0 then
+       and [low] nets the signed recursive derivations attaining
+       it. The sign matters: a derivation that is born and dies
+       within one batch (its delta literals enumerated in both
+       directions, as when an edge is added while a negated fact
+       that blocks it is added too) meets both signs at the same
+       candidate level, and must leave no [low] entry behind. When
+       all contributions at the least level cancel, the newborn
+       keeps that level with [low = 0] — unvouched, never
+       overcounted. *)
+    let counted =
+      match canon_cell pred tup with
+      | Some ccell ->
+        let counted = (not exit) && sup < ccell.Relation.level in
+        if counted then cell.Relation.low <- cell.Relation.low + sign;
+        counted
+      | None ->
         if exit then begin
-          if cell.Relation.level > 0 then begin
+          if sign > 0 && cell.Relation.level > 0 then begin
             cell.Relation.level <- 0;
             cell.Relation.low <- 0
           end
@@ -377,12 +433,15 @@ let run env =
           let cand = sup + 1 in
           if cand < cell.Relation.level then begin
             cell.Relation.level <- cand;
-            cell.Relation.low <- 1
+            cell.Relation.low <- sign
           end
           else if cand = cell.Relation.level then
-            cell.Relation.low <- cell.Relation.low + 1
-        end);
-    if sign < 0 && recursive then ignore (add_to dec pred tup)
+            cell.Relation.low <- cell.Relation.low + sign
+        end;
+        false
+    in
+    if sign < 0 && recursive && (exit || counted || not linear) then
+      ignore (add_to dec pred tup)
   in
   let pending_births = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
   let take_births () =
@@ -461,6 +520,10 @@ let run env =
                 if dex + drec > 0 then begin
                   fresh_cell c tup dcell dex drec;
                   if not present then birth tup
+                  else if linear then
+                    (* a listed fact the index never leveled: suspect it
+                       like any other unvouched tuple *)
+                    ignore (add_to dec_touched pred tup)
                 end
             end)
           round_counts)
@@ -549,13 +612,23 @@ let run env =
      relations, peers not under suspicion). Exit rules can't prove
      a suspect: exits = 0 means no exit derivation exists, and
      hiding suspects (all same-component) doesn't change exit-rule
-     bodies. The suspect pool is every present exits = 0 tuple in
-     the component — a superset of any unfounded set, so an
-     unfounded cycle cannot prove its members off each other via a
-     not-yet-suspected peer: every such peer is itself suspect and
-     hidden until resolved. Tuples with exit support are
-     well-founded and never enter, which keeps the pool small
-     next to DRed's overdeletion on densely supported relations.
+     bodies. Tuples with exit support are well-founded and never
+     enter the suspect pool. In a component whose recursive rules
+     are all linear the pool is seeded from the decrements: the
+     present exits = 0 tuples that lost an exit derivation or a
+     [low] entry this run, plus the tables' unvouched tuples.
+     Every other present exits = 0 tuple kept all its [low]
+     entries and, by the invariant the healing pass restores at
+     the end of each run, has [low >= 1]: it is index-vouched, so
+     it stands or falls with the lower-level supporters its entries
+     name, which the drain resolves first — an unfounded cycle
+     cannot vouch for itself, since levels strictly fall along the
+     entries. The hidden-peer rule below treats such a tuple
+     exactly as a vouched pool member. A component with a
+     non-linear recursive rule has derivations the index cannot
+     name, so its pool stays every present exits = 0 tuple — a
+     superset of any unfounded set, where a not-yet-suspected peer
+     is itself suspect and hidden until resolved.
 
      Within the pool the well-founded support index replaces most
      probes with an O(1) check. Suspects resolve in ascending
@@ -651,46 +724,74 @@ let run env =
       prs
   in
   let backward_prove () =
-    (* trigger: some present tuple lost a derivation this round and
-       is left without exit support — only then can anything have
-       become unfounded. The scan is O(touched). *)
-    let triggered = ref false in
-    Hashtbl.iter
-      (fun pred srel ->
-        if not !triggered then
-          let rel = Hashtbl.find heads pred in
-          Relation.iter
-            (fun tup ->
-              if (not !triggered) && Relation.mem rel tup then
-                match canon_cell pred tup with
-                | Some cell when cell.Relation.exits = 0 -> triggered := true
-                | Some _ | None -> ())
-            srel)
-      dec_touched;
-    Hashtbl.reset dec_touched;
-    if not !triggered then None
+    (* Linear component: the seeds are the present [exits = 0]
+       tuples of [dec_touched] — those the index no longer vouches
+       for ([low = 0]) need a probe, the rest are held for the O(1)
+       tally — plus the unvouched tuples the index could not vouch
+       for after the last run. Every other present [exits = 0] tuple
+       kept each [low] entry it had, and with [low >= 1] for all of
+       them a chain of strictly lower witnesses grounds each in exit
+       support — nothing can be unfounded unless a seed needs a probe
+       or some tuple is unvouched. The scan is O(touched). *)
+    let probe_seeds = ref [] and vouched = ref [] in
+    let triggered =
+      if linear then begin
+        let seed pred tup =
+          match canon_cell pred tup with
+          | Some cell
+            when cell.Relation.exits = 0 && Relation.mem (Hashtbl.find heads pred) tup ->
+            if cell.Relation.low = 0 then probe_seeds := (pred, tup, cell) :: !probe_seeds
+            else vouched := cell :: !vouched
+          | Some _ | None -> ()
+        in
+        Hashtbl.iter (fun pred srel -> Relation.iter (seed pred) srel) dec_touched;
+        Hashtbl.iter
+          (fun pred c ->
+            List.iter
+              (fun tup -> if not (mem_in dec_touched pred tup) then seed pred tup)
+              (Relation.counts_unvouched c))
+          counts_of;
+        !probe_seeds <> []
+      end
+      else begin
+        (* otherwise some present tuple must have lost a derivation
+           and be left without exit support — only then can anything
+           have become unfounded *)
+        let triggered = ref false in
+        Hashtbl.iter
+          (fun pred srel ->
+            if not !triggered then
+              let rel = Hashtbl.find heads pred in
+              Relation.iter
+                (fun tup ->
+                  if (not !triggered) && Relation.mem rel tup then
+                    match canon_cell pred tup with
+                    | Some cell when cell.Relation.exits = 0 -> triggered := true
+                    | Some _ | None -> ())
+                srel)
+          dec_touched;
+        !triggered
+      end
+    in
+    if not triggered then begin
+      o1_hits := !o1_hits + List.length !vouched;
+      None
+    end
     else begin
-      (* suspect pool: every present tuple without exit support in
-         the component — a superset of whatever is actually
-         unfounded, so no consumer closure is needed to catch
-         cycles that vouch for themselves through a not-yet-
-         suspected peer. Enumerating consumers of each suspect
-         (a join per cone member) used to dominate the phase;
-         pool admission here is one cell inspection per tuple.
+      (* suspect pool (see above): the seeds of a linear
+         component, else every present tuple without exit support
+         in the component — one cell inspection per tuple.
 
          Only probe-needing suspects materialize in the worklist:
          a tuple the index vouches for ([low - debt > 0]) is
-         proven by its cell alone and never allocates an entry —
-         the bulk of the pool, so the scan is field tests over
-         the count table and nothing else. Initially that admits
-         exactly the [low = 0] suspects; when a condemnation's
-         debits exhaust a consumer's [low], the consumer joins
-         its level bucket dynamically (always strictly above the
-         drain frontier, so ascending order is preserved —
-         [pending_levels] keeps the not-yet-drained level set
-         sorted). Each entry carries its cell to spare re-hashing
-         at resolution. *)
-      let module Levels = Set.Make (Int) in
+         proven by its cell alone and never allocates an entry.
+         Initially that admits exactly the [low = 0] suspects; when
+         a condemnation's debits exhaust a consumer's [low], the
+         consumer joins its level bucket dynamically, pool member
+         or not (always strictly above the drain frontier, so
+         ascending order is preserved — [pending_levels] keeps the
+         not-yet-drained level set sorted). Each entry carries its
+         cell to spare re-hashing at resolution. *)
       let buckets :
           (int, (string * Relation.tuple * Relation.count_cell) list ref) Hashtbl.t
           =
@@ -711,18 +812,21 @@ let run env =
          — [settle] drops the cell of anything it removes — and
          the per-tuple membership hash is skipped wholesale *)
       let check_mem = any_live !pending_births in
-      Hashtbl.iter
-        (fun pred c ->
-          let rel = Hashtbl.find heads pred in
-          Relation.counts_iter
-            (fun tup cell ->
-              if cell.Relation.exits = 0 && ((not check_mem) || Relation.mem rel tup)
-              then begin
-                incr suspects;
-                if cell.Relation.low = 0 then admit pred tup cell
-              end)
-            c)
-        counts_of;
+      if linear then
+        List.iter (fun (pred, tup, cell) -> admit pred tup cell) (List.rev !probe_seeds)
+      else
+        Hashtbl.iter
+          (fun pred c ->
+            let rel = Hashtbl.find heads pred in
+            Relation.counts_iter
+              (fun tup cell ->
+                if cell.Relation.exits = 0 && ((not check_mem) || Relation.mem rel tup)
+                then begin
+                  incr suspects;
+                  if cell.Relation.low = 0 then admit pred tup cell
+                end)
+              c)
+          counts_of;
       (* debts are filed straight into the consumer's cell ([debt]
          field): [low - debt] is the count of index entries still
          safe to rely on, read as field arithmetic — no side-ledger
@@ -860,7 +964,14 @@ let run env =
           drain ()
       in
       drain ();
-      o1_hits := !o1_hits + !suspects - !probe_admitted;
+      (* an O(1) proof: a vouched seed that no debit exhausted, or a
+         swept suspect never admitted *)
+      if linear then
+        List.iter
+          (fun (cell : Relation.count_cell) ->
+            if cell.Relation.low - cell.Relation.debt > 0 then incr o1_hits)
+          !vouched
+      else o1_hits := !o1_hits + !suspects - !probe_admitted;
       frontier := max_int;
       (* retry sweep: a suspect that failed its probe only because
          a later-proven peer was hidden at the time re-proves here.
@@ -934,8 +1045,10 @@ let run env =
       pending;
     applied
   in
+  let born : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
   let rec birth_rounds round =
     if any_live round then begin
+      if linear then merge_dec born round;
       let pre = overlay_view ~plus:no_overlay ~minus:round ctx.new_view in
       fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:1 ~round ~pre);
       (* increments only: settle can queue further births but can
@@ -943,6 +1056,238 @@ let run env =
       ignore (settle ());
       birth_rounds (apply_births (take_births ()))
     end
+  in
+  (* Healing (linear components, after the births). The backward
+     pool is seeded from the decrements, which is sound only while the
+     index vouches ([low >= 1]) for every present [exits = 0] tuple
+     outside the pool: a tuple a probe proved, a newborn through a
+     pinned fact, or a consumer whose last lower witness died left
+     with [low = 0] and would otherwise go unsuspected forever. The
+     pass re-levels such tuples so they are vouched for again, and
+     lists the ones it cannot reach in the tables' unvouched sets,
+     which the next backward phase suspects.
+
+     - Members: the candidates (touched this run or listed unvouched,
+       still present, [exits = 0], [low = 0]) and, closed under
+       consumers, every tuple whose [low] entries all run through a
+       member — its certificate rests on an unvouched tuple. The
+       closure files its debits in [debt], as the backward phase's
+       condemnation does; a member's cell has [debt = low].
+     - Levels: Dijkstra from the certified tuples (non-members with a
+       level). A member's key is one more than the least level of a
+       certified or finalized witness of one of its derivations; the
+       least key finalizes first at [max old key] — a level is never
+       lowered — and relaxes its member consumers. A finalized member
+       rests on a witness finalized before it, so no certificate is
+       circular.
+     - Counts: a raised member debits each non-member consumer entry
+       that counted it ([old < level <= new]) — such an entry was
+       debited in the closure, so the consumer keeps [low >= 1] —
+       and every member's [low] is recounted from its derivations
+       at the final levels. Members left at [low = 0] (no certified
+       derivation: support through pinned base facts) are listed
+       unvouched.
+
+     Returns the number of members re-leveled (finalized). *)
+  let heal () =
+    let members : (string * Relation.tuple, heal_member) Hashtbl.t = Hashtbl.create 16 in
+    let order = ref [] in
+    let queue = Queue.create () in
+    let enlist hpred htup hcell =
+      if not (Hashtbl.mem members (hpred, htup)) then begin
+        let m =
+          {
+            hpred;
+            htup;
+            hcell;
+            old_level = hcell.Relation.level;
+            key = max_int;
+            fin = false;
+            witnesses = [];
+            consumers = [];
+          }
+        in
+        Hashtbl.add members (hpred, htup) m;
+        order := m :: !order;
+        Queue.add m queue
+      end
+    in
+    let candidate pred tup =
+      match canon_cell pred tup with
+      | Some cell
+        when cell.Relation.exits = 0
+             && cell.Relation.low = 0
+             && Relation.mem (Hashtbl.find heads pred) tup ->
+        enlist pred tup cell
+      | Some _ | None -> ()
+    in
+    Hashtbl.iter (fun pred r -> Relation.iter (candidate pred) r) dec_touched;
+    Hashtbl.iter (fun pred r -> Relation.iter (candidate pred) r) born;
+    Hashtbl.iter
+      (fun pred c -> List.iter (candidate pred) (Relation.counts_unvouched c))
+      counts_of;
+    (* member closure over consumers, recording every consumer edge *)
+    let debited : Relation.count_cell list ref = ref [] in
+    while not (Queue.is_empty queue) do
+      let m = Queue.pop queue in
+      let singleton = Relation.create ~arity:(Array.length m.htup) in
+      ignore (Relation.add singleton m.htup);
+      List.iter
+        (fun (pr, i, p) ->
+          if p = m.hpred then
+            let cpred = pr.rule.Ast.head.Ast.pred in
+            Plan.exec_rule ~view:ctx.new_view ~delta:(i, singleton) ~work
+              ~on_derived:(fun h ->
+                match canon_cell cpred h with
+                | None -> ()
+                | Some cc ->
+                  let h = Array.copy h in
+                  m.consumers <- (cpred, h, cc) :: m.consumers;
+                  if
+                    m.old_level < cc.Relation.level
+                    && cc.Relation.exits = 0
+                    && cc.Relation.low > cc.Relation.debt
+                  then begin
+                    if cc.Relation.debt = 0 then debited := cc :: !debited;
+                    cc.Relation.debt <- cc.Relation.debt + 1;
+                    if cc.Relation.debt = cc.Relation.low then enlist cpred h cc
+                  end)
+              pr.ex)
+        lin_prs
+    done;
+    let order = List.rev !order in
+    let member pred tup (cell : Relation.count_cell) =
+      if cell.Relation.exits > 0 || cell.Relation.low > cell.Relation.debt then None
+      else Hashtbl.find_opt members (pred, tup)
+    in
+    (* certified witness level, [max_int] when none can be relied on *)
+    let certified (pred, tup, (cell : Relation.count_cell)) =
+      match member pred tup cell with
+      | Some w when not w.fin -> max_int
+      | Some _ | None -> cell.Relation.level
+    in
+    (* every derivation of a member, with its witness: a goal-directed
+       enumeration of the probe bodies, reading the witness off the
+       rule's one in-component atom *)
+    let witness_prs =
+      List.map
+        (fun (pr, body) ->
+          ( pr,
+            body,
+            List.find_map
+              (function
+                | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> Some a
+                | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> None)
+              body
+            |> Option.get ))
+        probe_prs
+    in
+    List.iter
+      (fun m ->
+        List.iter
+          (fun (pr, body, a) ->
+            if pr.rule.Ast.head.Ast.pred = m.hpred then
+              match head_env pr.rule m.htup with
+              | None -> ()
+              | Some env ->
+                Matcher.eval_body ~symbols:ctx.symbols ~view:ctx.new_view ~env ~work
+                  ~on_env:(fun env ->
+                    let w =
+                      Array.of_list
+                        (List.map
+                           (fun t ->
+                             match Matcher.resolve_term ~symbols:ctx.symbols env t with
+                             | Some v -> v
+                             | None -> assert false)
+                           a.Ast.args)
+                    in
+                    match canon_cell a.Ast.pred w with
+                    | Some wc -> m.witnesses <- (a.Ast.pred, w, wc) :: m.witnesses
+                    | None -> ())
+                  body)
+          witness_prs)
+      order;
+    let buckets : (int, heal_member list ref) Hashtbl.t = Hashtbl.create 16 in
+    let keys = ref Levels.empty in
+    let push m k =
+      if k < m.key then begin
+        m.key <- k;
+        (match Hashtbl.find_opt buckets k with
+        | Some l -> l := m :: !l
+        | None -> Hashtbl.replace buckets k (ref [ m ]));
+        keys := Levels.add k !keys
+      end
+    in
+    List.iter
+      (fun m ->
+        List.iter
+          (fun w ->
+            let l = certified w in
+            if l < max_int then push m (l + 1))
+          m.witnesses)
+      order;
+    let healed = ref 0 in
+    let rec finalize () =
+      match Levels.min_elt_opt !keys with
+      | None -> ()
+      | Some k ->
+        keys := Levels.remove k !keys;
+        let l = Hashtbl.find buckets k in
+        Hashtbl.remove buckets k;
+        List.iter
+          (fun m ->
+            if (not m.fin) && m.key = k then begin
+              m.fin <- true;
+              incr healed;
+              let lvl = max m.old_level k in
+              m.hcell.Relation.level <- lvl;
+              (* a tuple never leveled witnesses no [low] entry *)
+              if lvl < max_int then
+                List.iter
+                  (fun (cpred, h, cc) ->
+                    match member cpred h cc with
+                    | Some c when not c.fin -> push c (lvl + 1)
+                    | Some _ | None -> ())
+                  m.consumers
+            end)
+          (List.rev !l);
+        finalize ()
+    in
+    finalize ();
+    List.iter
+      (fun m ->
+        let lvl = m.hcell.Relation.level in
+        if lvl > m.old_level then
+          List.iter
+            (fun (cpred, h, (cc : Relation.count_cell)) ->
+              if
+                m.old_level < cc.Relation.level
+                && cc.Relation.level <= lvl
+                && member cpred h cc = None
+                && cc.Relation.low > 0
+              then cc.Relation.low <- cc.Relation.low - 1)
+            m.consumers)
+      order;
+    let unvouched = Hashtbl.create 4 in
+    List.iter
+      (fun m ->
+        let lvl = m.hcell.Relation.level in
+        m.hcell.Relation.low <-
+          List.fold_left
+            (fun n (_, _, (wc : Relation.count_cell)) ->
+              if wc.Relation.level < lvl then n + 1 else n)
+            0 m.witnesses;
+        if m.hcell.Relation.low = 0 then
+          Hashtbl.replace unvouched m.hpred
+            (m.htup :: Option.value ~default:[] (Hashtbl.find_opt unvouched m.hpred)))
+      order;
+    List.iter (fun (c : Relation.count_cell) -> c.Relation.debt <- 0) !debited;
+    Hashtbl.iter
+      (fun pred c ->
+        Relation.counts_set_unvouched c
+          (Option.value ~default:[] (Hashtbl.find_opt unvouched pred)))
+      counts_of;
+    !healed
   in
   begin
     (* round 0: propagate the external update's signed deltas.
@@ -1007,11 +1352,10 @@ let run env =
            through the removed unfounded set, so each survivor
            keeps its witnessing derivation and a positive count,
            and exit counts are untouched (exit-rule bodies hold no
-           component predicates). Nothing new becomes unfounded,
-           so the re-verification trigger the cascade accumulates
-           is vacuous — drop it. *)
-        cascade_deaths deaths;
-        Hashtbl.reset dec_touched);
+           component predicates). Nothing new becomes unfounded:
+           what the cascade adds to [dec_touched] matters only to
+           the healing pass. *)
+        cascade_deaths deaths);
       if Obs.Ring.enabled ring then begin
         Obs.Ring.emit ring ~kind:Obs.Event.cnt_o1_hit ~a:!o1_hits ~b:pc.comp;
         Obs.Ring.emit ring ~kind:Obs.Event.cnt_full_probe ~a:!full_probes ~b:pc.comp
@@ -1020,6 +1364,13 @@ let run env =
     phase_begin ();
     birth_rounds (apply_births (take_births ()));
     phase_end Obs.Event.cnt_forward;
+    if linear then begin
+      phase_begin ();
+      let healed = heal () in
+      phase_end Obs.Event.cnt_backward;
+      if Obs.Ring.enabled ring then
+        Obs.Ring.emit ring ~kind:Obs.Event.cnt_heal ~a:healed ~b:pc.comp
+    end;
     Hashtbl.iter (fun _ rel -> Relation.counts_sync rel) heads
   end
 

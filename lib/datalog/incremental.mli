@@ -25,8 +25,9 @@
     decremented-but-surviving tuples with no exit support need the
     backward check for an alternative well-founded derivation — and
     the support index ({!Relation.count_cell.level} / [low]) settles
-    most of those in O(1) — while forward propagation restarts only
-    from genuinely dead tuples.
+    most of those in O(1), and is healed after every run so the next
+    backward search can start from the decrements — while forward
+    propagation restarts only from genuinely dead tuples.
     Counts live in a side table stamped with the relation version
     ({!Relation.counts_synced}); they are rebuilt transparently when
     stale (first use, or after DRed/Eval touched the relation), or
@@ -215,7 +216,13 @@ val apply :
     suspects into O(1) hits and full probes: within one level the
     search drains suspects in count-table iteration order, which
     follows the number of partitions, so retry probes and dynamic
-    admissions can differ slightly.
+    admissions can differ slightly. In a component whose recursive
+    rules are all linear the suspect pool holds only the tuples that
+    lost an exit derivation or a [low] entry (plus those the index
+    could not vouch for after the previous run), so O(1) hits count
+    those pool members the index still vouches for, not the whole
+    component; the healing pass that keeps that sound after each run
+    (see {!Relation.count_cell}) is serial too.
 
     With [domains > 1] or [shards > 1] every plan of the wavefront is
     compiled and every delta table created before the first task runs,

@@ -43,13 +43,19 @@ end)
    the stratified-fixpoint round of the tuple's first well-founded
    derivation (Soufflé's @iteration): 0 for exit-supported tuples,
    [r] for tuples first leveled in recursive round [r], [max_int] for
-   "unknown". Levels are immutable once assigned — lowering a level
-   retroactively changes how later derivation deaths classify against
-   it, which can leave [low] overcounting (unsound). [low] counts the
-   surviving recursive derivations whose supporter is known to sit at
-   a strictly lower level; it may undercount (unknown supporters are
-   never counted) but must never overcount, because [exits = 0 &&
-   low > 0] exempts a suspect from the full backward probe.
+   "unknown". A level is never lowered — lowering one retroactively
+   changes how later derivation deaths classify against it, which can
+   leave [low] overcounting (unsound). It may be raised by the
+   counting engine's healing pass, which debits, in the same step,
+   every consumer [low] entry that counted the tuple as a strictly
+   lower witness and no longer can. [low] counts the surviving
+   recursive derivations whose supporter is known to sit at a strictly
+   lower level; it may undercount (unknown supporters are never
+   counted) but must never overcount, because [exits = 0 && low > 0]
+   exempts a suspect from the full backward probe. [unvouched] lists
+   the present [exits = 0] tuples the index could not vouch for
+   ([low = 0]) when the table was last made consistent: the next
+   backward phase must suspect them whatever the batch touched.
 
    [synced_version] records the relation version the counts were last
    consistent with: any mutation outside the counting engine bumps the
@@ -76,6 +82,7 @@ type counts = {
   nshards : int;
   cells : count_cell Tuple_tbl.t array;
   mutable synced_version : int;
+  mutable unvouched : tuple list;
 }
 
 (* ---- write-set sanitizer ----------------------------------------
@@ -286,6 +293,7 @@ let counts_create ?(shards = 1) () =
     nshards = shards;
     cells = Array.init shards (fun _ -> Tuple_tbl.create 64);
     synced_version = min_int;
+    unvouched = [];
   }
 
 let counts_attach ?shards t =
@@ -306,6 +314,10 @@ let counts_sync t =
   | None -> ()
 
 let counts_shards c = c.nshards
+
+let counts_unvouched c = c.unvouched
+
+let counts_set_unvouched c tups = c.unvouched <- tups
 
 let count_shard c tup = shard_of_tuple ~col:0 ~shards:c.nshards tup
 

@@ -81,13 +81,15 @@ val choose_probe_col : t -> bound:(int -> bool) -> int option
     is the stratified-fixpoint round of the tuple's first well-founded
     derivation (Soufflé's [@iteration]): [0] for exit-supported
     tuples, [r >= 1] for tuples first leveled in recursive round [r],
-    [max_int] for "unknown". Levels are immutable once assigned:
-    lowering one retroactively changes how later derivation deaths
-    classify against it, which can leave [low] overcounting. [low]
-    counts the surviving recursive derivations whose supporter is
-    known to sit at a strictly lower level — it may undercount
-    (derivations with unknown supporters are never counted) but never
-    overcounts, so [exits = 0 && low > 0] soundly exempts a
+    [max_int] for "unknown". A level is never lowered: lowering one
+    retroactively changes how later derivation deaths classify against
+    it, which can leave [low] overcounting. The counting engine may
+    raise a level when it heals the index, debiting in the same step
+    every consumer [low] entry that counted the tuple as a strictly
+    lower witness. [low] counts the surviving recursive derivations
+    whose supporter is known to sit at a strictly lower level — it may
+    undercount (derivations with unknown supporters are never counted)
+    but never overcounts, so [exits = 0 && low > 0] soundly exempts a
     deletion-suspect from the full backward re-proof.
 
     Staleness is detected by version stamp: {!counts_sync} records the
@@ -138,6 +140,15 @@ val counts_sync : t -> unit
 
 val counts_shards : counts -> int
 (** Number of cell partitions the table was created with. *)
+
+val counts_unvouched : counts -> tuple list
+(** The present [exits = 0] tuples whose [low] was [0] when the table
+    was last made consistent — those the index cannot vouch for, which
+    the next backward phase must suspect. Empty for a fresh table. *)
+
+val counts_set_unvouched : counts -> tuple list -> unit
+(** Replace that list; the counting engine's healing pass sets it at
+    the end of every run of a linear component. *)
 
 val count_cell : counts -> tuple -> count_cell
 (** Find or create the cell for a tuple (counts zero, [level = max_int],

@@ -14,6 +14,8 @@
                      t = phase end, a = component,  b = phase start
    - cnt-o1-hit / cnt-full-probe (instant):
                      t = now,    a = suspect count, b = component
+   - cnt-heal (instant):
+                     t = now,    a = tuples re-leveled, b = component
    - srv-admit (instant):
                      t = now,    a = ops admitted,  b = target epoch
    - srv-commit:     t = publish, a = epoch produced, b = commit start
@@ -40,8 +42,9 @@ let cnt_full_probe = 15
 let srv_admit = 16
 let srv_commit = 17
 let srv_epoch = 18
+let cnt_heal = 19
 
-let count = 19
+let count = 20
 
 let names =
   [|
@@ -64,6 +67,7 @@ let names =
     "srv-admit";
     "srv-commit";
     "srv-epoch";
+    "cnt-heal";
   |]
 
 let name k = if k >= 0 && k < count then names.(k) else "unknown"
@@ -72,7 +76,8 @@ let of_name s =
   let rec go i = if i >= count then None else if names.(i) = s then Some i else go (i + 1) in
   go 0
 
-let is_instant k = k = wake || k = cnt_o1_hit || k = cnt_full_probe || k = srv_admit
+let is_instant k =
+  k = wake || k = cnt_o1_hit || k = cnt_full_probe || k = cnt_heal || k = srv_admit
 
 let is_sched k = k = sched_refill || k = sched_complete || k = sched_activate
 

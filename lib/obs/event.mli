@@ -57,7 +57,16 @@ val cnt_full_probe : kind
     strictly-lower-level supporter, no body re-evaluation), resp.
     number that needed a full goal-directed {!Matcher.eval_body}
     probe; [b] = component id. Emitted once per component that ran a
-    backward phase. *)
+    backward phase. The pool of a component whose recursive rules are
+    all linear holds only the tuples that lost an exit derivation or
+    an index entry (and those the index could not vouch for), so [a]
+    of [cnt_o1_hit] counts those, not the whole component. *)
+
+val cnt_heal : kind
+(** Instant: the counting engine's index-healing pass in one linear
+    component — [a] = tuples re-leveled (raised or re-counted so the
+    index vouches for them again), [b] = component id. Emitted once
+    per linear component per maintenance run. *)
 
 val srv_admit : kind
 (** Instant: the update server admitted a client batch for

@@ -38,6 +38,7 @@ type t = {
   cnt_forward_s : float;
   cnt_o1_hits : int;
   cnt_full_probes : int;
+  cnt_healed : int;
   srv_commit_s : float;
   srv_epoch_s : float;
   srv_commits : int;
@@ -63,7 +64,7 @@ let of_events ~domains ?dropped events =
   let nevents = Array.make domains 0 in
   let dd = ref 0 and dr = ref 0 and di = ref 0 in
   let cp = ref 0 and cb = ref 0 and cf = ref 0 in
-  let co1 = ref 0 and cpr = ref 0 in
+  let co1 = ref 0 and cpr = ref 0 and cheal = ref 0 in
   let sc = ref 0 and se = ref 0 in
   let ncommits = ref 0 and nepochs = ref 0 and nadmitted = ref 0 in
   let lo = ref max_int and hi = ref min_int in
@@ -88,6 +89,7 @@ let of_events ~domains ?dropped events =
         else if e.kind = Event.wake then wakes.(w) <- wakes.(w) + e.arg
         else if e.kind = Event.cnt_o1_hit then co1 := !co1 + e.arg
         else if e.kind = Event.cnt_full_probe then cpr := !cpr + e.arg
+        else if e.kind = Event.cnt_heal then cheal := !cheal + e.arg
         else if e.kind = Event.srv_admit then nadmitted := !nadmitted + e.arg
         else if e.kind = Event.srv_commit then begin
           (* commit spans contain the maintenance phases, which do
@@ -160,6 +162,7 @@ let of_events ~domains ?dropped events =
     cnt_forward_s = seconds !cf;
     cnt_o1_hits = !co1;
     cnt_full_probes = !cpr;
+    cnt_healed = !cheal;
     srv_commit_s = seconds !sc;
     srv_epoch_s = seconds !se;
     srv_commits = !ncommits;
@@ -208,6 +211,8 @@ let pp ppf t =
     Format.fprintf ppf
       "Counting suspects: %d proven O(1) by the level index, %d full probes@,"
       t.cnt_o1_hits t.cnt_full_probes;
+  if t.cnt_healed > 0 then
+    Format.fprintf ppf "Counting index healing: %d tuples re-leveled@," t.cnt_healed;
   if t.srv_commits + t.srv_epochs + t.srv_admitted > 0 then
     Format.fprintf ppf
       "Server: %d commit%s totaling %.6f s, %d closed epoch%s totaling %.6f s, \
@@ -251,7 +256,7 @@ let json t =
         Json.Object
           [ ("propagate_s", num t.cnt_propagate_s); ("backward_s", num t.cnt_backward_s);
             ("forward_s", num t.cnt_forward_s); ("o1_hits", int t.cnt_o1_hits);
-            ("full_probes", int t.cnt_full_probes) ] );
+            ("full_probes", int t.cnt_full_probes); ("healed", int t.cnt_healed) ] );
       ( "srv",
         Json.Object
           [ ("commit_s", num t.srv_commit_s); ("epoch_s", num t.srv_epoch_s);

@@ -50,6 +50,9 @@ type t = {
           support index, no body re-evaluation *)
   cnt_full_probes : int;
       (** deletion-suspects that needed a full goal-directed probe *)
+  cnt_healed : int;
+      (** tuples the index-healing pass re-leveled so the support
+          index vouches for them again *)
   srv_commit_s : float;
       (** total update-server commit-span seconds (admission to
           snapshot publication); the maintenance phases inside a

@@ -1313,10 +1313,39 @@ let count_cells fields db =
 (* The count invariant: after any maintained stream, every relation's
    derivation counts equal the counts a fresh [prime] computes on a
    from-scratch twin — incremental bookkeeping never drifts from the
-   ground truth. *)
+   ground truth. And after every batch the support index of each
+   linear recursive component vouches ([low >= 1]) for every present
+   [exits = 0] tuple it does not list as unvouched — the invariant the
+   backward phase's decrement-seeded pool rests on. *)
 let counting_counts_invariant_qcheck =
   let counts_of =
     count_cells (fun (cell : Datalog.Relation.count_cell) -> (cell.exits, cell.recs))
+  in
+  let vouched analysis db =
+    Array.for_all
+      (fun (ci : Datalog.Analyze.comp_info) ->
+        ci.recursion <> Datalog.Analyze.Linear
+        || List.for_all
+             (fun pred ->
+               match Datalog.Database.find db pred with
+               | None -> true
+               | Some rel -> (
+                 match Datalog.Relation.counts_synced rel with
+                 | None -> true
+                 | Some c ->
+                   let unvouched = Datalog.Relation.counts_unvouched c in
+                   let ok = ref true in
+                   Datalog.Relation.counts_iter
+                     (fun tup (cell : Datalog.Relation.count_cell) ->
+                       if
+                         cell.exits = 0 && cell.low = 0
+                         && Datalog.Relation.mem rel tup
+                         && not (List.mem tup unvouched)
+                       then ok := false)
+                     c;
+                   !ok))
+             ci.members)
+      analysis.Datalog.Analyze.comps
   in
   QCheck.Test.make
     ~name:"counting: maintained counts equal a fresh prime of the same database"
@@ -1341,7 +1370,9 @@ let counting_counts_invariant_qcheck =
       (* prime upfront: components an update never activates keep their
          side tables lazily absent otherwise, which is not drift *)
       ignore (Datalog.Incremental.prime cnt program);
+      let analysis = Datalog.Analyze.program program in
       let live = ref base in
+      let ok = ref (vouched analysis cnt) in
       for _ = 1 to 3 do
         let adds =
           List.init (Prelude.Rng.int rng 3) (fun _ -> mk ())
@@ -1353,11 +1384,12 @@ let counting_counts_invariant_qcheck =
         ignore
           (apply ~engine:Datalog.Plan.Compiled
              ~maint:Datalog.Incremental.Counting cnt program
-             ~additions:(List.map atom adds) ~deletions:(List.map atom dels))
+             ~additions:(List.map atom adds) ~deletions:(List.map atom dels));
+        if not (vouched analysis cnt) then ok := false
       done;
       let scratch = load !live in
       ignore (Datalog.Incremental.prime scratch program);
-      counts_of cnt = counts_of scratch)
+      !ok && counts_of cnt = counts_of scratch)
 
 (* Hand-computed counts on the diamond: path(a,d) is derivable through
    b and through c — two recursive derivations, no exit derivation —
@@ -1406,7 +1438,7 @@ let counting_diamond_counts () =
   | Some cell ->
     check_int "path(a,d) recs after delete" 1 cell.Datalog.Relation.recs;
     (* the dead diagonal's index entry dies with it; the survivor's
-       stays, and the level is immutable *)
+       stays and still vouches, so nothing is re-leveled *)
     check_int "path(a,d) level after delete" 1 cell.Datalog.Relation.level;
     check_int "path(a,d) low after delete" 1 cell.Datalog.Relation.low
   | None -> Alcotest.fail "path(a,d) lost its count cell");
@@ -1483,15 +1515,61 @@ let counting_unfounded_cycle () =
   check_bool "counting agrees with dred" true
     (Datalog.Eval.databases_agree dred cnt = Ok ())
 
+(* Regression: a derivation that is born and cancelled within one
+   batch must leave no [low] entry on a newborn. Adding e(b,c) together
+   with g(c) enumerates p(a,c) <- p(a,b), e(b,c), !g(c) once with each
+   sign; p(a,c) is born through h(m,c) in the same batch. A scratch
+   that counted only the positive contribution gave p(a,c) a phantom
+   [low] entry, so once h(m,c) went, its self-loop kept it alive: the
+   index vouched for an unfounded tuple. *)
+let counting_cancelled_birth_leaves_no_index_entry () =
+  let rules =
+    {|p(X,Y) :- e(X,Y).
+      p(X,Z) :- p(X,Y), e(Y,Z), !g(Z).
+      p(X,Z) :- p(X,Y), h(Y,Z).|}
+  in
+  let load facts =
+    let db = Datalog.Database.create () in
+    List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) facts;
+    let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db (parse rules) in
+    db
+  in
+  let program = parse rules in
+  let db = load [ {|e("a","b")|}; {|h("b","m")|}; {|h("c","c")|} ] in
+  ignore (Datalog.Incremental.prime db program);
+  let session =
+    Datalog.Incremental.prepare ~maint:Datalog.Incremental.Counting db program
+  in
+  ignore
+    (Datalog.Incremental.apply session
+       ~additions:(List.map atom [ {|e("b","c")|}; {|g("c")|}; {|h("m","c")|} ])
+       ~deletions:[]);
+  check_bool "p(a,c) born" true (Datalog.Database.mem_fact db (atom {|p("a","c")|}));
+  ignore
+    (Datalog.Incremental.apply session ~additions:[]
+       ~deletions:[ atom {|h("m","c")|} ]);
+  check_bool "p(a,c) gone with its last founded derivation" false
+    (Datalog.Database.mem_fact db (atom {|p("a","c")|}));
+  check_bool "counting agrees with from-scratch" true
+    (Datalog.Eval.databases_agree
+       (load
+          [ {|e("a","b")|}; {|h("b","m")|}; {|h("c","c")|}; {|e("b","c")|}; {|g("c")|} ])
+       db
+    = Ok ())
+
 (* The level-index invariant on transitive closure, where the oracle is
    exact: a fresh prime assigns path(x,z) the BFS round of its first
    well-founded derivation (shortest edge count minus one), [exits] is
    the direct edge, [recs] counts the y with path(x,y), edge(y,z), and
    [low] the subset whose prefix sits at a strictly smaller distance.
-   After maintained deletions levels are immutable, so the maintained
-   cells must still satisfy the conservative reading: counts exact,
-   [low] never exceeding the derivations whose witness cell sits at a
-   strictly lower level than the head cell. *)
+   Maintained levels may be raised by healing, never lowered, so after
+   each maintained batch — deletions through fresh sessions, then a
+   mixed insert/delete stream on one prepared session — the cells must
+   satisfy the conservative reading: counts exact, [low] never
+   exceeding the derivations whose witness cell sits at a strictly
+   lower level than the head cell. And the index must vouch for every
+   tuple without exit support ([low >= 1]), which is what lets the
+   backward phase start from the decrements alone. *)
 let counting_level_index_qcheck =
   let nodes = 6 in
   let program =
@@ -1568,6 +1646,7 @@ let counting_level_index_qcheck =
             in
             if cell.Datalog.Relation.exits <> exits then ok := false;
             if cell.Datalog.Relation.recs <> recs then ok := false;
+            if exits = 0 && cell.Datalog.Relation.low < 1 then ok := false;
             if exact then begin
               let low =
                 List.length
@@ -1602,27 +1681,121 @@ let counting_level_index_qcheck =
           check_pair ~exact:true x z
         done
       done;
-      (* deletion-only stream: levels stay immutable, the conservative
-         reading must keep holding on the maintained cells *)
-      for _ = 1 to 2 do
-        let ndel = min (1 + Prelude.Rng.int rng 3) (List.length !edges) in
-        let dels = List.filteri (fun i _ -> i < ndel) !edges in
-        edges := List.filter (fun e -> not (List.mem e dels)) !edges;
-        ignore
-          (apply ~maint:Datalog.Incremental.Counting db program
-             ~additions:[]
-             ~deletions:
-               (List.map
-                  (fun (a, b) ->
-                    atom (Printf.sprintf {|edge("n%d","n%d")|} a b))
-                  dels));
+      let edge_atoms =
+        List.map (fun (a, b) -> atom (Printf.sprintf {|edge("n%d","n%d")|} a b))
+      in
+      let check_all () =
         for x = 0 to nodes - 1 do
           for z = 0 to nodes - 1 do
             check_pair ~exact:false x z
           done
         done
+      in
+      (* deletion-only batches, each through a fresh session *)
+      for _ = 1 to 2 do
+        let ndel = min (1 + Prelude.Rng.int rng 3) (List.length !edges) in
+        let dels = List.filteri (fun i _ -> i < ndel) !edges in
+        edges := List.filter (fun e -> not (List.mem e dels)) !edges;
+        ignore
+          (apply ~maint:Datalog.Incremental.Counting db program ~additions:[]
+             ~deletions:(edge_atoms dels));
+        check_all ()
+      done;
+      (* a mixed stream on one session: births level through their
+         witnesses, probes heal what they prove *)
+      let session =
+        Datalog.Incremental.prepare ~maint:Datalog.Incremental.Counting db program
+      in
+      for _ = 1 to 6 do
+        let adds =
+          List.init (Prelude.Rng.int rng 3) (fun _ ->
+              (Prelude.Rng.int rng nodes, Prelude.Rng.int rng nodes))
+          |> List.sort_uniq compare
+          |> List.filter (fun e -> not (List.mem e !edges))
+        in
+        let dels = List.filteri (fun i _ -> i < Prelude.Rng.int rng 3) !edges in
+        edges :=
+          List.sort_uniq compare
+            (adds @ List.filter (fun e -> not (List.mem e dels)) !edges);
+        ignore
+          (Datalog.Incremental.apply session ~additions:(edge_atoms adds)
+             ~deletions:(edge_atoms dels));
+        check_all ()
       done;
       !ok)
+
+(* The support index must not decay along a stream: a tuple a probe
+   proves is re-leveled, so it does not come back as a probe on every
+   later batch, and the backward phase starts from the decrements, so
+   its work follows what a batch changes. The program is transitive
+   closure over a 30-node chain with a shortcut edge every third node,
+   plus a side triangle whose chord every batch toggles (400 mixed
+   batches on one session; the chord is the only tuple a batch changes
+   outside the shortcut deletions). Early in the second quarter the
+   shortcuts are deleted one per batch:
+   reachability stays, but each tuple a shortcut leveled is left
+   supported only by chain derivations at higher levels, which a probe
+   must prove. The first and the last quarter then replay the same
+   toggles over the same closure, so only the index differs: the
+   backward work (O(1) hits plus full probes) per changed tuple must
+   not grow between them, and the database must equal the from-scratch
+   evaluation. *)
+let counting_index_does_not_decay () =
+  let n = 30 and batches = 400 in
+  let edge a b = Printf.sprintf {|edge("%s","%s")|} a b in
+  let v i = Printf.sprintf "v%d" i in
+  let chain = List.init (n - 1) (fun i -> edge (v i) (v (i + 1))) in
+  let shortcuts =
+    List.filter_map
+      (fun i -> if i mod 3 = 0 && i + 3 < n then Some (edge (v i) (v (i + 3))) else None)
+      (List.init n Fun.id)
+  in
+  let chord = edge "w0" "w2" in
+  let side = [ edge "w0" "w1"; edge "w1" "w2"; chord ] in
+  let rules = {|path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z).|} in
+  let load facts =
+    let db = Datalog.Database.create () in
+    List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) facts;
+    let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db (parse rules) in
+    db
+  in
+  let program = parse rules in
+  let db = load (chain @ shortcuts @ side) in
+  ignore (Datalog.Incremental.prime db program);
+  let session =
+    Datalog.Incremental.prepare ~maint:Datalog.Incremental.Counting db program
+  in
+  let quarter = batches / 4 in
+  let work = Array.make 4 0 and changed = Array.make 4 0 in
+  for i = 0 to batches - 1 do
+    let toggle_add, toggle_del =
+      if i mod 2 = 0 then ([], [ chord ]) else ([ chord ], [])
+    in
+    let cut =
+      if i < quarter then []
+      else match List.nth_opt shortcuts (i - quarter) with Some e -> [ e ] | None -> []
+    in
+    let obs = Obs.Trace.create ~capacity:64 ~domains:1 () in
+    let r =
+      Datalog.Incremental.apply ~obs session ~additions:(List.map atom toggle_add)
+        ~deletions:(List.map atom (toggle_del @ cut))
+    in
+    let q = i / quarter in
+    List.iter
+      (fun (c : Datalog.Incremental.pred_change) ->
+        changed.(q) <- changed.(q) + c.added + c.removed)
+      r.Datalog.Incremental.changes;
+    Obs.Ring.iter (Obs.Trace.ring obs 0) (fun ~kind ~t_ns:_ ~a ~b:_ ->
+        if kind = Obs.Event.cnt_o1_hit || kind = Obs.Event.cnt_full_probe then
+          work.(q) <- work.(q) + a)
+  done;
+  check_int "first and last quarter change the same" changed.(0) changed.(3);
+  let per q = float_of_int work.(q) /. float_of_int changed.(q) in
+  if per 3 > 1.1 *. per 0 then
+    Alcotest.failf "backward work per changed tuple grew from %.2f to %.2f" (per 0)
+      (per 3);
+  check_bool "maintained equals from-scratch" true
+    (Datalog.Eval.databases_agree (load (chain @ side)) db = Ok ())
 
 (* The sharded grid: counting with sharded count tables must restore
    the same database as serial DRed and as from-scratch recomputation
@@ -2479,6 +2652,9 @@ let () =
             counting_survives_dred_interleaving;
           test `Quick "unsupported configurations rejected"
             counting_rejects_unsupported;
+          test `Quick "support index does not decay" counting_index_does_not_decay;
+          test `Quick "cancelled birth leaves no index entry"
+            counting_cancelled_birth_leaves_no_index_entry;
         ]
         @ qsuite
             [

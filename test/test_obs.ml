@@ -129,6 +129,50 @@ let summary_counts_dred_phases () =
   (* no executor tasks ran: DRed time is the serial-path busy fallback *)
   close "busy falls back to dred time" 5e-7 s.Obs.Summary.busy_s
 
+(* Index healing: a counting delete whose suspect is proven through a
+   witness at its own level re-levels it, and the summary folds the
+   heal instant into [cnt_healed], its JSON and its text. path(a,x) is
+   first derived at level 1 through path(a,b); deleting b->x leaves
+   only the derivation through path(a,d), also at level 1, so a probe
+   proves it and the healing pass raises it to level 2. *)
+let counting_heal_is_traced () =
+  let program =
+    Datalog.Parser.parse
+      "edge(\"a\",\"b\"). edge(\"b\",\"x\"). edge(\"a\",\"c\"). \
+       edge(\"c\",\"d\"). edge(\"d\",\"x\").\n\
+       path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z).\n"
+  in
+  let db = Datalog.Database.create () in
+  let _ = Datalog.Eval.run db program in
+  ignore (Datalog.Incremental.prime db program);
+  let obs = Obs.Trace.create ~domains:1 () in
+  let _ =
+    Datalog.Incremental.apply ~obs
+      (Datalog.Incremental.prepare ~maint:Datalog.Incremental.Counting db program)
+      ~additions:[] ~deletions:[ Datalog.Parser.parse_atom {|edge("b","x")|} ]
+  in
+  check_bool "path(a,x) survives" true
+    (Datalog.Database.mem_fact db (Datalog.Parser.parse_atom {|path("a","x")|}));
+  let s = Obs.Summary.of_trace obs in
+  check_int "one full probe" 1 s.Obs.Summary.cnt_full_probes;
+  check_int "one tuple re-leveled" 1 s.Obs.Summary.cnt_healed;
+  (match Obs.Json.member "cnt" (Obs.Summary.json s) with
+  | Some cnt ->
+    check_bool "json healed" true (Obs.Json.member "healed" cnt = Some (Obs.Json.int 1))
+  | None -> Alcotest.fail "summary json has no cnt object");
+  let text = Format.asprintf "%a" Obs.Summary.pp s in
+  let line = "Counting index healing: 1 tuples re-leveled" in
+  check_bool "text names the healing" true
+    (List.exists
+       (fun i -> String.sub text i (String.length line) = line)
+       (List.init (String.length text - String.length line + 1) Fun.id));
+  (* instants from several components add up *)
+  let ev a =
+    { Obs.Summary.wid = 0; kind = Obs.Event.cnt_heal; t0_ns = 5; t1_ns = 5; arg = a }
+  in
+  check_int "heal instants fold" 5
+    (Obs.Summary.of_events ~domains:1 [ ev 2; ev 3 ]).Obs.Summary.cnt_healed
+
 (* ---- json parser ---- *)
 
 let json_parses_and_rejects () =
@@ -374,6 +418,7 @@ let () =
         [
           test `Quick "per-worker math" summary_math;
           test `Quick "dred phase totals" summary_counts_dred_phases;
+          test `Quick "counting heal traced" counting_heal_is_traced;
         ] );
       ( "json",
         [
