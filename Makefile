@@ -1,4 +1,4 @@
-.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-shard bench-maintain-count model-check model-check-smoke servebench-selftest ci clean
+.PHONY: all build test analyze bench bench-smoke bench-check bench-datalog bench-maintain-par bench-maintain-count model-check model-check-smoke servebench-selftest ci clean
 
 all: build
 
@@ -43,12 +43,6 @@ bench-datalog:
 bench-maintain-par:
 	dune exec bench/main.exe -- maintain-par
 
-# intra-component parallelism: the shards x domains grid on a single
-# big-SCC workload, database-parity asserted on every cell; writes
-# BENCH_maintain_shard.json
-bench-maintain-shard:
-	dune exec bench/main.exe -- maintain-shard
-
 # counting vs DRed maintenance on deletion-heavy update streams, with
 # a database-parity assert on every program x mix cell; writes
 # BENCH_maintain_count.json
@@ -57,16 +51,15 @@ bench-maintain-count:
 
 # tiny traces through the full dispatch matrix (both executors, all
 # domain counts, Executor.check everywhere), a small compiled-vs-
-# interpreter pass, a 2-domain parallel-maintenance parity pass, the
-# sharded-maintenance parity grid and the counting-vs-DRed parity
-# grid; then one short traced servebench run per serve-path workload
+# interpreter pass, a 2-domain parallel-maintenance parity pass and
+# the counting-vs-DRed parity grid; then one short traced servebench run per serve-path workload
 # (parity against its twin), whose report line (configuration and
 # exact work counters) is kept; under a minute; writes
 # BENCH_*_smoke.json into the current directory. Needs at least 2
 # cores: servebench refuses wide-par (2 domains) and tc-read (driver
 # plus commit domain) on a 1-core host, and the target then fails
 bench-smoke:
-	dune exec bench/main.exe -- dispatch-smoke datalog-smoke maintain-par-smoke maintain-shard-smoke maintain-count-smoke
+	dune exec bench/main.exe -- dispatch-smoke datalog-smoke maintain-par-smoke maintain-count-smoke
 	@for w in tc-copy wide-par tc-read; do \
 	  echo "== servebench $$w"; \
 	  out=$$(python3 servebench/run.py --workload $$w --seed 7 --seconds 2 --trace 1) \

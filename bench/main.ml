@@ -8,8 +8,7 @@
 
    Sections: table1 table2 table3 fig1 fig2 overhead memory bounds
              rescue datalog datalog-smoke maintain-par maintain-par-smoke
-             maintain-shard maintain-shard-smoke maintain-count
-             maintain-count-smoke ablation parallel
+             maintain-count maintain-count-smoke ablation parallel
              dispatch dispatch-smoke stream micro
 
    [--legacy-executor] restricts the dispatch sections to the retained
@@ -653,19 +652,17 @@ let mp_wide ~smoke =
   in
   (Printf.sprintf "wide-%dtc" groups, program, updates)
 
-let mp_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ?serial_threshold ~domains
-    program updates =
+let mp_run ?(obs = Obs.Trace.disabled) ~domains program updates =
   let engine = Datalog.Plan.Compiled in
   let db = Datalog.Database.create () in
   ignore (Datalog.Eval.run ~engine db program);
   let changed = ref 0 in
-  let session = Datalog.Incremental.prepare ~engine ~shards db program in
+  let session = Datalog.Incremental.prepare ~engine db program in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun (adds, dels) ->
       let r =
-        Datalog.Incremental.apply ~domains ?serial_threshold ~obs session
-          ~additions:adds ~deletions:dels
+        Datalog.Incremental.apply ~domains ~obs session ~additions:adds ~deletions:dels
       in
       List.iter
         (fun (c : Datalog.Incremental.pred_change) ->
@@ -771,154 +768,6 @@ let maintain_par () = maintain_par_core ~smoke:false ()
 let maintain_par_smoke () = maintain_par_core ~smoke:true ()
 
 (* ---------------------------------------------------------------- *)
-(* maintain-shard: intra-component parallelism via sharded rounds    *)
-(* ---------------------------------------------------------------- *)
-
-(* The complement of maintain-par: a workload that is ONE big SCC, so
-   component-level task parallelism has nothing to chew on and any
-   speedup must come from the sharded phase rounds inside the
-   component (a session prepared with ~shards). A dense transitive
-   closure with a negation stratum on top: edge deletions trigger deep
-   overdelete/rederive cascades whose per-round delta is large enough
-   to split. The grid runs every shards x domains combination with
-   [serial_threshold:0] (the tiny condensation would otherwise always
-   take the fallback) and asserts the sharded database equals the
-   serial one on every cell. *)
-
-type ms_row = {
-  ms_shards : int;
-  ms_domains : int;
-  ms_seconds : float;
-  ms_changed : int;
-  ms_speedup : float;  (* serial seconds / this cell's seconds *)
-  ms_agree : bool;
-}
-
-let shard_workload ~smoke =
-  let rng = Prelude.Rng.create 4243 in
-  let verts = if smoke then 20 else 64 in
-  let nedges = if smoke then 60 else 340 in
-  let batches = if smoke then 2 else 4 in
-  let edge () =
-    Printf.sprintf {|edge("v%d","v%d")|} (Prelude.Rng.int rng verts)
-      (Prelude.Rng.int rng verts)
-  in
-  let base = List.init nedges (fun _ -> edge ()) |> List.sort_uniq compare in
-  let rules =
-    "path(X,Y) :- edge(X,Y).\npath(X,Z) :- path(X,Y), edge(Y,Z).\n\
-     node(X) :- edge(X,Y).\nnode(Y) :- edge(X,Y).\n\
-     unreached(X,Y) :- node(X), node(Y), !path(X,Y).\n"
-  in
-  let src = String.concat "" (List.map (fun f -> f ^ ".\n") base) ^ rules in
-  let program = Datalog.Parser.parse src in
-  let base_arr = Array.of_list base in
-  let cursor = ref 0 in
-  let updates =
-    List.init batches (fun _ ->
-        let adds = List.init 4 (fun _ -> Datalog.Parser.parse_atom (edge ())) in
-        let dels =
-          List.init 3 (fun _ ->
-              let f = base_arr.(!cursor mod Array.length base_arr) in
-              cursor := !cursor + 7;
-              Datalog.Parser.parse_atom f)
-        in
-        (adds, dels))
-  in
-  (Printf.sprintf "tc-neg-%dv" verts, program, updates)
-
-let maintain_shard_json workload rows headline shard_set domain_set path =
-  write_json ~benchmark:"maintain-shard" path
-    ([ ("sched", str "levelbased"); ("workload", str workload);
-       ("shards", Obs.Json.Array (List.map int shard_set));
-       ("domains", Obs.Json.Array (List.map int domain_set)) ]
-    @ opt "headline"
-        (fun (sh, dm, serial_s, par_s) ->
-          Obs.Json.Object
-            [ ("shards", int sh); ("domains", int dm); ("serial_s", num serial_s);
-              ("sharded_s", num par_s); ("speedup", ratio serial_s par_s) ])
-        headline
-    @ [ ( "rows",
-          Obs.Json.Array
-            (List.map
-               (fun r ->
-                 Obs.Json.Object
-                   [ ("shards", int r.ms_shards); ("domains", int r.ms_domains);
-                     ("changed", int r.ms_changed); ("seconds", num r.ms_seconds);
-                     ("speedup", num r.ms_speedup); ("databases_agree", Obs.Json.Bool r.ms_agree) ])
-               rows) ) ])
-
-let maintain_shard_core ~smoke () =
-  banner "Sharded incremental maintenance: shards x domains grid on one big SCC";
-  let cores = Domain.recommended_domain_count () in
-  let shard_set = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let domain_set = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let name, program, updates = shard_workload ~smoke in
-  Format.printf "workload %s on a %d-core host@.@." name cores;
-  let db_serial, serial_s, serial_changed = mp_run ~domains:1 program updates in
-  Format.printf "%-12s %7s %8s %10s %12s %10s@." "workload" "shards" "domains"
-    "changed" "seconds" "speedup";
-  let rows = ref [] in
-  let best = ref None in
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun domains ->
-          let seconds, changed =
-            if shards = 1 && domains = 1 then (serial_s, serial_changed)
-            else begin
-              let db, s, ch =
-                mp_run ~shards ~serial_threshold:0 ~domains program updates
-              in
-              (* the differential guarantee, asserted on every cell:
-                 sharded maintenance restores exactly the serial
-                 database and the same net change count *)
-              (match Datalog.Eval.databases_agree db_serial db with
-              | Ok () -> ()
-              | Error e ->
-                Format.printf
-                  "  *** SHARDED DISAGREES at %d shards x %d domains: %s ***@."
-                  shards domains e;
-                failwith "maintain-shard: parity violation");
-              if ch <> serial_changed then
-                failwith "maintain-shard: changed-tuple counts diverge";
-              (s, ch)
-            end
-          in
-          let speedup = serial_s /. Float.max seconds 1e-9 in
-          rows :=
-            { ms_shards = shards; ms_domains = domains; ms_seconds = seconds;
-              ms_changed = changed; ms_speedup = speedup; ms_agree = true }
-            :: !rows;
-          Format.printf "%-12s %7d %8d %10d %12.4f %9.2fx@." name shards domains
-            changed seconds speedup;
-          if shards > 1 then
-            match !best with
-            | Some (_, _, bs) when serial_s /. Float.max bs 1e-9 >= speedup -> ()
-            | _ -> best := Some (shards, domains, seconds))
-        domain_set)
-    shard_set;
-  (match !best with
-  | Some (sh, dm, par_s) ->
-    Format.printf
-      "@.headline: %d shards x %d domains — serial %.4f s, sharded %.4f s: %.2fx@."
-      sh dm serial_s par_s (serial_s /. Float.max par_s 1e-9)
-  | None -> ());
-  if cores < 4 then
-    Format.printf
-      "(host has %d core(s): shard fan-out adds coordination without extra \
-       parallelism here; expect <= 1x — the grid still checks parity on every \
-       cell)@."
-      cores;
-  maintain_shard_json name (List.rev !rows)
-    (Option.map (fun (sh, dm, s) -> (sh, dm, serial_s, s)) !best)
-    shard_set domain_set
-    (if smoke then "BENCH_maintain_shard_smoke.json" else "BENCH_maintain_shard.json")
-
-let maintain_shard () = maintain_shard_core ~smoke:false ()
-
-let maintain_shard_smoke () = maintain_shard_core ~smoke:true ()
-
-(* ---------------------------------------------------------------- *)
 (* maintain-count: counting vs DRed on deletion-heavy streams        *)
 (* ---------------------------------------------------------------- *)
 
@@ -988,7 +837,7 @@ let mc_advice program =
   in
   match verdicts with [] -> "dred" | [ one ] -> one | _ -> "mixed"
 
-let mc_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ~maint program steps =
+let mc_run ?(obs = Obs.Trace.disabled) ~maint program steps =
   let engine = Datalog.Plan.Compiled in
   let db = Datalog.Database.create () in
   ignore (Datalog.Eval.run ~engine db program);
@@ -1002,9 +851,9 @@ let mc_run ?(obs = Obs.Trace.disabled) ?(shards = 1) ~maint program steps =
   in
   let changed = ref 0 in
   let session =
-    (* counting composes with sharded phase rounds: any warning here (a
-       refused ownership check) would invalidate the row *)
-    Datalog.Incremental.prepare ~engine ~maint ~shards
+    (* any warning here (a refused ownership check) would invalidate
+       the row *)
+    Datalog.Incremental.prepare ~engine ~maint
       ~on_warn:(fun m -> failwith ("maintain-count: unexpected warning: " ^ m))
       db program
   in
@@ -1090,12 +939,6 @@ let maintain_count_core ~smoke () =
           let db_auto, auto_s, auto_changed, _ =
             mc_run ~maint:Datalog.Incremental.Auto program steps
           in
-          let db_s2, s2_s, s2_changed, _ =
-            mc_run ~shards:2 ~maint:Datalog.Incremental.Counting program steps
-          in
-          let db_s4, s4_s, s4_changed, _ =
-            mc_run ~shards:4 ~maint:Datalog.Incremental.Counting program steps
-          in
           let advice = mc_advice program in
           (* the differential guarantee, asserted on every cell: all
              strategies restore exactly the same database *)
@@ -1109,12 +952,8 @@ let maintain_count_core ~smoke () =
           in
           agree "counting" db_cnt;
           agree "auto" db_auto;
-          agree "counting-s2" db_s2;
-          agree "counting-s4" db_s4;
-          if
-            dred_changed <> cnt_changed || dred_changed <> auto_changed
-            || dred_changed <> s2_changed || dred_changed <> s4_changed
-          then failwith "maintain-count: changed-tuple counts diverge";
+          if dred_changed <> cnt_changed || dred_changed <> auto_changed then
+            failwith "maintain-count: changed-tuple counts diverge";
           let emit maint seconds note =
             let r =
               { mc_program = pname; mc_mix = mix; mc_maint = maint;
@@ -1131,8 +970,6 @@ let maintain_count_core ~smoke () =
           emit "counting" cnt_s
             (Printf.sprintf "  (primed in %.4f s)" prime_s);
           emit "auto" auto_s (Printf.sprintf "  (advice %s)" advice);
-          emit "counting-s2" s2_s "";
-          emit "counting-s4" s4_s "";
           let speedup = dred_s /. Float.max cnt_s 1e-9 in
           let best = if recursive then best_rec else best_nonrec in
           match !best with
@@ -1642,8 +1479,6 @@ let sections =
     ("datalog-smoke", datalog_smoke);
     ("maintain-par", maintain_par);
     ("maintain-par-smoke", maintain_par_smoke);
-    ("maintain-shard", maintain_shard);
-    ("maintain-shard-smoke", maintain_shard_smoke);
     ("maintain-count", maintain_count);
     ("maintain-count-smoke", maintain_count_smoke);
     ("ablation", ablation);

@@ -191,12 +191,6 @@ let domains_arg =
          ~doc:"Run the incremental maintenance itself on N worker domains \
                (real parallelism via the multicore executor; 1 = serial).")
 
-let shards_arg =
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"K"
-         ~doc:"Split each component's maintenance phase rounds (DRed delete \
-               and insert, counting propagation) into K hash-sharded \
-               fan-out tasks (intra-component parallelism; 1 = unsharded).")
-
 let maint_arg =
   let maint_conv =
     Arg.enum
@@ -210,9 +204,8 @@ let maint_arg =
          ~doc:"Maintenance strategy: 'dred' (delete-rederive, the default), \
                'counting' (per-tuple derivation counts with a well-founded \
                support index and backward/forward search; no rederivation \
-               storm on deletion-heavy updates; composes with --shards), \
-               or 'auto' (the static advisor picks per component — see \
-               'dms analyze').")
+               storm on deletion-heavy updates), or 'auto' (the static \
+               advisor picks per component — see 'dms analyze').")
 
 let read_file path =
   let ic = open_in path in
@@ -257,8 +250,7 @@ let datalog_cmd =
                  it as Chrome trace_event JSON (open in chrome://tracing or \
                  Perfetto; summarize with 'dms trace FILE').")
   in
-  let run program queries adds dels lint sched procs domains shards maint sanitize
-      trace =
+  let run program queries adds dels lint sched procs domains maint sanitize trace =
     wrap (fun () ->
         let src = read_file program in
         let session = Incr_sched.materialize ~lint src in
@@ -271,11 +263,10 @@ let datalog_cmd =
           (Datalog.Database.total_tuples session.Incr_sched.db);
         if adds <> [] || dels <> [] || trace <> None then begin
           let tt =
-            Incr_sched.update ~maint ~domains ~shards ~sanitize ?trace session
+            Incr_sched.update ~maint ~domains ~sanitize ?trace session
               ~additions:adds ~deletions:dels
           in
-          if domains > 1 || shards > 1 then
-            Format.printf "maintained on %d domains x %d shards@." domains shards;
+          if domains > 1 then Format.printf "maintained on %d domains@." domains;
           (match trace with
           | Some path -> Format.printf "timeline written to %s@." path
           | None -> ());
@@ -305,7 +296,7 @@ let datalog_cmd =
           and schedule its maintenance DAG.")
     Term.(
       const run $ program $ queries $ adds $ dels $ lint_flag $ sched_arg $ procs_arg
-      $ domains_arg $ shards_arg $ maint_arg $ sanitize_arg $ trace_out)
+      $ domains_arg $ maint_arg $ sanitize_arg $ trace_out)
 
 (* ---- serve ---- *)
 
@@ -339,16 +330,15 @@ let serve_cmd =
                  epoch/admission/commit spans, and write Chrome trace_event \
                  JSON on exit (summarize with 'dms trace FILE').")
   in
-  let run program stdio socket maint domains shards async trace =
+  let run program stdio socket maint domains async trace =
     wrap (fun () ->
         let session = Incr_sched.materialize (read_file program) in
         let obs =
           match trace with
           | None -> Obs.Trace.disabled
-          | Some _ ->
-            Obs.Trace.create ~domains:(max 1 domains + max 1 shards - 1) ()
+          | Some _ -> Obs.Trace.create ~domains:(max 1 domains) ()
         in
-        let engine = Server.Engine.create ~maint ~domains ~shards ~obs session in
+        let engine = Server.Engine.create ~maint ~domains ~obs session in
         let repl = Server.Repl.create ~async engine in
         Format.eprintf "dms serve: epoch 0 ready, %d tuples (%s)@."
           (Datalog.Database.total_tuples session.Incr_sched.db)
@@ -372,8 +362,8 @@ let serve_cmd =
           maintained incrementally through the scheduling machinery, queries \
           answered from immutable post-commit snapshots.")
     Term.(
-      const run $ program $ stdio $ socket $ maint_arg $ domains_arg
-      $ shards_arg $ async $ trace_out)
+      const run $ program $ stdio $ socket $ maint_arg $ domains_arg $ async
+      $ trace_out)
 
 (* ---- analyze ---- *)
 

@@ -21,9 +21,9 @@
      Incremental.apply ~domains — plain relation writes confined to
      the owning task, downstream reads gated on the scheduler's
      release rather than on mere activation;
-   - [shard_ownership]: the (component, shard) buffer-ownership rule
-     of the sharded phase rounds — each shard job stages only into its
-     private buffer, the coordinator merges behind the crew barrier.
+   - [fail_park]: Executor.run's failure path against its park — a
+     worker that saw no failure, snapshots the eventcount and parks,
+     racing [fail]'s failure publication and wake_all;
 
    Every safe scenario has a deliberately broken sibling ([Buggy])
    whose counterexample the checker must find; those schedules are
@@ -354,60 +354,66 @@ let comp_ownership ~gated =
         (body, finish));
   }
 
-(* ---- 7. intra-component sharding: buffer ownership -------------- *)
+(* ---- 7. executor failure vs. park ------------------------------ *)
 
-(* The (component, shard) ownership rule behind the sharded phase
-   rounds of component maintenance (Maint.fanout, as called by the
-   DRed and counting rounds): during a fan-out, shard job [s]
-   writes only its own candidate buffer (a plain, unsynchronized
-   store), and the coordinator reads every buffer only behind the
-   crew's completion barrier — Shard_crew's mutex handoff, modeled
-   here as the worker's atomic done-flag that the coordinator
-   CAS-claims. Process 0 is the coordinator running shard 0 into
-   [buf0]; process 1 is the crew worker running shard 1 into [buf1].
-   The buggy sibling has the worker also stage into the coordinator's
-   buffer — the cross-shard write the ownership rule forbids — which
-   races the coordinator's own plain write to [buf0]: the vector-clock
-   checker must flag it. *)
-let shard_ownership ~confined =
+(* Executor.run's worker loop checks [failure] at its top, and when
+   the scheduler answers Pending it snapshots [events] and parks until
+   [events] moves. [fail] publishes the failure, then wake_all bumps
+   [events] and broadcasts. A scheduler callback that raised keeps
+   answering Pending, so a parked worker has nothing else to wake it:
+   the crew's barrier then waits for it forever. Process 0 is the
+   failer; process 1 is the worker, parking exactly as in [park_wake]
+   (mutex-protected registration, persistent token for the condvar; a
+   broadcast wakes only registered sleepers). The fix re-checks
+   [failure] after the snapshot: a [fail] that landed before the
+   snapshot is seen there, one after it bumps [events] past the
+   snapshot. The buggy sibling parks without the re-check, and the
+   schedule where [fail] lands between the loop-top check and the
+   snapshot sleeps forever — a deadlock the checker must find. *)
+let fail_park ~recheck =
   {
-    Mc.name =
-      (if confined then "shard-ownership" else "shard-ownership-buggy-cross-write");
+    Mc.name = (if recheck then "fail-park" else "fail-park-buggy-no-recheck");
     nprocs = 2;
     instantiate =
       (fun () ->
-        (* candidate buffers are plain cells, like the per-shard
-           tuple buffers in the real fan-out *)
-        let buf0 = V.Plain.make 0 in
-        let buf1 = V.Plain.make 0 in
-        let done1 = V.make 0 in
-        let merged = V.Plain.make 0 in
-        let coordinator () =
-          (* shard 0 runs on the calling thread *)
-          V.Plain.set buf0 5;
-          (* crew barrier: claim the worker's completion *)
-          while not (V.compare_and_set done1 1 2) do
-            ()
-          done;
-          (* deterministic merge, shard order 0 then 1 *)
-          V.Plain.set merged (V.Plain.get buf0 + V.Plain.get buf1)
+        let failure = V.make 0 in
+        let events = V.make 0 in
+        let parked = V.make 0 in
+        let pmutex = V.make 0 in
+        let token = V.make 0 in
+        let exited = V.make 0 in
+        let failer () =
+          (* fail: publish the failure first, then wake_all *)
+          V.set failure 1;
+          V.incr events;
+          lock pmutex;
+          if V.get parked > 0 then V.set token 1;
+          unlock pmutex
         in
         let worker () =
-          if confined then V.Plain.set buf1 7
-          else begin
-            (* broken: stage into shard 0's buffer while its owner may
-               still be writing it *)
-            V.Plain.set buf0 (V.Plain.get buf0 + 7);
-            V.Plain.set buf1 0
+          (* loop top: no failure yet, the scheduler answers Pending *)
+          if V.get failure = 0 then begin
+            let e = V.get events in
+            if (not recheck) || V.get failure = 0 then begin
+              lock pmutex;
+              V.incr parked;
+              if V.get events = e then begin
+                unlock pmutex;
+                while not (V.compare_and_set token 1 0) do
+                  ()
+                done;
+                lock pmutex
+              end;
+              V.decr parked;
+              unlock pmutex
+            end
           end;
-          (* completion publish: the release half of the barrier *)
-          V.set done1 1
+          (* back at the loop top, the failure is visible: exit *)
+          assert (V.get failure = 1);
+          V.set exited 1
         in
-        let body p = if p = 0 then coordinator () else worker () in
-        let finish () =
-          if confined then assert (V.Plain.get merged = 12)
-          else assert (V.Plain.get merged >= 0)
-        in
+        let body p = if p = 0 then failer () else worker () in
+        let finish () = assert (V.get exited = 1) in
         (body, finish));
   }
 
@@ -463,7 +469,7 @@ let safe =
     protected_batch ~deliver_first:true;
     plain_race ~locked:true;
     comp_ownership ~gated:true;
-    shard_ownership ~confined:true;
+    fail_park ~recheck:true;
     ring_publish ~publish_after:true;
   ]
 
@@ -474,7 +480,7 @@ let buggy =
     protected_batch ~deliver_first:false;
     plain_race ~locked:false;
     comp_ownership ~gated:false;
-    shard_ownership ~confined:false;
+    fail_park ~recheck:false;
     ring_publish ~publish_after:false;
   ]
 

@@ -30,7 +30,7 @@ let trace_of_string = Workload.Trace_io.of_string
 
 type maintainer = {
   mutable current :
-    ((Datalog.Incremental.maint * int * bool) * Datalog.Incremental.session) option;
+    ((Datalog.Incremental.maint * bool) * Datalog.Incremental.session) option;
 }
 
 type datalog_session = {
@@ -50,22 +50,22 @@ let lint session = Datalog.Lint.check session.program
 (* The prepared maintenance session for this configuration: reused
    while updates keep asking for the same one, replaced (and prepared
    on the spot) when they switch. *)
-let maintenance session ~maint ~shards ~sanitize =
-  let key = (maint, shards, sanitize) in
+let maintenance session ~maint ~sanitize =
+  let key = (maint, sanitize) in
   match session.maintainer.current with
   | Some (k, prepared) when k = key -> prepared
   | Some _ | None ->
     let prepared =
-      Datalog.Incremental.prepare ~maint ~shards ~sanitize session.db session.program
+      Datalog.Incremental.prepare ~maint ~sanitize session.db session.program
     in
     session.maintainer.current <- Some (key, prepared);
     prepared
 
-let update ?work_unit ?(maint = Datalog.Incremental.Dred) ?domains ?(shards = 1)
-    ?(sanitize = false) ?trace ?obs session ~additions ~deletions =
+let update ?work_unit ?(maint = Datalog.Incremental.Dred) ?domains ?(sanitize = false)
+    ?trace ?obs session ~additions ~deletions =
   let parse = List.map Datalog.Parser.parse_atom in
   let additions = parse additions and deletions = parse deletions in
-  let prepared = maintenance session ~maint ~shards ~sanitize in
+  let prepared = maintenance session ~maint ~sanitize in
   match (obs, trace) with
   | Some obs, _ ->
     (* the caller owns the rings (and their export); a long-lived
@@ -73,11 +73,9 @@ let update ?work_unit ?(maint = Datalog.Incremental.Dred) ?domains ?(shards = 1)
     Datalog.To_trace.of_update ?work_unit ?domains ~obs prepared ~additions ~deletions
   | None, None -> Datalog.To_trace.of_update ?work_unit ?domains prepared ~additions ~deletions
   | None, Some path ->
-    (* one ring per executor worker, plus one per crew worker (shard
-       [j >= 1] emits on ring [domains + j - 1], see
-       {!Datalog.Incremental.apply}) *)
+    (* one ring per executor worker *)
     let nd = max 1 (Option.value domains ~default:1) in
-    let obs = Obs.Trace.create ~domains:(nd + shards - 1) () in
+    let obs = Obs.Trace.create ~domains:nd () in
     let tt =
       Datalog.To_trace.of_update ?work_unit ?domains ~obs prepared ~additions ~deletions
     in

@@ -79,7 +79,6 @@ val update :
   ?work_unit:float ->
   ?maint:Datalog.Incremental.maint ->
   ?domains:int ->
-  ?shards:int ->
   ?sanitize:bool ->
   ?trace:string ->
   ?obs:Obs.Trace.t ->
@@ -90,8 +89,8 @@ val update :
 (** Apply a base-fact update incrementally (atoms given as text, e.g.
     ["edge(\"a\",\"b\")"]) and return the revealed scheduling trace.
     The first update prepares a maintenance session
-    ({!Datalog.Incremental.prepare}) for its [(maint, shards,
-    sanitize)]; later updates asking for the same configuration reuse
+    ({!Datalog.Incremental.prepare}) for its [(maint, sanitize)];
+    later updates asking for the same configuration reuse
     it, so they pay only for the batch and the components it reaches.
     Asking for another configuration prepares a new session in its
     place.
@@ -100,17 +99,13 @@ val update :
     is [Datalog.Incremental.Auto]. [sanitize] (default off) arms the
     runtime write-set sanitizer (see {!Datalog.Relation.Sanitize}).
     [domains] (default 1) > 1 performs the maintenance in parallel on
-    that many worker domains; [shards] (default 1) > 1 additionally
-    fans each component's maintenance phase rounds — DRed's delete and
-    insert rounds, counting's propagation rounds — out over that many
-    shard tasks (see {!Datalog.Incremental.apply}). [trace] records
-    the maintenance run's per-worker timeline — one ring per executor
-    worker plus one per extra shard — and writes it to the given path
-    as Chrome trace_event JSON (chrome://tracing or Perfetto; task
-    spans named by component predicates, shard fan-out as [shard j]
-    spans) — summarize it with [dms trace] or
+    that many worker domains (see {!Datalog.Incremental.apply}).
+    [trace] records the maintenance run's per-worker timeline — one
+    ring per executor worker — and writes it to the given path as
+    Chrome trace_event JSON (chrome://tracing or Perfetto; task spans
+    named by component predicates) — summarize it with [dms trace] or
     {!Obs.Export.summary_of_json}. [obs] instead records into
-    caller-owned rings (sized for [domains + shards - 1] writers, see
+    caller-owned rings (one per worker domain, see
     {!Datalog.Incremental.apply}) and leaves export to the
     caller — the update server threads one trace through many commits
     this way; when both are given [obs] wins and [trace] is ignored. *)

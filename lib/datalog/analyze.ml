@@ -32,7 +32,6 @@ type comp_info = {
   external_reads : string list;
   writes : string list;
   deltas : string list;
-  shardable : bool;
   level_index : bool;
   verdict : strategy;
   reason : string;
@@ -129,19 +128,6 @@ let union_sorted ls = List.sort_uniq String.compare (List.concat ls)
 let run ?(engine = Plan.default_engine) ~anal (program : Ast.program) =
   let cond = anal.Stratify.condensation in
   let ncomp = cond.Dag.Scc.count in
-  (* predicate arity from any atom occurrence (for shardability) *)
-  let arity_of = Hashtbl.create 32 in
-  let note_atom (a : Ast.atom) =
-    if not (Hashtbl.mem arity_of a.Ast.pred) then
-      Hashtbl.replace arity_of a.Ast.pred (List.length a.Ast.args)
-  in
-  List.iter
-    (fun (r : Ast.rule) ->
-      note_atom r.Ast.head;
-      List.iter
-        (function Ast.Pos a | Ast.Neg a -> note_atom a | Ast.Cmp _ -> ())
-        r.Ast.body)
-    program;
   let comp_of name = comp_of_anal anal name in
   (* per-rule effect sets (non-fact rules only; facts read nothing) *)
   let rule_infos = ref [] in
@@ -225,14 +211,6 @@ let run ?(engine = Plan.default_engine) ~anal (program : Ast.program) =
           in
           union_sorted [ pos; writes ]
         in
-        let shardable =
-          List.for_all
-            (fun p ->
-              match Hashtbl.find_opt arity_of p with
-              | Some a -> a >= 1
-              | None -> false)
-            members
-        in
         (* the well-founded support index (per-tuple [level]/[low])
            attributes derivations through the single in-component atom
            of a linear rule — exactly the shapes below qualify *)
@@ -283,7 +261,6 @@ let run ?(engine = Plan.default_engine) ~anal (program : Ast.program) =
           external_reads;
           writes;
           deltas;
-          shardable;
           level_index;
           verdict;
           reason;
@@ -330,8 +307,7 @@ let pp_report ppf t =
           ci.exit_rules
           (if ci.has_negation then ", negation" else "")
           (if ci.has_aggregate then ", aggregates" else "")
-          ((if ci.shardable then ", shardable" else ", not shardable")
-          ^ if ci.level_index then ", level index" else "");
+          (if ci.level_index then ", level index" else "");
         Format.fprintf ppf "  reads %a  writes %a  deltas %a@." pp_set ci.reads
           pp_set ci.writes pp_set ci.deltas;
         Format.fprintf ppf "  advisor: %s — %s@." (strategy_name ci.verdict) ci.reason
@@ -362,7 +338,7 @@ let json_report t =
       [ ("comp", int ci.comp); ("stratum", int ci.stratum); ("extensional", Bool ci.extensional);
         ("recursion", String (recursion_name ci.recursion)); ("rules", int ci.rule_count);
         ("exit_rules", int ci.exit_rules); ("negation", Bool ci.has_negation);
-        ("aggregate", Bool ci.has_aggregate); ("shardable", Bool ci.shardable);
+        ("aggregate", Bool ci.has_aggregate);
         ("level_index", Bool ci.level_index); ("advice", String (strategy_name ci.verdict));
         ("reason", String ci.reason); ("members", strs ci.members); ("reads", strs ci.reads);
         ("external_reads", strs ci.external_reads); ("writes", strs ci.writes);

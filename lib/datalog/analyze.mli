@@ -15,8 +15,7 @@
       trusted convention into a verified property;
     - the {e advisor} ({!comp_info.verdict}) drives [--maint auto],
       choosing Counting or DRed per stratum from static features
-      (recursion class, negation, aggregates, exit-rule fraction,
-      shardability);
+      (recursion class, negation, aggregates, exit-rule fraction);
     - [dms analyze] renders the whole analysis as a report
       ({!pp_report}, {!json_report}). *)
 
@@ -56,9 +55,6 @@ type comp_info = {
       (** predicates whose (added, removed) delta pair the component's
           maintenance touches: every positive body predicate (read side)
           and every member head (write side) *)
-  shardable : bool;
-      (** every member has arity >= 1, so the column-0 hash partitioning
-          of {!Relation.Sharded} applies *)
   level_index : bool;
       (** the counting engine's well-founded support index (per-tuple
           first-derivation [level] plus strictly-lower-witness [low]
@@ -113,7 +109,7 @@ val recursion_name : recursion -> string
 
 val pp_report : Format.formatter -> t -> unit
 (** Human-readable report: predicates, strata, per-component effect
-    sets, recursion class, shardability, advisor verdicts, and the
+    sets, recursion class, advisor verdicts, and the
     ownership verification result. *)
 
 val json_report : t -> string

@@ -76,7 +76,7 @@ type heal_member = {
    once per rule, receives each derivation's supporter level (see
    [witness]) and head. The recount fixpoint and the cascade rounds
    both enumerate through here. *)
-let fire_in_comp comp_preds ~level_of ~view ~late_view ~round ?shard ~work prs emit =
+let fire_in_comp comp_preds ~level_of ~view ~late_view ~round ~work prs emit =
   List.iter
     (fun pr ->
       let r = pr.rule in
@@ -88,7 +88,7 @@ let fire_in_comp comp_preds ~level_of ~view ~late_view ~round ?shard ~work prs e
           | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
             match Hashtbl.find_opt round a.Ast.pred with
             | Some delta when Relation.cardinality delta > 0 ->
-              Plan.exec_rule ?witness ?shard ~view ~late_view ~delta:(i, delta) ~work
+              Plan.exec_rule ?witness ~view ~late_view ~delta:(i, delta) ~work
                 ~on_derived:(fun h -> emit (sup ()) h)
                 pr.ex
             | Some _ | None -> ())
@@ -138,17 +138,16 @@ let level_in tbl pred tup =
      the next delta, so their consumers' derivations are still
      enumerated exactly once and the fixpoint resumes.
 
-   Attaches fresh tables ([shards] cell partitions each) and returns
-   them keyed by head predicate; the caller stamps them synced once
-   store and counts agree. *)
-let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
+   Attaches fresh tables and returns them keyed by head predicate; the
+   caller stamps them synced once store and counts agree. *)
+let recount_comp ctx (pc : prepared_comp) prs ~view ~work =
   let is_rec = is_recursive pc.comp_preds in
   let counts_of : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
   List.iter
     (fun pr ->
       let pred = pr.rule.Ast.head.Ast.pred in
       if not (Hashtbl.mem counts_of pred) then
-        Hashtbl.add counts_of pred (Relation.counts_attach ~shards (head_rel ctx pr.rule)))
+        Hashtbl.add counts_of pred (Relation.counts_attach (head_rel ctx pr.rule)))
     prs;
   List.iter
     (fun pr ->
@@ -314,24 +313,10 @@ let recount_comp ctx (pc : prepared_comp) prs ~shards ~view ~work =
    against the head's level, looking supporter levels of tuples
    killed earlier in the run up in a morgue. Non-linear
    derivations never enter [low]: it may undercount (costing a
-   probe), never overcount (which would be unsound).
-
-   With a shard context, propagation rounds — round 0, death
-   cascades, birth rounds — fan out through the same [fanout] as
-   the DRed phase rounds: shard job [s] enumerates
-   only its hash slice of the round's delta through its own plan
-   set, accumulating signed count deltas and suspect touches in
-   private buffers; the coordinator merges the buffers into the
-   global scratch in shard order 0..k-1 behind the crew barrier
-   (counts add; newborn levels take the minimum, [low] keeps the
-   contributions attaining it) and settles serially, so store,
-   counts and index end up exactly as the unsharded run's. The
-   backward search stays serial: its worklist is the small suspect
-   cone, already cut down by the O(1) level check. *)
+   probe), never overcount (which would be unsound). *)
 let run env =
-  let { ctx; pc; rules = prs_by_shard; work; ring; phase_begin; phase_end; _ } = env in
-  let d = ctx.d and comp_preds = pc.comp_preds and prs = prs_by_shard.(0) in
-  let nshards = nshards env in
+  let { ctx; pc; rules = prs; work; ring; phase_begin; phase_end } = env in
+  let d = ctx.d and comp_preds = pc.comp_preds in
   let rec_rule = is_recursive comp_preds in
   let recursive = List.exists (fun pr -> rec_rule pr.rule) prs in
   let linear = recursive && all_linear comp_preds prs in
@@ -352,7 +337,7 @@ let run env =
       heads false
   in
   let counts_of =
-    if stale then recount_comp ctx pc prs ~shards:nshards ~view:ctx.old_view ~work
+    if stale then recount_comp ctx pc prs ~view:ctx.old_view ~work
     else begin
       let tbl = Hashtbl.create 4 in
       Hashtbl.iter
@@ -390,13 +375,11 @@ let run env =
      lost a derivation (recursive comps only) — in a linear component
      only the losses of an exit derivation or of a [low] entry, the
      only ones that can leave a tuple unvouched. It feeds the
-     backward phase's trigger and pool and the healing pass.
-     [sct]/[dec] parameterize the targets so shard jobs can fill
-     private buffers; the unsharded path passes the globals. *)
+     backward phase's trigger and pool and the healing pass. *)
   let sc : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
   let dec_touched : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-  let bump ~sct ~dec pred exit sign sup tup =
-    let cell = Relation.count_cell (counts_in sct pred) tup in
+  let bump pred exit sign sup tup =
+    let cell = Relation.count_cell (counts_in sc pred) tup in
     if exit then cell.Relation.exits <- cell.Relation.exits + sign
     else cell.Relation.recs <- cell.Relation.recs + sign;
     (* index attribution. The canonical store is frozen while a
@@ -441,7 +424,7 @@ let run env =
         false
     in
     if sign < 0 && recursive && (exit || counted || not linear) then
-      ignore (add_to dec pred tup)
+      ignore (add_to dec_touched pred tup)
   in
   let pending_births = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
   let take_births () =
@@ -531,52 +514,6 @@ let run env =
     Hashtbl.reset sc;
     deaths
   in
-  (* deterministic per-shard buffer merges, in shard order. For a
-     tuple both shards touched the encodings agree (the canonical
-     store is frozen while a round enumerates): existing-cell
-     entries all carry scratch level [max_int] so their signed
-     [low] deltas add; newborn candidates keep the least level and
-     sum the [low] contributions attaining it. *)
-  let merge_scratch dst_tbl src_tbl =
-    Hashtbl.iter
-      (fun pred (src : Relation.counts) ->
-        let dstc = counts_in dst_tbl pred in
-        Relation.counts_iter
-          (fun tup scell ->
-            let dcell = Relation.count_cell dstc tup in
-            dcell.Relation.exits <- dcell.Relation.exits + scell.Relation.exits;
-            dcell.Relation.recs <- dcell.Relation.recs + scell.Relation.recs;
-            if scell.Relation.level < dcell.Relation.level then begin
-              dcell.Relation.level <- scell.Relation.level;
-              dcell.Relation.low <- scell.Relation.low
-            end
-            else if scell.Relation.level = dcell.Relation.level then
-              dcell.Relation.low <- dcell.Relation.low + scell.Relation.low)
-          src)
-      src_tbl
-  in
-  let merge_dec dst src =
-    Hashtbl.iter
-      (fun pred r ->
-        Relation.iter (fun tup -> ignore (add_to dst pred tup)) r)
-      src
-  in
-  (* run one propagation round's enumerations: unsharded straight
-     into the global scratch; sharded, each job fills private
-     buffers (reading only shared state: store views, canonical
-     cells, morgue), merged here in shard order. *)
-  let fanout_round ~size enumerate =
-    if nshards = 1 then
-      enumerate ~sprs:prs ~sct:sc ~dec:dec_touched ~shard:None ~work
-    else
-      fanout env ~size (fun s ~shard ~work ->
-          let sct = Hashtbl.create 4 and dec = Hashtbl.create 4 in
-          enumerate ~sprs:prs_by_shard.(s) ~sct ~dec ~shard ~work;
-          (sct, dec))
-      |> Array.iter (fun (s_sc, s_dec) ->
-             merge_scratch sc s_sc;
-             merge_dec dec_touched s_dec)
-  in
   (* one in-component cascade round: the delta (this round's deaths
      or births, already applied to the store) drives every rule at
      its in-component positions; [pre] is the pre-round state for
@@ -584,13 +521,10 @@ let run env =
      its only in-component atom, so the witness is the delta tuple
      itself; its level is read at emission time. Only scratch
      counts are written, so the non-deferred executor is safe. *)
-  let enumerate_in_comp ~sign ~round ~pre ~sprs ~sct ~dec ~shard ~work =
+  let enumerate_in_comp ~sign ~round ~pre =
     (* in-comp delta position ⇒ recursive rule: [exit] is false *)
     fire_in_comp comp_preds ~level_of:sup_level ~view:ctx.new_view ~late_view:pre
-      ~round ?shard ~work sprs (fun hpred -> bump ~sct ~dec hpred false sign)
-  in
-  let round_size round =
-    Hashtbl.fold (fun _ r acc -> acc + Relation.cardinality r) round 0
+      ~round ~work prs (fun hpred -> bump hpred false sign)
   in
   let cascade_deaths deaths0 =
     phase_begin ();
@@ -598,7 +532,7 @@ let run env =
     while any_live !pending do
       let round = !pending in
       let pre = overlay_view ~plus:round ~minus:no_overlay ctx.new_view in
-      fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:(-1) ~round ~pre);
+      enumerate_in_comp ~sign:(-1) ~round ~pre;
       pending := settle ()
     done;
     phase_end Obs.Event.cnt_forward
@@ -1048,9 +982,12 @@ let run env =
   let born : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
   let rec birth_rounds round =
     if any_live round then begin
-      if linear then merge_dec born round;
+      if linear then
+        Hashtbl.iter
+          (fun pred r -> Relation.iter (fun tup -> ignore (add_to born pred tup)) r)
+          round;
       let pre = overlay_view ~plus:no_overlay ~minus:round ctx.new_view in
-      fanout_round ~size:(round_size round) (enumerate_in_comp ~sign:1 ~round ~pre);
+      enumerate_in_comp ~sign:1 ~round ~pre;
       (* increments only: settle can queue further births but can
          produce no deaths *)
       ignore (settle ());
@@ -1298,43 +1235,37 @@ let run env =
        during the round, so old and new agree on them, exactly the
        "externals first" serialization. *)
     phase_begin ();
-    let size0 =
-      ext_size env ~pos:d.added ~neg:d.added + ext_size env ~pos:d.removed ~neg:d.removed
-    in
-    let enumerate_round0 ~sprs ~sct ~dec ~shard ~work =
-      List.iter
-        (fun pr ->
-          let r = pr.rule in
-          let hpred = r.Ast.head.Ast.pred in
-          let exit = not (rec_rule r) in
-          (* a recursive rule's in-comp atom is an ordinary Match
-             step here (the delta is external), which is what the
-             witness mechanism is for; flipped plans keep body
-             positions, so the same witness serves them *)
-          let witness, sup = witness comp_preds sup_level r in
-          let exec ex delta sign =
-            Plan.exec_rule ?witness ?shard ~view:ctx.new_view ~late_view:ctx.old_view
-              ~delta ~work
-              ~on_derived:(fun h -> bump ~sct ~dec hpred exit sign (sup ()) h)
-              ex
-          in
-          List.iteri
-            (fun i lit ->
-              List.iter
-                (fun (tbl, sign) ->
-                  match lit with
-                  | Ast.Pos a
-                    when (not (Hashtbl.mem comp_preds a.Ast.pred)) && nonempty tbl a.Ast.pred
-                    ->
-                    exec pr.ex (i, Hashtbl.find tbl a.Ast.pred) sign
-                  | Ast.Neg a when nonempty tbl a.Ast.pred ->
-                    exec (snd (flipped_for pr i)) (i, Hashtbl.find tbl a.Ast.pred) (-sign)
-                  | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-                [ (d.added, 1); (d.removed, -1) ])
-            r.Ast.body)
-        sprs
-    in
-    fanout_round ~size:size0 enumerate_round0;
+    List.iter
+      (fun pr ->
+        let r = pr.rule in
+        let hpred = r.Ast.head.Ast.pred in
+        let exit = not (rec_rule r) in
+        (* a recursive rule's in-comp atom is an ordinary Match
+           step here (the delta is external), which is what the
+           witness mechanism is for; flipped plans keep body
+           positions, so the same witness serves them *)
+        let witness, sup = witness comp_preds sup_level r in
+        let exec ex delta sign =
+          Plan.exec_rule ?witness ~view:ctx.new_view ~late_view:ctx.old_view
+            ~delta ~work
+            ~on_derived:(fun h -> bump hpred exit sign (sup ()) h)
+            ex
+        in
+        List.iteri
+          (fun i lit ->
+            List.iter
+              (fun (tbl, sign) ->
+                match lit with
+                | Ast.Pos a
+                  when (not (Hashtbl.mem comp_preds a.Ast.pred)) && nonempty tbl a.Ast.pred
+                  ->
+                  exec pr.ex (i, Hashtbl.find tbl a.Ast.pred) sign
+                | Ast.Neg a when nonempty tbl a.Ast.pred ->
+                  exec (snd (flipped_for pr i)) (i, Hashtbl.find tbl a.Ast.pred) (-sign)
+                | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
+              [ (d.added, 1); (d.removed, -1) ])
+          r.Ast.body)
+      prs;
     let deaths0 = settle () in
     phase_end Obs.Event.cnt_propagate;
     cascade_deaths deaths0;
@@ -1379,8 +1310,8 @@ let run env =
 let prime ctx pc ~work =
   match pc.body with
   | Extensional | Aggregate_rule _ -> ()
-  | Rules prs_by_shard ->
-    ignore (recount_comp ctx pc prs_by_shard.(0) ~shards:1 ~view:ctx.new_view ~work);
+  | Rules prs ->
+    ignore (recount_comp ctx pc prs ~view:ctx.new_view ~work);
     Array.iter
       (fun p ->
         match Database.find ctx.db ctx.anal.Stratify.predicates.(p) with

@@ -6,71 +6,50 @@ open Maint
 
 (* ---- DRed: one round loop for phases A (overdelete) and C
    (insert) ----
-   Round 0 fires every rule at its external trigger positions
-   ([ext_size]'s [pos]/[neg] deltas); each later round cascades
-   the tuples the previous round staged through the in-component
-   positive positions, until a round stages nothing. Enumerations
-   read [view] through {!Plan.exec_rule_deferred}, pre-filtered by
-   [keep]; the merge hands each candidate to [stage], which
-   applies it to the store and says whether it was new. Duplicates
-   across rules or shards are dropped there. *)
+   Round 0 fires every rule at its external trigger positions (the
+   [pos] deltas of upstream positive literals, the [neg] deltas of
+   negated ones through their flipped plans); each later round
+   cascades the tuples the previous round staged through the
+   in-component positive positions, until a round stages nothing.
+   Enumerations read [view] through {!Plan.exec_rule_deferred},
+   pre-filtered by [keep], against state frozen for the round; once
+   every rule has fired, each candidate goes to [stage], which applies
+   it to the store and says whether it was new. Duplicates across
+   rules are dropped there. *)
 let dred_phase env ~view ~pos ~neg ~keep ~stage =
   let comp_preds = env.pc.comp_preds in
-  let round ~size fire =
-    let bufs =
-      fanout env ~size (fun s ~shard ~work ->
-          let acc = ref [] in
-          let exec (r : Ast.rule) ex delta =
-            Plan.exec_rule_deferred ~view ~delta ?shard ~work ~keep:(keep r)
-              ~on_derived:(fun tup -> acc := (r, tup) :: !acc)
-              ex
-          in
-          List.iter (fire s exec) env.rules.(s);
-          List.rev !acc)
+  let round fire =
+    let acc = ref [] in
+    let exec (r : Ast.rule) ex delta =
+      Plan.exec_rule_deferred ~view ~delta ~work:env.work ~keep:(keep r)
+        ~on_derived:(fun tup -> acc := (r, tup) :: !acc)
+        ex
     in
+    List.iter (fire exec) env.rules;
     let next = Hashtbl.create 4 in
-    Array.iter
-      (List.iter (fun ((r : Ast.rule), tup) ->
-           if stage r tup then begin
-             let pred = r.Ast.head.Ast.pred in
-             let sd =
-               match Hashtbl.find_opt next pred with
-               | Some sd -> sd
-               | None ->
-                 let sd =
-                   Relation.Sharded.create ~arity:(Array.length tup)
-                     ~shards:(nshards env)
-                 in
-                 Hashtbl.add next pred sd;
-                 sd
-             in
-             ignore (Relation.Sharded.add sd tup)
-           end))
-      bufs;
+    List.iter
+      (fun ((r : Ast.rule), tup) ->
+        if stage r tup then ignore (add_to next r.Ast.head.Ast.pred tup))
+      (List.rev !acc);
     next
   in
   let rec cascade prev =
-    let size =
-      Hashtbl.fold (fun _ sd n -> n + Relation.Sharded.cardinality sd) prev 0
-    in
-    if size > 0 then
+    if any_live prev then
       cascade
-        (round ~size (fun s exec pr ->
+        (round (fun exec pr ->
              List.iteri
                (fun i lit ->
                  match lit with
                  | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
                    match Hashtbl.find_opt prev a.Ast.pred with
-                   | Some sd ->
-                     let slice = Relation.Sharded.shard sd s in
-                     if Relation.cardinality slice > 0 then
-                       exec pr.rule pr.ex (i, slice)
-                   | None -> ())
+                   | Some delta when Relation.cardinality delta > 0 ->
+                     exec pr.rule pr.ex (i, delta)
+                   | Some _ | None -> ())
                  | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
                pr.rule.Ast.body))
   in
   cascade
-    (round ~size:(ext_size env ~pos ~neg) (fun _ exec pr ->
+    (round (fun exec pr ->
          List.iteri
            (fun i lit ->
              match lit with
@@ -104,10 +83,7 @@ let run env =
       end
       else false);
   env.phase_end Obs.Event.dred_delete;
-  (* ---- Phase B: rederivation over the new state ----
-     Serial at any shard count: the phase is empty for insert-only
-     batches, and its fixpoint mutates [overdeleted] mid-
-     enumeration. *)
+  (* ---- Phase B: rederivation over the new state ---- *)
   env.phase_begin ();
   let changed = ref true in
   while !changed do
@@ -130,7 +106,7 @@ let run env =
               end)
             pr.ex
         | Some _ | None -> ())
-      env.rules.(0)
+      env.rules
   done;
   env.phase_end Obs.Event.dred_rederive;
   (* ---- Phase C: insertion against the new state ---- *)

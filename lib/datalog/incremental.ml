@@ -68,7 +68,6 @@ type session = {
   anal : Stratify.t;
   engine : Plan.engine;
   strategy : Analyze.strategy array;
-  shards : int;
   sanitize : bool;
   on_warn : string -> unit;
   symbols : Symbol.t;
@@ -84,9 +83,8 @@ type session = {
   busy : bool Atomic.t;
 }
 
-let prepare ?(engine = Plan.default_engine) ?(maint = Dred) ?(shards = 1)
-    ?(sanitize = false) ?(on_warn = default_warn) db program =
-  if shards < 1 then invalid_arg "Incremental.prepare: shards < 1";
+let prepare ?(engine = Plan.default_engine) ?(maint = Dred) ?(sanitize = false)
+    ?(on_warn = default_warn) db program =
   (match (maint, engine) with
   | Counting, Plan.Interpreted ->
     invalid_arg
@@ -94,10 +92,6 @@ let prepare ?(engine = Plan.default_engine) ?(maint = Dred) ?(shards = 1)
        interpretive oracle has no split-view mode)"
   (* Auto resolves to DRed everywhere under the interpretive engine *)
   | (Counting | Dred | Auto), _ -> ());
-  if shards > 1 && engine = Plan.Interpreted then
-    invalid_arg
-      "Incremental.prepare: the interpretive oracle is not domain-safe; use the \
-       compiled engine";
   Aggregate.validate program;
   let anal = Stratify.analyze program in
   let strategy = resolve_strategies ~engine anal program maint in
@@ -124,13 +118,12 @@ let prepare ?(engine = Plan.default_engine) ?(maint = Dred) ?(shards = 1)
     anal;
     engine;
     strategy;
-    shards;
     sanitize;
     on_warn;
     symbols;
     card;
     epoch;
-    prepared = Array.init n (prepare_comp ~shards ~anal ~make_exec);
+    prepared = Array.init n (prepare_comp ~anal ~make_exec);
     order = Stratify.scc_order anal;
     sources =
       Array.of_list
@@ -156,13 +149,13 @@ let replans (s : session) =
     (fun acc pc ->
       match pc.body with
       | Extensional | Aggregate_rule _ -> acc
-      | Rules prs_by_shard ->
-        Array.fold_left
-          (List.fold_left (fun acc pr ->
-               List.fold_left
-                 (fun acc (_, _, fex) -> acc + Plan.replans fex)
-                 (acc + Plan.replans pr.ex) pr.flipped))
-          acc prs_by_shard)
+      | Rules prs ->
+        List.fold_left
+          (fun acc pr ->
+            List.fold_left
+              (fun acc (_, _, fex) -> acc + Plan.replans fex)
+              (acc + Plan.replans pr.ex) pr.flipped)
+          acc prs)
     0 s.prepared
 
 (* One update's context: the session's program-level parts plus fresh
@@ -221,7 +214,7 @@ let prepare_deltas (ctx : ctx) =
    Phase spans (one per phase, tagged with the component id) go to
    [ring]; a single mutable start stamp suffices because phases never
    nest. *)
-let maintain_component ?(ring = Obs.Ring.null) ?shard_ctx (ctx : ctx) (pc : prepared_comp) =
+let maintain_component ?(ring = Obs.Ring.null) (ctx : ctx) (pc : prepared_comp) =
   let d = ctx.d and comp = pc.comp in
   let traced = Obs.Ring.enabled ring in
   let phase0 = ref 0 in
@@ -272,14 +265,14 @@ let maintain_component ?(ring = Obs.Ring.null) ?shard_ctx (ctx : ctx) (pc : prep
       end;
       input_changed
     | Rules rules ->
-      let input_changed = input_changed_of (List.map (fun pr -> pr.rule) rules.(0)) in
+      let input_changed = input_changed_of (List.map (fun pr -> pr.rule) rules) in
       (* Nothing upstream changed ⇒ no delta can reach this component:
          its predicates are intensional (no base update touches them)
          and stratification keeps negation out of an SCC, so every phase
          of either strategy would be a no-op. Skipping also spares the
          phase spans and the rebuild of stale counts nobody needs yet. *)
       if input_changed then begin
-        let env = { ctx; pc; rules; work; ring; phase_begin; phase_end; shard_ctx } in
+        let env = { ctx; pc; rules; work; ring; phase_begin; phase_end } in
         match ctx.strategy.(comp) with
         | Analyze.Counting -> Counting.run env
         | Analyze.Dred -> Dred.run env
@@ -293,14 +286,12 @@ let maintain_component ?(ring = Obs.Ring.null) ?shard_ctx (ctx : ctx) (pc : prep
 
 (* Every mutation a component's maintenance performs — store writes,
    delta recording, cascade staging — happens on the thread running
-   this call (shard crew jobs only fill private buffers; merges run
-   here), so one writer scope around the whole body is exactly the
+   this call, so one writer scope around the whole body is exactly the
    ownership granularity the sanitizer checks. *)
-let process_comp ?ring ?shard_ctx (s : session) (ctx : ctx) (pc : prepared_comp) =
+let process_comp ?ring (s : session) (ctx : ctx) (pc : prepared_comp) =
   if s.sanitize then
-    Relation.Sanitize.with_writer pc.tag (fun () ->
-        maintain_component ?ring ?shard_ctx ctx pc)
-  else maintain_component ?ring ?shard_ctx ctx pc
+    Relation.Sanitize.with_writer pc.tag (fun () -> maintain_component ?ring ctx pc)
+  else maintain_component ?ring ctx pc
 
 (* ---- report assembly -------------------------------------------- *)
 
@@ -374,12 +365,10 @@ let with_sanitize (s : session) (ctx : ctx) f =
 
 (* the serial component walk: [apply] below its parallel thresholds
    and after a refused ownership check; records phase spans on ring 0 *)
-let run_serial_walk ~obs ?shard_ctx (s : session) ctx =
+let run_serial_walk ~obs (s : session) ctx =
   let slots = Array.make (Array.length s.prepared) None in
   let ring = Obs.Trace.ring obs 0 in
-  Array.iter
-    (fun c -> slots.(c) <- Some (process_comp ~ring ?shard_ctx s ctx s.prepared.(c)))
-    s.order;
+  Array.iter (fun c -> slots.(c) <- Some (process_comp ~ring s ctx s.prepared.(c))) s.order;
   assemble_report s ctx slots
 
 (* Build and stamp the counting side tables of every derived component
@@ -425,20 +414,13 @@ let prime ?engine db program =
    remaining cross-component write — aggregate tasks interning fresh
    constants — is what {!Symbol}'s internal mutex is for.
 
-   With [shards > 1] each component task additionally fans its phase
-   rounds out over a {!Parallel.Shard_crew} (see [process_comp]); the
-   crew is borrowed from [shard_crews] for the update and shared — its
-   entry mutex serializes fan-outs from concurrently running component
-   tasks.
-
    When the conservative activation wavefront holds fewer than
    [serial_threshold] tasks, dispatching them through the executor
    costs more than the update itself, and such updates run the plain
-   serial walk instead — still sharded when [shards > 1]. The value
-   was sized (wide-48tc bench: 0.87x at 2 domains for a 96-task trace
-   on a small host) when every run also spawned and joined its worker
-   domains and re-paid the program-sized setup; it has not been
-   re-tuned since. *)
+   serial walk instead. The value was sized (wide-48tc bench: 0.87x at
+   2 domains for a 96-task trace on a small host) when every run also
+   spawned and joined its worker domains and re-paid the program-sized
+   setup; it has not been re-tuned since. *)
 
 let serial_task_threshold = 8
 
@@ -465,22 +447,19 @@ let verify_ownership (s : session) =
         | Aggregate_rule r ->
           Analyze.check_ownership s.anal ~comp:pc.comp
             ~writes:[ r.Ast.head.Ast.pred ] ~reads:(Plan.body_reads r)
-        | Rules prs_by_shard ->
+        | Rules prs ->
           let writes, reads =
-            Array.fold_left
-              (fun acc prs ->
-                List.fold_left
-                  (fun (ws, rs) pr ->
-                    let rs = union_reads rs (Plan.exec_reads pr.ex) in
-                    let rs =
-                      List.fold_left
-                        (fun rs (_, _, fex) -> union_reads rs (Plan.exec_reads fex))
-                        rs pr.flipped
-                    in
-                    let h = pr.rule.Ast.head.Ast.pred in
-                    ((if List.mem h ws then ws else h :: ws), rs))
-                  acc prs)
-              ([], []) prs_by_shard
+            List.fold_left
+              (fun (ws, rs) pr ->
+                let rs = union_reads rs (Plan.exec_reads pr.ex) in
+                let rs =
+                  List.fold_left
+                    (fun rs (_, _, fex) -> union_reads rs (Plan.exec_reads fex))
+                    rs pr.flipped
+                in
+                let h = pr.rule.Ast.head.Ast.pred in
+                ((if List.mem h ws then ws else h :: ws), rs))
+              ([], []) prs
           in
           Analyze.check_ownership s.anal ~comp:pc.comp ~writes ~reads))
     (Ok ()) s.prepared
@@ -497,24 +476,6 @@ let ownership (s : session) =
     let verdict = verify_ownership s in
     s.ownership <- Some verdict;
     verdict
-
-(* Sharded updates borrow their fan-out crew here. This pool is apart
-   from the executor's worker crews: component tasks fan out from
-   inside executor workers, so a crew serving both would deadlock on
-   its entry mutex. *)
-let shard_crews = Parallel.Shard_crew.pool ()
-
-let with_shard_ctx ~obs ~domains (s : session) f =
-  if s.shards <= 1 then f None
-  else
-    Parallel.Shard_crew.with_crew shard_crews ~shards:s.shards (fun crew ->
-        let shard_rings =
-          (* crew worker [j] (= shard j, j >= 1) owns the ring after the
-             executor workers' *)
-          Array.init s.shards (fun j ->
-              if j = 0 then Obs.Ring.null else Obs.Trace.ring obs (max 1 domains + j - 1))
-        in
-        f (Some { crew; nshards = s.shards; shard_rings }))
 
 let run_parallel ~domains ~serial_threshold ~sched ~obs (s : session) (ctx : ctx) =
   (* initial tasks: extensional components whose base facts changed *)
@@ -545,23 +506,17 @@ let run_parallel ~domains ~serial_threshold ~sched ~obs (s : session) (ctx : ctx
   | Ok () ->
     if Array.length initial = 0 then
       assemble_report s ctx (Array.make (Array.length s.prepared) None)
-    else
-      with_shard_ctx ~obs ~domains s (fun shard_ctx ->
-          if domains <= 1 || Prelude.Bitset.cardinal wavefront < serial_threshold then
-            run_serial_walk ~obs ?shard_ctx s ctx
-          else begin
-            let sched = Option.value sched ~default:s.level_based in
-            let slots = Array.make (Array.length s.prepared) None in
-            let run_task ~wid c =
-              slots.(c) <-
-                Some
-                  (process_comp ~ring:(Obs.Trace.ring obs wid) ?shard_ctx s ctx
-                     s.prepared.(c))
-            in
-            ignore
-              (Parallel.Executor.run ~domains ~work_unit:0.0 ~run_task ~obs ~sched trace);
-            assemble_report s ctx slots
-          end)
+    else if Prelude.Bitset.cardinal wavefront < serial_threshold then
+      run_serial_walk ~obs s ctx
+    else begin
+      let sched = Option.value sched ~default:s.level_based in
+      let slots = Array.make (Array.length s.prepared) None in
+      let run_task ~wid c =
+        slots.(c) <- Some (process_comp ~ring:(Obs.Trace.ring obs wid) s ctx s.prepared.(c))
+      in
+      ignore (Parallel.Executor.run ~domains ~work_unit:0.0 ~run_task ~obs ~sched trace);
+      assemble_report s ctx slots
+    end
 
 let apply ?(domains = 1) ?(serial_threshold = serial_task_threshold) ?sched
     ?(obs = Obs.Trace.disabled) (s : session) ~additions ~deletions =
@@ -579,6 +534,5 @@ let apply ?(domains = 1) ?(serial_threshold = serial_task_threshold) ?sched
   apply_base_updates ctx ~additions ~deletions;
   prepare_deltas ctx;
   with_sanitize s ctx @@ fun () ->
-  if domains > 1 || s.shards > 1 then
-    run_parallel ~domains ~serial_threshold ~sched ~obs s ctx
+  if domains > 1 then run_parallel ~domains ~serial_threshold ~sched ~obs s ctx
   else run_serial_walk ~obs s ctx

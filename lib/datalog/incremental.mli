@@ -86,9 +86,7 @@ type maint = Dred | Counting | Auto
     fixpoint round ({!Relation.count_cell.level}) and its count of
     surviving strictly-lower-level supporters ([low]) — which lets the
     backward search prove most deletion-suspects in O(1) instead of
-    re-evaluating rule bodies. Counting composes with [shards > 1]:
-    the side tables shard with the tuple stores and propagation rounds
-    fan out like DRed's. DRed can still win on updates that wipe out
+    re-evaluating rule bodies. DRed can still win on updates that wipe out
     most of a materialization — counting's per-derivation bookkeeping
     then costs more than deleting everything and rederiving the little
     that remains.
@@ -111,7 +109,6 @@ type session
 val prepare :
   ?engine:Plan.engine ->
   ?maint:maint ->
-  ?shards:int ->
   ?sanitize:bool ->
   ?on_warn:(string -> unit) ->
   Database.t ->
@@ -129,14 +126,12 @@ val prepare :
     computed once too, on the session's first parallel apply.
 
     [engine] (default {!Plan.Compiled}) selects compiled plans or the
-    interpretive oracle; both restore the same database. [shards]
-    (default 1) > 1 splits each round of a component over that many
-    shard tasks (see {!apply}). [sanitize] (default false) arms the
-    write-set sanitizer and [on_warn] (default: print to stderr) gets
-    the ownership-refusal message, both for every apply of the session.
-    @raise Invalid_argument if [shards < 1], for [~maint:Counting] with
-    the interpretive engine, or for the interpretive engine with
-    [shards > 1]
+    interpretive oracle; both restore the same database. [sanitize]
+    (default false) arms the write-set sanitizer and [on_warn]
+    (default: print to stderr) gets the ownership-refusal message, both
+    for every apply of the session.
+    @raise Invalid_argument for [~maint:Counting] with the interpretive
+    engine
     @raise Stratify.Unstratifiable on negative recursion. *)
 
 val serial_task_threshold : int
@@ -172,7 +167,7 @@ val apply :
     changed since it was last used — checked at the point where a
     fresh compilation would plan it: its first use in the apply on the
     serial walk, the prologue (for the components of the activation
-    wavefront) when [domains > 1] or [shards > 1]. Plans, and hence
+    wavefront) when [domains > 1]. Plans, and hence
     the database, report and [work] counts, are the same as a freshly
     prepared session's.
 
@@ -180,7 +175,7 @@ val apply :
     insert) fires its rules at the external trigger positions, then
     cascades through the in-component positions round by round; each
     round enumerates against state frozen for the round and merges
-    what it derived afterwards. Rederive runs serially in between.
+    what it derived afterwards. Rederive runs its fixpoint in between.
 
     [domains] (default 1) > 1 maintains the components as real tasks on
     the multicore executor ({!Parallel.Executor}) under [sched] (default
@@ -198,33 +193,14 @@ val apply :
     {!serial_task_threshold}) component tasks, the update runs the
     serial walk instead of paying the executor's dispatch overhead.
 
-    A session prepared with [shards] > 1 splits each round of a
-    component — DRed's delete and insert rounds, counting's propagation
-    rounds (the external delta, death cascades, birth rounds) — into
-    per-shard enumerations over a {!Parallel.Shard_crew} borrowed for
-    the update from a process-wide pool: round inputs are partitioned
-    by the {!Relation.shard_of_tuple} hash of the delta tuple's key
-    column, each shard derives into a private buffer against frozen
-    state, and the coordinator merges buffers in shard order 0..k-1 —
-    so results, including iteration order, are deterministic, and the
-    database equals the unsharded one. Counting merges signed count
-    deltas (counts add, newborn levels take the minimum) before
-    settling serially, so store, counts and index end up exactly as
-    the unsharded run's; its backward search stays serial. [work]
-    counts may differ between shard counts: cross-shard duplicate
-    derivations are dropped at the merge. So may the split of backward
-    suspects into O(1) hits and full probes: within one level the
-    search drains suspects in count-table iteration order, which
-    follows the number of partitions, so retry probes and dynamic
-    admissions can differ slightly. In a component whose recursive
-    rules are all linear the suspect pool holds only the tuples that
-    lost an exit derivation or a [low] entry (plus those the index
-    could not vouch for after the previous run), so O(1) hits count
-    those pool members the index still vouches for, not the whole
-    component; the healing pass that keeps that sound after each run
-    (see {!Relation.count_cell}) is serial too.
+    In a component whose recursive rules are all linear, counting's
+    backward suspect pool holds only the tuples that lost an exit
+    derivation or a [low] entry (plus those the index could not vouch
+    for after the previous run), so O(1) hits count those pool members
+    the index still vouches for, not the whole component; a healing
+    pass keeps that sound after each run (see {!Relation.count_cell}).
 
-    With [domains > 1] or [shards > 1] every plan of the wavefront is
+    With [domains > 1] every plan of the wavefront is
     compiled and every delta table created before the first task runs,
     and the driver relies on a statically verified ownership rule:
     every prepared component's write set (rule heads) and read set (the
@@ -232,8 +208,8 @@ val apply :
     variants included) are checked by {!Analyze.check_ownership}
     against the condensation, once per session. A violation — a plan
     probing a relation that is neither same-component nor upstream —
-    refuses parallel dispatch: every such update runs the unsharded
-    serial walk, which needs no ownership, and the session's [on_warn]
+    refuses parallel dispatch: every such update runs the serial walk,
+    which needs no ownership, and the session's [on_warn]
     carries the verifier message. That refusal is the only message
     [on_warn] ever receives.
 
@@ -250,9 +226,7 @@ val apply :
     / backward / forward under Counting, tagged with the component id —
     on ring 0 for the serial walk, on the executing worker's ring
     otherwise, together with the executor's per-worker task / steal /
-    park / scheduler-lock events. Sharded rounds add [shard] spans,
-    shard 0 on the coordinating ring, shard [j >= 1] on ring
-    [max 1 domains + j - 1]. Recording never changes maintenance
+    park / scheduler-lock events. Recording never changes maintenance
     results.
     @raise Invalid_argument on a non-ground or intensional atom, for
     the interpretive engine with [domains > 1], or when another apply

@@ -154,15 +154,10 @@ type prepared_rule = {
   flipped : (int * Ast.rule * Plan.exec) list;  (* keyed by negated body position *)
 }
 
-(* [Rules] holds one independently compiled plan set per shard task
-   (length 1 when unsharded): plans carry non-reentrant scratch state,
-   so the per-shard enumerations of a sharded phase round must never
-   share one. Shard [s]'s list is touched only by the thread running
-   shard [s] (the crew pins shards to domains). *)
 type comp_body =
   | Extensional
   | Aggregate_rule of Ast.rule
-  | Rules of prepared_rule list array
+  | Rules of prepared_rule list
 
 type prepared_comp = {
   comp : int;
@@ -172,7 +167,7 @@ type prepared_comp = {
   body : comp_body;
 }
 
-let prepare_comp ~shards ~anal ~make_exec comp =
+let prepare_comp ~anal ~make_exec comp =
   let members = anal.Stratify.condensation.Dag.Scc.members.(comp) in
   let comp_preds = Hashtbl.create 4 in
   Array.iter
@@ -190,50 +185,44 @@ let prepare_comp ~shards ~anal ~make_exec comp =
     | [] -> Extensional
     | [ r ] when Ast.rule_is_aggregate r -> Aggregate_rule r
     | rules ->
-      let prepare_set () =
-        List.map
-          (fun (r : Ast.rule) ->
-            let flipped =
-              List.mapi (fun i lit -> (i, lit)) r.Ast.body
-              |> List.filter_map (fun (i, lit) ->
-                     match lit with
-                     | Ast.Neg _ ->
-                       let fr = flip_negation r i in
-                       Some (i, fr, make_exec fr)
-                     | Ast.Pos _ | Ast.Cmp _ -> None)
-            in
-            { rule = r; ex = make_exec r; flipped })
-          rules
-      in
-      Rules (Array.init (max 1 shards) (fun _ -> prepare_set ()))
+      Rules
+        (List.map
+           (fun (r : Ast.rule) ->
+             let flipped =
+               List.mapi (fun i lit -> (i, lit)) r.Ast.body
+               |> List.filter_map (fun (i, lit) ->
+                      match lit with
+                      | Ast.Neg _ ->
+                        let fr = flip_negation r i in
+                        Some (i, fr, make_exec fr)
+                      | Ast.Pos _ | Ast.Cmp _ -> None)
+             in
+             { rule = r; ex = make_exec r; flipped })
+           rules)
   in
   { comp; members; comp_preds; tag; body }
 
 (* Compile (or re-plan, see {!Plan.executor}) every plan a component's
    phases could reach: the base plan (phase B), a delta plan per
    positive body position (phases A/C and the in-component cascades),
-   and a delta plan per flipped negation — for every shard's plan set.
-   Compilation interns constants into the shared symbol table and
+   and a delta plan per flipped negation. Compilation interns constants into the shared symbol table and
    consults relation cardinalities, so the parallel driver runs this
    serially, before any worker domain runs a task. *)
 let precompile_comp pc =
   match pc.body with
   | Extensional | Aggregate_rule _ -> ()
-  | Rules prs_by_shard ->
-    Array.iter
-      (fun prs ->
-        List.iter
-          (fun pr ->
-            Plan.prepare pr.ex;
-            List.iteri
-              (fun i lit ->
-                match lit with
-                | Ast.Pos _ -> Plan.prepare ~delta:i pr.ex
-                | Ast.Neg _ | Ast.Cmp _ -> ())
-              pr.rule.Ast.body;
-            List.iter (fun (i, _, fex) -> Plan.prepare ~delta:i fex) pr.flipped)
-          prs)
-      prs_by_shard
+  | Rules prs ->
+    List.iter
+      (fun pr ->
+        Plan.prepare pr.ex;
+        List.iteri
+          (fun i lit ->
+            match lit with
+            | Ast.Pos _ -> Plan.prepare ~delta:i pr.ex
+            | Ast.Neg _ | Ast.Cmp _ -> ())
+          pr.rule.Ast.body;
+        List.iter (fun (i, _, fex) -> Plan.prepare ~delta:i fex) pr.flipped)
+      prs
 
 let flipped_for pr i =
   let rec go = function
@@ -249,86 +238,17 @@ let head_rel ctx (r : Ast.rule) =
 
 (* ---- the maintainer environment ---------------------------------- *)
 
-(* Shared intra-component fan-out machinery, one per update: the crew,
-   borrowed from a process-wide pool for the update ([Shard_crew.run]
-   serializes concurrent component tasks internally so two executor
-   workers can both reach a sharded phase round), the
-   shard count, and one dedicated obs ring per non-coordinator shard.
-   Crew worker [j] always runs shard [j] and at most one fan-out is in
-   flight, so the rings keep their single-writer contract; shard 0
-   runs on the coordinating thread and shares its ring. *)
-type shard_ctx = {
-  crew : Parallel.Shard_crew.t;
-  nshards : int;
-  shard_rings : Obs.Ring.t array;  (* length [nshards]; slot 0 unused *)
-}
-
-(* One [Rules] component's maintenance run: [rules] is its plan sets
-   (one per shard), [work] accumulates the tuples examined, and
+(* One [Rules] component's maintenance run: [rules] is its prepared
+   rules, [work] accumulates the tuples examined, and
    [phase_begin]/[phase_end] record one span per phase, tagged with the
    component id, on [ring] (a single mutable start stamp suffices
    because phases never nest). *)
 type env = {
   ctx : ctx;
   pc : prepared_comp;
-  rules : prepared_rule list array;
+  rules : prepared_rule list;
   work : int ref;
   ring : Obs.Ring.t;
   phase_begin : unit -> unit;
   phase_end : Obs.Event.kind -> unit;
-  shard_ctx : shard_ctx option;
 }
-
-let nshards env = match env.shard_ctx with Some sc -> sc.nshards | None -> 1
-
-(* Driving tuples of a round fired at the external trigger
-   positions: positive literals over upstream predicates read
-   [pos], negated literals (through their flipped plans) read
-   [neg]. *)
-let ext_size env ~pos ~neg =
-  List.fold_left
-    (fun acc pr ->
-      List.fold_left
-        (fun acc lit ->
-          match lit with
-          | Ast.Pos a when not (Hashtbl.mem env.pc.comp_preds a.Ast.pred) ->
-            acc + card pos a.Ast.pred
-          | Ast.Neg a -> acc + card neg a.Ast.pred
-          | Ast.Pos _ | Ast.Cmp _ -> acc)
-        acc pr.rule.Ast.body)
-    0 env.rules.(0)
-
-(* One phase round's enumerations, fanned out over the shards. Job
-   [s] enumerates through shard [s]'s plan set, restricted by the
-   [?shard] filter to its hash slice of the driving delta, against
-   state frozen for the round, and returns what it derived; the
-   caller merges the results in shard order 0..k-1, so every
-   relation's insertion order is a pure function of the
-   derivations. Without a shard context this is the k = 1 case:
-   one job on the caller, no filter, no [shard] span. With k
-   shards the jobs run on the crew once the round has [size] >=
-   4·k driving tuples (below that the round-trip costs more than
-   it buys) and inline otherwise; each job writes only its own
-   result slot and records a [shard] span on its shard's ring. *)
-let fanout env ~size job =
-  match env.shard_ctx with
-  | None -> [| job 0 ~shard:None ~work:env.work |]
-  | Some sc ->
-    let k = sc.nshards in
-    let out = Array.make k None and works = Array.make k 0 in
-    let run s =
-      let ring_s = if s = 0 then env.ring else sc.shard_rings.(s) in
-      let t0 = if Obs.Ring.enabled ring_s then Obs.Ring.now_ns ring_s else 0 in
-      let w = ref 0 in
-      out.(s) <- Some (job s ~shard:(Some (s, k)) ~work:w);
-      works.(s) <- !w;
-      if Obs.Ring.enabled ring_s then
-        Obs.Ring.emit ring_s ~kind:Obs.Event.shard ~a:s ~b:t0
-    in
-    if size >= 4 * k then Parallel.Shard_crew.run sc.crew run
-    else
-      for s = 0 to k - 1 do
-        run s
-      done;
-    Array.iter (fun w -> env.work := !(env.work) + w) works;
-    Array.map Option.get out

@@ -269,7 +269,7 @@ let cmp_ok op c =
   | Ast.Gt -> c > 0
   | Ast.Ge -> c >= 0
 
-let run ?delta ?shard ?late_view ?witness ~view ~work ~on_derived p =
+let run ?delta ?late_view ?witness ~view ~work ~on_derived p =
   if p.running then
     invalid_arg "Plan.run: reentrant execution of a plan (its scratch state is live)";
   p.running <- true;
@@ -321,21 +321,13 @@ let run ?delta ?shard ?late_view ?witness ~view ~work ~on_derived p =
         match delta with
         | None -> invalid_arg "Plan.run: plan has a delta literal but no ~delta"
         | Some d ->
-          (* shard-restricted mode: this task ranges only over its own
-             hash partition of the delta; sibling tasks cover the rest,
-             and the union over all shards is exactly the full delta *)
-          let owned =
-            match shard with
-            | None -> fun _ -> true
-            | Some (s, k) -> fun tup -> Relation.shard_of_tuple ~col:0 ~shards:k tup = s
-          in
           let stash = orig = wpos in
           Relation.iter
             (fun tup ->
               incr work;
               if Array.length tup <> arity then
                 invalid_arg "Plan: arity mismatch on the delta relation";
-              if owned tup && unify_ops env ops tup then begin
+              if unify_ops env ops tup then begin
                 if stash then wit := tup;
                 exec (i + 1)
               end)
@@ -428,7 +420,7 @@ let fetch ?delta p =
 
 let replans = function Interp _ -> 0 | Plans p -> p.replans
 
-let exec_rule ?delta ?shard ?late_view ?witness ~view ~work ~on_derived e =
+let exec_rule ?delta ?late_view ?witness ~view ~work ~on_derived e =
   match e with
   | Interp { rule; symbols } ->
     if late_view <> None then
@@ -439,26 +431,12 @@ let exec_rule ?delta ?shard ?late_view ?witness ~view ~work ~on_derived e =
       invalid_arg
         "Plan.exec_rule: the interpretive oracle has no witness extraction \
          (the well-founded support index requires the Compiled engine)";
-    (* the interpretive oracle has no shard mode; restrict its delta by
-       materializing this shard's partition (oracle-only, cost is fine) *)
-    let delta =
-      match (delta, shard) with
-      | Some (i, d), Some (s, k) when k > 1 ->
-        let filtered = Relation.create ~arity:(Relation.arity d) in
-        Relation.iter
-          (fun tup ->
-            if Relation.shard_of_tuple ~col:0 ~shards:k tup = s then
-              ignore (Relation.add filtered tup))
-          d;
-        Some (i, filtered)
-      | _ -> delta
-    in
     Matcher.eval_rule ~symbols ~view ?delta ~work ~on_derived rule
   | Plans p -> (
     match delta with
     | None -> run ?late_view ?witness ~view ~work ~on_derived (fetch p)
     | Some (i, d) ->
-      run ~delta:d ?shard ?late_view ?witness ~view ~work ~on_derived (fetch ~delta:i p))
+      run ~delta:d ?late_view ?witness ~view ~work ~on_derived (fetch ~delta:i p))
 
 (* Force the compilation (or the re-plan check) a later [exec_rule
    ?delta] call would perform lazily. Compilation interns the rule's
@@ -528,9 +506,9 @@ let exec_reads e =
    buffer (typically a membership probe of the head relation) so that
    already-known derivations are never copied; [on_derived] must still
    dedupe, since one call can buffer the same new tuple twice. *)
-let exec_rule_deferred ?delta ?shard ?late_view ~view ~work ~keep ~on_derived e =
+let exec_rule_deferred ?delta ?late_view ~view ~work ~keep ~on_derived e =
   let buf = ref [] in
-  exec_rule ?delta ?shard ?late_view ~view ~work
+  exec_rule ?delta ?late_view ~view ~work
     ~on_derived:(fun tup -> if keep tup then buf := Array.copy tup :: !buf)
     e;
   List.iter on_derived (List.rev !buf)

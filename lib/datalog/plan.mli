@@ -49,7 +49,6 @@ val compile : ?delta:int -> symbols:Symbol.t -> card:(string -> int) -> Ast.rule
 
 val run :
   ?delta:Relation.t ->
-  ?shard:int * int ->
   ?late_view:Matcher.view ->
   ?witness:int * (Relation.tuple -> unit) ->
   view:Matcher.view ->
@@ -60,11 +59,6 @@ val run :
 (** Enumerate all derivations of the plan's head against [view].
     [delta] is required iff the plan was compiled with a delta position;
     that literal then ranges over [delta] instead of the view.
-    [shard = (s, k)] restricts the delta literal to the tuples
-    {!Relation.shard_of_tuple} (key column 0) assigns to shard [s] of
-    [k]: running the same plan for every [s] partitions the delta
-    exactly, which is how a sharded maintenance task probes only its
-    own slice while reading frozen full views of everything else.
     [late_view], meaningful only on a delta plan, switches body literals
     whose {e original} position follows the delta position (positive
     probes and negation checks alike) to read [late_view] while earlier
@@ -128,7 +122,6 @@ val replans : exec -> int
 
 val exec_rule :
   ?delta:int * Relation.t ->
-  ?shard:int * int ->
   ?late_view:Matcher.view ->
   ?witness:int * (Relation.tuple -> unit) ->
   view:Matcher.view ->
@@ -137,9 +130,7 @@ val exec_rule :
   exec ->
   unit
 (** Same contract as {!Matcher.eval_rule}; [delta = (i, d)] makes body
-    literal [i] range over [d], and [shard] restricts it to one hash
-    partition (see {!run}; on the interpretive engine the partition is
-    materialized, oracle-only cost). [late_view] and [witness] are the
+    literal [i] range over [d]. [late_view] and [witness] are the
     split-view and witness-extraction modes of {!run}; the interpretive
     oracle supports neither.
     Like {!run}, [on_derived] must not mutate relations the rule is
@@ -181,7 +172,6 @@ val exec_reads : exec -> string list
 
 val exec_rule_deferred :
   ?delta:int * Relation.t ->
-  ?shard:int * int ->
   ?late_view:Matcher.view ->
   view:Matcher.view ->
   work:int ref ->

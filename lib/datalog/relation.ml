@@ -60,11 +60,7 @@ end)
    [synced_version] records the relation version the counts were last
    consistent with: any mutation outside the counting engine bumps the
    version, so stale counts are detected and rebuilt instead of
-   silently trusted. The cells are partitioned into [nshards] tables
-   by the same FNV hash on key column 0 that [Sharded] uses for
-   tuples, so sharded counting rounds can route cell traffic without
-   cross-shard contention; with [nshards = 1] the routing is a
-   constant 0. *)
+   silently trusted. *)
 
 type count_cell = {
   mutable exits : int;
@@ -79,8 +75,7 @@ type count_cell = {
 }
 
 type counts = {
-  nshards : int;
-  cells : count_cell Tuple_tbl.t array;
+  cells : count_cell Tuple_tbl.t;
   mutable synced_version : int;
   mutable unvouched : tuple list;
 }
@@ -261,43 +256,17 @@ let clear t =
   t.counts <- None;
   Array.iter (fun slot -> Atomic.set slot None) t.indexes
 
-(* ---- sharding ----------------------------------------------------
-
-   Shard assignment reuses the FNV-1a mixing step of [Tuple_tbl.hash]
-   on a single key column, so the partition is a pure function of the
-   tuple — identical on every domain and every run, which is what
-   per-shard ownership and deterministic merge rest on. *)
-
-let shard_of_value ~shards v =
-  if shards <= 1 then 0
-  else ((0x811c9dc5 lxor v) * 0x01000193 land max_int) mod shards
-
-let shard_of_tuple ~col ~shards (tup : tuple) =
-  if shards <= 1 || Array.length tup = 0 then 0
-  else
-    let col = if col < Array.length tup then col else 0 in
-    shard_of_value ~shards tup.(col)
-
 (* ---- count operations --------------------------------------------
 
    All mutation of counts is single-owner, like the store itself. The
-   cells tables are keyed by copies of the tuples (a caller's scratch
-   array must not alias a key), mirroring [add]. Routing between the
-   shard tables is [shard_of_tuple ~col:0], the same pure hash the
-   [Sharded] tuple stores use; iteration walks shards 0..k-1 so the
-   order is canonical regardless of how cells were inserted. *)
+   cells table is keyed by copies of the tuples (a caller's scratch
+   array must not alias a key), mirroring [add]. *)
 
-let counts_create ?(shards = 1) () =
-  if shards < 1 then invalid_arg "Relation.counts_create: shards < 1";
-  {
-    nshards = shards;
-    cells = Array.init shards (fun _ -> Tuple_tbl.create 64);
-    synced_version = min_int;
-    unvouched = [];
-  }
+let counts_create () =
+  { cells = Tuple_tbl.create 64; synced_version = min_int; unvouched = [] }
 
-let counts_attach ?shards t =
-  let c = counts_create ?shards () in
+let counts_attach t =
+  let c = counts_create () in
   t.counts <- Some c;
   c
 
@@ -313,33 +282,27 @@ let counts_sync t =
   | Some c -> c.synced_version <- t.version
   | None -> ()
 
-let counts_shards c = c.nshards
-
 let counts_unvouched c = c.unvouched
 
 let counts_set_unvouched c tups = c.unvouched <- tups
 
-let count_shard c tup = shard_of_tuple ~col:0 ~shards:c.nshards tup
-
-let count_find c tup = Tuple_tbl.find_opt c.cells.(count_shard c tup) tup
+let count_find c tup = Tuple_tbl.find_opt c.cells tup
 
 let count_cell c tup =
-  let cells = c.cells.(count_shard c tup) in
-  match Tuple_tbl.find_opt cells tup with
+  match Tuple_tbl.find_opt c.cells tup with
   | Some cell -> cell
   | None ->
     let cell = { exits = 0; recs = 0; level = max_int; low = 0; debt = 0 } in
-    Tuple_tbl.replace cells (Array.copy tup) cell;
+    Tuple_tbl.replace c.cells (Array.copy tup) cell;
     cell
 
 let count_total cell = cell.exits + cell.recs
 
-let count_drop c tup = Tuple_tbl.remove c.cells.(count_shard c tup) tup
+let count_drop c tup = Tuple_tbl.remove c.cells tup
 
-let counts_iter f c = Array.iter (fun cells -> Tuple_tbl.iter f cells) c.cells
+let counts_iter f c = Tuple_tbl.iter f c.cells
 
-let counts_cardinality c =
-  Array.fold_left (fun acc cells -> acc + Tuple_tbl.length cells) 0 c.cells
+let counts_cardinality c = Tuple_tbl.length c.cells
 
 (* Build fully, publish atomically: a sibling domain either sees [None]
    (and builds its own complete copy) or a finished index — never a
@@ -403,52 +366,6 @@ let choose_probe_col t ~bound =
   go 0
 
 type relation = t
-
-let base_create = create
-let base_add = add
-let base_mem = mem
-let base_iter = iter
-let base_cardinality = cardinality
-
-module Sharded = struct
-  (* A relation partitioned into [shards] sub-stores by FNV hash of
-     the key column. Used for the per-shard round-delta buffers of
-     sharded maintenance: shard task [s] reads and writes only
-     [shard t s], and the coordinator merges shards in index order
-     0..k-1 — canonical, hence run-to-run deterministic. *)
-  type t = { col : int; nshards : int; subs : relation array }
-
-  let create ~arity ~shards =
-    if shards < 1 then invalid_arg "Relation.Sharded.create: shards < 1";
-    {
-      col = 0;
-      nshards = shards;
-      subs = Array.init shards (fun _ -> base_create ~arity);
-    }
-
-  let shards (t : t) = t.nshards
-
-  let shard (t : t) s =
-    if s < 0 || s >= t.nshards then invalid_arg "Relation.Sharded.shard: bad index";
-    t.subs.(s)
-
-  let owner t tup = shard_of_tuple ~col:t.col ~shards:t.nshards tup
-
-  let add t tup = base_add t.subs.(owner t tup) tup
-
-  let mem t tup = base_mem t.subs.(owner t tup) tup
-
-  let cardinality t =
-    Array.fold_left (fun acc r -> acc + base_cardinality r) 0 t.subs
-
-  (* canonical iteration order: shard 0..k-1 *)
-  let iter f t = Array.iter (fun r -> base_iter f r) t.subs
-
-  let merge_into t dst =
-    let fresh = ref 0 in
-    iter (fun tup -> if base_add dst tup then incr fresh) t;
-    !fresh
-end
 
 module Sanitize = struct
   exception Violation = Sanitize_violation

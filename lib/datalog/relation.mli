@@ -96,13 +96,7 @@ val choose_probe_col : t -> bound:(int -> bool) -> int option
     relation version the counts were made consistent with, and any
     later mutation outside the counting engine (which bumps the
     version) makes {!counts_synced} return [None], forcing a rebuild
-    instead of trusting stale counts. {!clear} drops the side table.
-
-    Cells are partitioned into [shards] tables by {!shard_of_tuple} on
-    key column 0 — the same pure hash the {!Sharded} tuple stores use —
-    so sharded counting rounds route cell traffic shard-locally;
-    {!counts_iter} walks shards in index order 0..k-1, keeping
-    iteration canonical regardless of insertion interleaving. *)
+    instead of trusting stale counts. {!clear} drops the side table. *)
 
 type count_cell = {
   mutable exits : int;
@@ -119,12 +113,11 @@ type count_cell = {
 
 type counts
 
-val counts_create : ?shards:int -> unit -> counts
-(** A free-standing count table (starts unsynced) with [shards]
-    (default 1) cell partitions; used for scratch accumulation of
-    signed count deltas. @raise Invalid_argument when [shards < 1]. *)
+val counts_create : unit -> counts
+(** A free-standing count table (starts unsynced); used for scratch
+    accumulation of signed count deltas. *)
 
-val counts_attach : ?shards:int -> t -> counts
+val counts_attach : t -> counts
 (** Replace the relation's count table with a fresh empty one (not yet
     synced) and return it. *)
 
@@ -137,9 +130,6 @@ val counts_synced : t -> counts option
 val counts_sync : t -> unit
 (** Stamp the attached count table as consistent with the relation's
     current contents. No-op when no table is attached. *)
-
-val counts_shards : counts -> int
-(** Number of cell partitions the table was created with. *)
 
 val counts_unvouched : counts -> tuple list
 (** The present [exits = 0] tuples whose [low] was [0] when the table
@@ -162,24 +152,8 @@ val count_total : count_cell -> int
 val count_drop : counts -> tuple -> unit
 
 val counts_iter : (tuple -> count_cell -> unit) -> counts -> unit
-(** Walks cell partitions in index order 0..k-1. *)
 
 val counts_cardinality : counts -> int
-
-(** {2 Sharding}
-
-    Hash partitioning for intra-component parallel maintenance: tuples
-    are assigned to one of [k] shards by an FNV-1a mix of a single key
-    column, a pure function of the tuple — identical on every domain
-    and every run. *)
-
-val shard_of_value : shards:int -> int -> int
-(** [shard_of_value ~shards v] is the shard of key element [v], in
-    [0 .. shards-1] ([0] when [shards <= 1]). *)
-
-val shard_of_tuple : col:int -> shards:int -> tuple -> int
-(** Shard of a tuple by its [col]th element (clamped to column 0 when
-    out of range; nullary tuples map to shard 0). *)
 
 type relation = t
 
@@ -214,40 +188,4 @@ module Sanitize : sig
   val with_writer : string -> (unit -> 'a) -> 'a
   (** Run [f] with the current domain's writer tag set; restores the
       previous tag on exit (scopes nest). *)
-end
-
-module Sharded : sig
-  (** A relation partitioned into [shards] sub-stores by
-      {!shard_of_tuple} on column 0. Shard task [s] owns exactly
-      [shard t s]; the coordinator merges shards in index order
-      0..k-1, so iteration and merge order are canonical and
-      run-to-run deterministic. *)
-
-  type t
-
-  val create : arity:int -> shards:int -> t
-  (** @raise Invalid_argument when [shards < 1]. *)
-
-  val shards : t -> int
-
-  val shard : t -> int -> relation
-  (** The [s]th sub-store (a plain relation usable as a semi-naive
-      delta). @raise Invalid_argument on an out-of-range index. *)
-
-  val owner : t -> tuple -> int
-  (** The shard index {!add} would route this tuple to. *)
-
-  val add : t -> tuple -> bool
-  (** Route by key hash into the owning sub-store; [true] iff new. *)
-
-  val mem : t -> tuple -> bool
-
-  val cardinality : t -> int
-
-  val iter : (tuple -> unit) -> t -> unit
-  (** Canonical order: every tuple of shard 0, then shard 1, … *)
-
-  val merge_into : t -> relation -> int
-  (** Add every tuple into [dst] in canonical shard order; returns the
-      number of tuples that were new to [dst]. *)
 end

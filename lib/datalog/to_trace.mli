@@ -33,7 +33,7 @@ val of_update :
     the session's database is updated in place. [work_unit] converts
     tuples-examined into seconds of simulated processing time (default
     [1e-6]). [domains] (default 1) > 1 runs the maintenance itself on
-    executor worker domains; the strategy, shard count, sanitizer and
+    executor worker domains; the strategy, sanitizer and
     warning sink are the session's. The resulting trace is built from
     the run's report the same way whatever the configuration. [obs]
     records the maintenance run's timeline (see {!Incremental.apply});

@@ -9,7 +9,6 @@
    - sched-*:        t = release, a = lock wait ns, b = acquire stamp
      (full span incl. the wait starts at b - a)
    - dred-*:         t = phase end, a = component,  b = phase start
-   - shard:          t = end,    a = shard id,      b = start
    - cnt-propagate/backward/forward:
                      t = phase end, a = component,  b = phase start
    - cnt-o1-hit / cnt-full-probe (instant):
@@ -33,18 +32,17 @@ let sched_activate = 6
 let dred_delete = 7
 let dred_rederive = 8
 let dred_insert = 9
-let shard = 10
-let cnt_propagate = 11
-let cnt_backward = 12
-let cnt_forward = 13
-let cnt_o1_hit = 14
-let cnt_full_probe = 15
-let srv_admit = 16
-let srv_commit = 17
-let srv_epoch = 18
-let cnt_heal = 19
+let cnt_propagate = 10
+let cnt_backward = 11
+let cnt_forward = 12
+let cnt_o1_hit = 13
+let cnt_full_probe = 14
+let srv_admit = 15
+let srv_commit = 16
+let srv_epoch = 17
+let cnt_heal = 18
 
-let count = 20
+let count = 19
 
 let names =
   [|
@@ -58,7 +56,6 @@ let names =
     "dred-delete";
     "dred-rederive";
     "dred-insert";
-    "shard";
     "cnt-propagate";
     "cnt-backward";
     "cnt-forward";

@@ -35,10 +35,6 @@ val dred_insert : kind
 (** DRed maintenance phases per condensation component: [a] =
     component id, [b] = phase start, [t] = phase end. *)
 
-val shard : kind
-(** One shard task's slice of a sharded maintenance round: [a] =
-    shard id, [b] = start, [t] = end. *)
-
 val cnt_propagate : kind
 val cnt_backward : kind
 val cnt_forward : kind

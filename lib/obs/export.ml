@@ -40,13 +40,11 @@ let write ?task_label oc tr =
         else begin
           let t0 = Event.span_start_ns kind ~a ~b in
           let name =
-            if kind = Event.shard then "shard " ^ string_of_int a
-            else
-              match task_label with
-              | Some label when kind = Event.task -> label a
-              | Some label when Event.is_dred kind || Event.is_cnt kind ->
-                cat ^ " " ^ label a
-              | _ -> cat
+            match task_label with
+            | Some label when kind = Event.task -> label a
+            | Some label when Event.is_dred kind || Event.is_cnt kind ->
+              cat ^ " " ^ label a
+            | _ -> cat
           in
           emit
             [ ("name", Json.String name); ("cat", Json.String cat); ("ph", Json.String "X");

@@ -71,12 +71,10 @@ let[@inline] tlog_push l task start finish =
   l.t_len <- i + 1
 
 (* Long-lived worker domains. A [d]-domain run executes worker 0 on the
-   caller and workers 1..d-1 on an idle [d]-shard crew lent from this
-   pool and returned after the run, so back-to-back runs spawn no
-   domains. The pool is separate from sharded maintenance's crews,
-   whose fan-outs run from inside executor workers — a shared crew
-   would deadlock on its entry mutex. *)
-let worker_crews = Shard_crew.pool ()
+   caller and workers 1..d-1 on an idle [d]-crew lent from this pool
+   and returned after the run, so back-to-back runs spawn no
+   domains. *)
+let worker_crews = Crew.pool ()
 
 let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
     ?(obs = Obs.Trace.disabled) ~sched (trace : Workload.Trace.t) =
@@ -466,7 +464,16 @@ let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
               loop ()
             | Sched.Protected.Pending ->
               if Prelude.Backoff.is_exhausted backoff then begin
-                park ring e;
+                (* re-check [failure] after the snapshot, as the
+                   initial park does: a [fail] that landed between the
+                   loop-top check and the snapshot bumped [events]
+                   before it, so its wake_all would not defeat this
+                   park — and a raising scheduler callback keeps
+                   [refill] answering Pending forever. [fail] sets
+                   [failure] before it bumps [events], so a failure
+                   after the snapshot is either seen here or defeats
+                   the park. *)
+                if Vatomic.get failure = None then park ring e;
                 Prelude.Backoff.reset backoff
               end
               else Prelude.Backoff.once backoff;
@@ -501,7 +508,7 @@ let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
       raise e
   in
   if domains = 1 then worker 0
-  else Shard_crew.with_crew worker_crews ~shards:domains (fun crew -> Shard_crew.run crew worker);
+  else Crew.with_crew worker_crews ~size:domains (fun crew -> Crew.run crew worker);
   (match Vatomic.get failure with
   | Some msg -> failwith ("Executor: " ^ msg)
   | None -> ());

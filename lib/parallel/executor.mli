@@ -67,7 +67,7 @@ val run :
     active set on [domains] workers (default 4), spinning [work_unit]
     real seconds per unit of task work (default [1e-4]). Worker 0 runs
     on the calling domain; workers [1 .. domains-1] run on a crew of
-    long-lived domains ({!Shard_crew}) kept in a process-wide pool and
+    long-lived domains ({!Crew}) kept in a process-wide pool and
     reused by later runs, so a run spawns no domain once the pool holds
     a crew of its size. Concurrent runs borrow distinct crews. Idle
     crews park and do not keep the process alive.

@@ -10,7 +10,7 @@
     worker-local buffers to steal from, which trace summaries should
     read as "no stealing exists here", not "stealing was free. "
     Exists so [bench/main.exe -- dispatch] can measure the
-    coordination cost the sharded executor removes; new code should
+    coordination cost the lock-free executor removes; new code should
     use {!Executor.run}. *)
 
 val run :

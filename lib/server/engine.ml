@@ -40,7 +40,6 @@ type t = {
   session : Incr_sched.datalog_session;
   maint : Datalog.Incremental.maint;
   domains : int;
-  shards : int;
   obs : Obs.Trace.t;
   idb : (string, unit) Hashtbl.t;
   pending : (string, op) Hashtbl.t;
@@ -66,8 +65,8 @@ let freeze_all db =
     (Datalog.Database.predicates db);
   rels
 
-let create ?(maint = Datalog.Incremental.Dred) ?(domains = 1) ?(shards = 1)
-    ?(obs = Obs.Trace.disabled) (session : Incr_sched.datalog_session) =
+let create ?(maint = Datalog.Incremental.Dred) ?(domains = 1) ?(obs = Obs.Trace.disabled)
+    (session : Incr_sched.datalog_session) =
   let idb = Hashtbl.create 16 in
   List.iter
     (fun (r : Datalog.Ast.rule) ->
@@ -77,7 +76,6 @@ let create ?(maint = Datalog.Incremental.Dred) ?(domains = 1) ?(shards = 1)
     session;
     maint;
     domains = max 1 domains;
-    shards = max 1 shards;
     obs;
     idb;
     pending = Hashtbl.create 64;
@@ -99,7 +97,6 @@ let inflight t = t.inflight <> None
 let commits t = t.ncommits
 let maint t = t.maint
 let domains t = t.domains
-let shards t = t.shards
 let db t = t.session.db
 
 let snapshot_facts t =
@@ -157,8 +154,8 @@ let take_batch t =
 (* ---- commit machinery ---- *)
 
 let run_batch t ~additions ~deletions =
-  Incr_sched.update ~maint:t.maint ~domains:t.domains ~shards:t.shards
-    ~obs:t.obs t.session ~additions ~deletions
+  Incr_sched.update ~maint:t.maint ~domains:t.domains ~obs:t.obs t.session ~additions
+    ~deletions
 
 (* Publish epoch [target]: patch the snapshot with the run's net
    deltas, removing and adding exactly the tuples that changed, so the

@@ -60,14 +60,13 @@ type commit_stats = {
 val create :
   ?maint:Datalog.Incremental.maint ->
   ?domains:int ->
-  ?shards:int ->
   ?obs:Obs.Trace.t ->
   Incr_sched.datalog_session ->
   t
 (** Wrap a materialized session (see {!Incr_sched.materialize}) and
-    publish epoch 0. [maint] (default Dred) / [domains] / [shards]
-    configure every commit's maintenance pass. [obs] (default
-    disabled) must carry [domains + shards - 1] rings (see
+    publish epoch 0. [maint] (default Dred) / [domains] configure
+    every commit's maintenance pass. [obs] (default disabled) must
+    carry [domains] rings (see
     {!Incr_sched.update}); the engine adds server spans —
     [srv-admit] / [srv-commit] / [srv-epoch] — on ring 0, emitted only
     while no background commit is running, preserving the
@@ -91,8 +90,6 @@ val snapshot_facts : t -> int
 val maint : t -> Datalog.Incremental.maint
 
 val domains : t -> int
-
-val shards : t -> int
 
 val submit : t -> [ `Insert | `Remove ] -> string -> (unit, string) result
 (** Validate and queue one operation. Errors (reported, never raised):

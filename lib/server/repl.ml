@@ -75,14 +75,14 @@ let exec t cmd =
     ( [
         Printf.sprintf
           "ok epoch %d facts %d pending %d commits %d inflight %b maint %s \
-           domains %d shards %d"
+           domains %d"
           (Engine.epoch t.engine)
           (Engine.snapshot_facts t.engine)
           (Engine.pending_ops t.engine)
           (Engine.commits t.engine)
           (Engine.inflight t.engine)
           (maint_name (Engine.maint t.engine))
-          (Engine.domains t.engine) (Engine.shards t.engine);
+          (Engine.domains t.engine);
       ],
       false )
   | Protocol.Help -> (help_lines, false)

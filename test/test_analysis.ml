@@ -117,7 +117,7 @@ let test_buggy_found () =
     | "protected-batch-buggy-early-bump" -> Mc.Assertion
     | "plain-race-buggy" -> Mc.Race
     | "comp-ownership-buggy-eager" -> Mc.Race
-    | "shard-ownership-buggy-cross-write" -> Mc.Race
+    | "fail-park-buggy-no-recheck" -> Mc.Deadlock
     | "ring-publish-buggy-early-cursor" -> Mc.Race
     | n -> Alcotest.failf "unexpected buggy scenario %s" n
   in
@@ -143,7 +143,7 @@ let pinned =
     ("protected-batch-buggy-early-bump", "00111", Mc.Assertion);
     ("plain-race-buggy", "001", Mc.Race);
     ("comp-ownership-buggy-eager", "000011", Mc.Race);
-    ("shard-ownership-buggy-cross-write", "001", Mc.Race);
+    ("fail-park-buggy-no-recheck", "100000111111", Mc.Deadlock);
     ("ring-publish-buggy-early-cursor", "0011", Mc.Race);
   ]
 

@@ -16,10 +16,10 @@ let atom = Datalog.Parser.parse_atom
 (* One update through a freshly prepared session: every apply pays the
    whole program, which is what the session differential below compares
    a long-lived session against. *)
-let apply ?engine ?maint ?domains ?shards ?serial_threshold ?sched ?sanitize ?on_warn
-    ?obs db program ~additions ~deletions =
+let apply ?engine ?maint ?domains ?serial_threshold ?sched ?sanitize ?on_warn ?obs db
+    program ~additions ~deletions =
   Datalog.Incremental.apply ?domains ?serial_threshold ?sched ?obs
-    (Datalog.Incremental.prepare ?engine ?maint ?shards ?sanitize ?on_warn db program)
+    (Datalog.Incremental.prepare ?engine ?maint ?sanitize ?on_warn db program)
     ~additions ~deletions
 
 let cardinal db pred =
@@ -875,55 +875,14 @@ let parallel_rejects_interpreter () =
   | _ -> Alcotest.fail "interpreted engine must be rejected at domains > 1"
   | exception Invalid_argument _ -> ()
 
-(* ---------- Sharded maintenance (apply ~shards) ---------- *)
-
-let sharded_relation_units () =
-  let s = Datalog.Relation.Sharded.create ~arity:2 ~shards:4 in
-  check_int "shard count" 4 (Datalog.Relation.Sharded.shards s);
-  let tuples = List.init 32 (fun i -> [| i * 7; i |]) in
-  List.iter (fun t -> check_bool "fresh add" true (Datalog.Relation.Sharded.add s t)) tuples;
-  List.iter
-    (fun t -> check_bool "dup add" false (Datalog.Relation.Sharded.add s t))
-    tuples;
-  check_int "cardinality" 32 (Datalog.Relation.Sharded.cardinality s);
-  (* routing: every tuple sits in exactly the sub-store its key hashes to *)
-  List.iter
-    (fun t ->
-      let owner = Datalog.Relation.shard_of_tuple ~col:0 ~shards:4 t in
-      check_bool "routed" true
-        (Datalog.Relation.mem (Datalog.Relation.Sharded.shard s owner) t);
-      for o = 0 to 3 do
-        if o <> owner then
-          check_bool "not elsewhere" false
-            (Datalog.Relation.mem (Datalog.Relation.Sharded.shard s o) t)
-      done;
-      check_bool "mem routes" true (Datalog.Relation.Sharded.mem s t))
-    tuples;
-  (* canonical iteration = shard 0..k-1, each in insertion order; a
-     second identically built store iterates identically *)
-  let order t =
-    let acc = ref [] in
-    Datalog.Relation.Sharded.iter (fun tup -> acc := Array.to_list tup :: !acc) t;
-    List.rev !acc
-  in
-  let s' = Datalog.Relation.Sharded.create ~arity:2 ~shards:4 in
-  List.iter (fun t -> ignore (Datalog.Relation.Sharded.add s' t)) tuples;
-  check_bool "deterministic canonical order" true (order s = order s');
-  (* merge lands in canonical order and reports only new tuples *)
-  let dst = Datalog.Relation.create ~arity:2 in
-  ignore (Datalog.Relation.add dst [| 0; 0 |]);
-  check_int "merged new" 31 (Datalog.Relation.Sharded.merge_into s dst);
-  check_int "merged cardinality" 32 (Datalog.Relation.cardinality dst)
-
-(* The sharding acceptance property: maintenance fanned out over any
-   shards x domains grid restores exactly the serial database, net
-   changes, and activation flags. [serial_threshold:0] forces the
-   domains > 1 configurations onto the executor so the crew runs under
-   concurrent component tasks; the (1, 4) configuration keeps the
-   default threshold, exercising the small-update serial fallback. *)
-let sharded_differential_qcheck =
+(* The same property with the write-set sanitizer armed, over the
+   domains x serial_threshold grid: [serial_threshold:0] forces the
+   domains > 1 configurations onto the executor, so component tasks
+   run concurrently under the sanitizer; the default threshold
+   exercises the small-update serial fallback. *)
+let sanitized_parallel_differential_qcheck =
   QCheck.Test.make
-    ~name:"sharded maintenance equals serial apply over the shards x domains grid"
+    ~name:"sanitized parallel maintenance equals serial apply over the domains x threshold grid"
     ~count:100
     QCheck.(triple (1 -- 4) (0 -- 18) (0 -- 10_000))
     (fun (preds, nfacts, seed) ->
@@ -948,7 +907,7 @@ let sharded_differential_qcheck =
              a.Datalog.Incremental.input_changed))
           r.Datalog.Incremental.activity
       in
-      let grid = [ (2, 1, Some 0); (4, 1, None); (2, 2, Some 0); (4, 4, Some 0); (1, 4, None) ] in
+      let grid = [ (1, None); (2, Some 0); (2, None); (4, Some 0) ] in
       let serial = load () in
       let twins = List.map (fun cfg -> (cfg, load ())) grid in
       let ok = ref true in
@@ -960,13 +919,13 @@ let sharded_differential_qcheck =
             ~additions:adds ~deletions:dels
         in
         List.iter
-          (fun ((shards, domains, serial_threshold), db) ->
-            (* sanitize:true on every parallel twin: the write-set
-               sanitizer must be inert on safe runs — bit-identical
-               results, no violations, across the whole grid *)
+          (fun ((domains, serial_threshold), db) ->
+            (* sanitize:true on every twin: the write-set sanitizer
+               must be inert on safe runs — bit-identical results, no
+               violations, across the whole grid *)
             let r =
               apply ~engine:Datalog.Plan.Compiled
-                ~shards ~domains ?serial_threshold ~sanitize:true db program
+                ~domains ?serial_threshold ~sanitize:true db program
                 ~additions:adds ~deletions:dels
             in
             ok := !ok && Datalog.Eval.databases_agree serial db = Ok ();
@@ -983,7 +942,7 @@ let sharded_differential_qcheck =
    same database, same report, same per-component [work] (so the cached
    plans, re-planned on cardinality-order changes, are the plans fresh
    compilation would make) — and both equal the from-scratch oracle.
-   Over DRed and counting, 1 and 2 domains, 1 and 2 shards. *)
+   Over DRed and counting, 1 and 2 domains. *)
 let session_differential_qcheck =
   QCheck.Test.make
     ~name:"a long-lived session equals a fresh session per batch and from-scratch"
@@ -1005,18 +964,15 @@ let session_differential_qcheck =
       in
       let grid =
         List.concat_map
-          (fun maint ->
-            List.concat_map
-              (fun domains -> List.map (fun shards -> (maint, domains, shards)) [ 1; 2 ])
-              [ 1; 2 ])
+          (fun maint -> List.map (fun domains -> (maint, domains)) [ 1; 2 ])
           [ Datalog.Incremental.Dred; Datalog.Incremental.Counting ]
       in
       let twins =
         List.map
-          (fun (maint, domains, shards) ->
+          (fun (maint, domains) ->
             let kept = load base and fresh = load base in
-            let session = Datalog.Incremental.prepare ~maint ~shards kept program in
-            (maint, domains, shards, session, kept, fresh))
+            let session = Datalog.Incremental.prepare ~maint kept program in
+            (maint, domains, session, kept, fresh))
           grid
       in
       let live = ref base in
@@ -1033,7 +989,7 @@ let session_differential_qcheck =
         let additions = List.map atom adds and deletions = List.map atom dels in
         let oracle = load !live in
         List.iter
-          (fun (maint, domains, shards, session, kept, fresh) ->
+          (fun (maint, domains, session, kept, fresh) ->
             (* [serial_threshold:1] sends every 2-domain update through
                the executor's prologue rather than the serial walk *)
             let r =
@@ -1041,7 +997,7 @@ let session_differential_qcheck =
                 ~additions ~deletions
             in
             let r' =
-              apply ~maint ~shards ~domains ~serial_threshold:1 fresh program
+              apply ~maint ~domains ~serial_threshold:1 fresh program
                 ~additions ~deletions
             in
             ok := !ok && Datalog.Eval.databases_agree kept fresh = Ok ();
@@ -1130,11 +1086,12 @@ let session_survives_rejected_update () =
     (r.Datalog.Incremental.activity = r'.Datalog.Incremental.activity
     && r.Datalog.Incremental.changes = r'.Datalog.Incremental.changes)
 
-(* The merge is deterministic, not merely set-equal: two runs of the
-   same sharded update produce every relation in the same insertion
-   (iteration) order, because the coordinator merges the per-shard
-   buffers in shard order behind the crew barrier. *)
-let sharded_merge_deterministic () =
+(* Parallel maintenance is deterministic, not merely set-equal: the
+   same update run on the executor at 2 domains leaves every relation
+   in the insertion (iteration) order of the serial walk, because each
+   component task writes only its own relations, in the order the
+   serial walk would, against upstream state that has settled. *)
+let parallel_keeps_serial_order () =
   let program =
     parse
       "path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z).\n\
@@ -1145,13 +1102,12 @@ let sharded_merge_deterministic () =
         Printf.sprintf {|edge("n%d","n%d")|} (i mod 12) ((i * 5 + 1) mod 12))
     |> List.sort_uniq compare
   in
-  let run () =
+  let run ~domains =
     let db = Datalog.Database.create () in
     List.iter (fun f -> ignore (Datalog.Database.add_fact db (atom f))) base;
     let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db program in
     ignore
-      (apply ~engine:Datalog.Plan.Compiled ~shards:4
-         ~domains:2 ~serial_threshold:0 db program
+      (apply ~engine:Datalog.Plan.Compiled ~domains ~serial_threshold:0 db program
          ~additions:[ atom {|edge("n3","n0")|}; atom {|edge("n12","n1")|} ]
          ~deletions:[ atom {|edge("n0","n1")|} ]);
     List.map
@@ -1162,14 +1118,13 @@ let sharded_merge_deterministic () =
           (pred, List.map Array.to_list (Datalog.Relation.to_list rel)))
       [ "edge"; "path"; "reach" ]
   in
-  let a = run () in
-  let b = run () in
-  check_bool "identical iteration order across runs" true (a = b)
+  let serial = run ~domains:1 in
+  check_bool "2 domains iterate as the serial walk" true (run ~domains:2 = serial)
 
 (* The task-count fallback: a small update on [domains > 1] skips the
    executor entirely (no task spans recorded), unless the threshold is
    forced to zero. *)
-let sharded_fallback_serial () =
+let parallel_fallback_serial () =
   let program =
     parse "path(X,Y) :- edge(X,Y). path(X,Z) :- path(X,Y), edge(Y,Z)."
   in
@@ -1797,14 +1752,14 @@ let counting_index_does_not_decay () =
   check_bool "maintained equals from-scratch" true
     (Datalog.Eval.databases_agree (load (chain @ side)) db = Ok ())
 
-(* The sharded grid: counting with sharded count tables must restore
-   the same database as serial DRed and as from-scratch recomputation
-   at every point of {shards 1, 2, 4} x {domains 1, 2}, and leave every
-   count cell — exits, recs, level, low — exactly as the (shards 1,
-   domains 1) run does. *)
-let counting_sharded_differential_qcheck =
+(* The parallel grid: counting on the executor must restore the same
+   database as serial DRed and as from-scratch recomputation at every
+   point of {domains 1, 2} x {default serial_threshold, 0}, and leave
+   every count cell — exits, recs, level, low — exactly as the serial
+   run does. *)
+let counting_parallel_differential_qcheck =
   QCheck.Test.make
-    ~name:"sharded counting equals serial DRed and from-scratch across the grid"
+    ~name:"parallel counting equals serial DRed and from-scratch across the grid"
     ~count:100
     QCheck.(triple (1 -- 3) (2 -- 14) (0 -- 10_000))
     (fun (preds, nfacts, seed) ->
@@ -1822,7 +1777,7 @@ let counting_sharded_differential_qcheck =
         let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db program in
         db
       in
-      let grid = [ (1, 1); (2, 1); (4, 1); (1, 2); (2, 2); (4, 2) ] in
+      let grid = [ (1, None); (2, None); (2, Some 0) ] in
       let cells =
         count_cells (fun (c : Datalog.Relation.count_cell) ->
             (c.exits, c.recs, c.level, c.low))
@@ -1845,13 +1800,13 @@ let counting_sharded_differential_qcheck =
           (apply ~engine:Datalog.Plan.Compiled
              ~maint:Datalog.Incremental.Dred dred program ~additions ~deletions);
         List.iter
-          (fun ((shards, domains), db) ->
+          (fun ((domains, serial_threshold), db) ->
             ignore
-              (apply ~maint:Datalog.Incremental.Counting
-                 ~shards ~domains db program ~additions ~deletions))
+              (apply ~maint:Datalog.Incremental.Counting ~domains ?serial_threshold db
+                 program ~additions ~deletions))
           cnts;
         let scratch = load !live in
-        let serial_cells = cells (List.assoc (1, 1) cnts) in
+        let serial_cells = cells (List.assoc (1, None) cnts) in
         List.iter
           (fun (_, db) ->
             ok := !ok && Datalog.Eval.databases_agree dred db = Ok ();
@@ -1866,10 +1821,9 @@ let msg_mentions needle msg =
   let rec find i = i + nl <= hl && (String.sub msg i nl = needle || find (i + 1)) in
   find 0
 
-(* Counting is compiled-only: that misuse is still rejected loudly.
-   Counting + shards > 1, by contrast, now runs natively — the count
-   side tables shard like the tuple stores — with no downgrade
-   warning and the same database as the serial walk. *)
+(* Counting is compiled-only: that misuse is rejected loudly. Counting
+   on the executor, by contrast, runs with no downgrade warning and
+   restores the serial walk's database. *)
 let counting_rejects_unsupported () =
   let program = parse "p(X,Y) :- e(X,Y). e(\"a\",\"b\")." in
   let load () =
@@ -1886,34 +1840,30 @@ let counting_rejects_unsupported () =
    with
   | _ -> Alcotest.fail "interpreted engine must be rejected under counting"
   | exception Invalid_argument _ -> ());
-  (* counting + shards > 1: native sharded counting, no warning *)
+  (* counting at domains > 1: component-level parallelism is
+     algorithm-agnostic, no warning *)
   let serial = load () in
   ignore
     (apply ~maint:Datalog.Incremental.Counting serial program
        ~additions:adds ~deletions:[]);
   let warned = ref [] in
   let r =
-    apply ~maint:Datalog.Incremental.Counting ~domains:4
-      ~shards:2 ~on_warn:(fun m -> warned := m :: !warned) db program
-      ~additions:adds ~deletions:[]
+    apply ~maint:Datalog.Incremental.Counting ~domains:4 ~serial_threshold:0
+      ~on_warn:(fun m -> warned := m :: !warned) db program ~additions:adds
+      ~deletions:[]
   in
-  check_bool "sharded counting matches the serial database" true
+  check_bool "parallel counting matches the serial database" true
     (Datalog.Eval.databases_agree serial db = Ok ());
-  check_bool "sharded counting reports the change" true
+  check_bool "parallel counting reports the change" true
     (List.exists
        (fun (c : Datalog.Incremental.pred_change) -> c.Datalog.Incremental.pred = "p")
        r.Datalog.Incremental.changes);
   (match List.rev !warned with
   | [] -> ()
   | l -> Alcotest.failf "expected no downgrade warning, got %d" (List.length l));
-  (match Datalog.Incremental.prime ~engine:Datalog.Plan.Interpreted db program with
+  match Datalog.Incremental.prime ~engine:Datalog.Plan.Interpreted db program with
   | _ -> Alcotest.fail "prime must reject the interpreted engine"
-  | exception Invalid_argument _ -> ());
-  (* domains > 1 with shards = 1 stays legal: component-level
-     parallelism is algorithm-agnostic *)
-  ignore
-    (apply ~maint:Datalog.Incremental.Counting
-       ~domains:2 db program ~additions:adds ~deletions:[])
+  | exception Invalid_argument _ -> ()
 
 (* ---------- Static analysis (Analyze) ---------- *)
 
@@ -1940,7 +1890,6 @@ let analyze_tc_effects () =
   check_bool "external reads" true (ci.Datalog.Analyze.external_reads = [ "edge" ]);
   check_bool "writes" true (ci.Datalog.Analyze.writes = [ "path" ]);
   check_bool "deltas" true (ci.Datalog.Analyze.deltas = [ "edge"; "path" ]);
-  check_bool "shardable" true ci.Datalog.Analyze.shardable;
   check_bool "advised counting" true
     (ci.Datalog.Analyze.verdict = Datalog.Analyze.Counting);
   (* per-rule effects come from compiled instruction steps *)
@@ -2615,17 +2564,14 @@ let () =
         ]
         @ qsuite [ session_differential_qcheck ] );
       ( "parallel-maintenance",
-        [ test `Quick "interpreted engine rejected" parallel_rejects_interpreter ]
-        @ qsuite [ parallel_differential_qcheck ] );
-      ( "sharded-maintenance",
         [
-          test `Quick "sharded relation routing and merge" sharded_relation_units;
-          test `Quick "merge order deterministic across runs"
-            sharded_merge_deterministic;
+          test `Quick "interpreted engine rejected" parallel_rejects_interpreter;
+          test `Quick "executor keeps the serial insertion order"
+            parallel_keeps_serial_order;
           test `Quick "small updates fall back to the serial walk"
-            sharded_fallback_serial;
+            parallel_fallback_serial;
         ]
-        @ qsuite [ sharded_differential_qcheck ] );
+        @ qsuite [ parallel_differential_qcheck; sanitized_parallel_differential_qcheck ] );
       ( "analyze",
         [
           test `Quick "TC effect sets and advice" analyze_tc_effects;
@@ -2661,7 +2607,7 @@ let () =
               counting_differential_qcheck;
               counting_counts_invariant_qcheck;
               counting_level_index_qcheck;
-              counting_sharded_differential_qcheck;
+              counting_parallel_differential_qcheck;
             ] );
       ( "aggregates",
         [

@@ -79,7 +79,7 @@ let session_unstratifiable () =
 (* The whole pipeline preserves semantics: schedule order never affects
    the final database (the single-execution model's point). *)
 (* [update] keeps one prepared session per configuration: a stream
-   that switches strategy and shard count between updates, and back,
+   that switches strategy and sanitizer between updates, and back,
    still ends where a from-scratch materialization of the final facts
    does. *)
 let update_switches_sessions () =
@@ -94,15 +94,15 @@ let update_switches_sessions () =
   let s = Incr_sched.materialize ({|parent("r","a"). parent("a","b").|} ^ rules) in
   let steps =
     [
-      (Datalog.Incremental.Dred, 1, [ {|parent("b","c")|} ], []);
-      (Datalog.Incremental.Dred, 1, [ {|parent("c","d")|} ], [ {|parent("r","a")|} ]);
-      (Datalog.Incremental.Counting, 2, [ {|parent("r","a")|} ], [ {|parent("a","b")|} ]);
-      (Datalog.Incremental.Dred, 1, [ {|parent("a","b")|} ], [ {|parent("c","d")|} ]);
+      (Datalog.Incremental.Dred, false, [ {|parent("b","c")|} ], []);
+      (Datalog.Incremental.Dred, false, [ {|parent("c","d")|} ], [ {|parent("r","a")|} ]);
+      (Datalog.Incremental.Counting, true, [ {|parent("r","a")|} ], [ {|parent("a","b")|} ]);
+      (Datalog.Incremental.Dred, false, [ {|parent("a","b")|} ], [ {|parent("c","d")|} ]);
     ]
   in
   List.iter
-    (fun (maint, shards, additions, deletions) ->
-      ignore (Incr_sched.update ~maint ~shards s ~additions ~deletions))
+    (fun (maint, sanitize, additions, deletions) ->
+      ignore (Incr_sched.update ~maint ~sanitize s ~additions ~deletions))
     steps;
   let fresh =
     Incr_sched.materialize

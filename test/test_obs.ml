@@ -350,41 +350,36 @@ let maintenance_unchanged_by_tracing () =
 
 (* Phase spans follow activation: a serial update over two derived
    components records one delete / rederive / insert span for the
-   component whose input changed and none for the other, and no shard
-   span (the unsharded round driver has no shards); the same update at
-   two shards records shard spans. *)
+   component whose input changed and none for the other. *)
 let phase_spans_follow_activation () =
   let program =
     Datalog.Parser.parse
       "e(\"a\",\"b\"). e(\"b\",\"c\"). f(\"x\",\"y\").\n\
        p(X,Y) :- e(X,Y).\np(X,Z) :- p(X,Y), e(Y,Z).\nq(X,Y) :- f(X,Y).\n"
   in
-  let run ?shards () =
-    let db = Datalog.Database.create () in
-    let _ = Datalog.Eval.run db program in
-    let obs = Obs.Trace.create ~domains:2 () in
-    let r =
-      Datalog.Incremental.apply ~obs (Datalog.Incremental.prepare ?shards db program)
-        ~additions:[ Datalog.Parser.parse_atom {|e("c","d")|} ]
-        ~deletions:[ Datalog.Parser.parse_atom {|e("a","b")|} ]
-    in
-    let anal = r.Datalog.Incremental.analysis in
-    let comp_of pred =
-      let cond = anal.Datalog.Stratify.condensation in
-      cond.Dag.Scc.component.(Hashtbl.find anal.Datalog.Stratify.index_of pred)
-    in
-    (* spans of [kind] on any ring, for component [a] (any when < 0) *)
-    let count kind a =
-      let n = ref 0 in
-      for w = 0 to Obs.Trace.domains obs - 1 do
-        Obs.Ring.iter (Obs.Trace.ring obs w) (fun ~kind:k ~t_ns:_ ~a:a' ~b:_ ->
-            if k = kind && (a < 0 || a' = a) then incr n)
-      done;
-      !n
-    in
-    (comp_of "p", comp_of "q", count)
+  let db = Datalog.Database.create () in
+  let _ = Datalog.Eval.run db program in
+  let obs = Obs.Trace.create ~domains:2 () in
+  let r =
+    Datalog.Incremental.apply ~obs (Datalog.Incremental.prepare db program)
+      ~additions:[ Datalog.Parser.parse_atom {|e("c","d")|} ]
+      ~deletions:[ Datalog.Parser.parse_atom {|e("a","b")|} ]
   in
-  let p, q, count = run () in
+  let anal = r.Datalog.Incremental.analysis in
+  let comp_of pred =
+    let cond = anal.Datalog.Stratify.condensation in
+    cond.Dag.Scc.component.(Hashtbl.find anal.Datalog.Stratify.index_of pred)
+  in
+  (* spans of [kind] on any ring, for component [a] *)
+  let count kind a =
+    let n = ref 0 in
+    for w = 0 to Obs.Trace.domains obs - 1 do
+      Obs.Ring.iter (Obs.Trace.ring obs w) (fun ~kind:k ~t_ns:_ ~a:a' ~b:_ ->
+          if k = kind && a' = a then incr n)
+    done;
+    !n
+  in
+  let p = comp_of "p" and q = comp_of "q" in
   List.iter
     (fun (name, kind) ->
       check_int (name ^ " span of the changed component") 1 (count kind p);
@@ -393,10 +388,7 @@ let phase_spans_follow_activation () =
       ("delete", Obs.Event.dred_delete);
       ("rederive", Obs.Event.dred_rederive);
       ("insert", Obs.Event.dred_insert);
-    ];
-  check_int "no shard span unsharded" 0 (count Obs.Event.shard (-1));
-  let _, _, count = run ~shards:2 () in
-  check_bool "shard spans at two shards" true (count Obs.Event.shard (-1) > 0)
+    ]
 
 let () =
   Alcotest.run "obs"

@@ -33,7 +33,6 @@ let files =
     "BENCH_executor_smoke.json";
     "BENCH_datalog_smoke.json";
     "BENCH_maintain_par_smoke.json";
-    "BENCH_maintain_shard_smoke.json";
     "BENCH_maintain_count_smoke.json";
   ]
 
@@ -51,10 +50,10 @@ let whitelist =
   [
     "benchmark"; "program"; "phase"; "engine"; "workload"; "mode"; "trace";
     "executor"; "tuples"; "tasks"; "changed"; "domains"; "work_unit"; "batch";
-    "sched"; "shards"; "databases_agree"; "maint"; "mix"; "batches"; "advice";
+    "sched"; "databases_agree"; "maint"; "mix"; "batches"; "advice";
     (* counting: how many backward-search suspects the support index
        resolved in O(1) vs by a full probe — deterministic at the
-       bench's fixed seed and shard count *)
+       bench's fixed seed *)
     "o1_hits"; "full_probes";
   ]
 
