@@ -1,121 +1,117 @@
 (* Counting maintenance of one [Rules] component — derivation counts
    with Backward/Forward search and the well-founded support index,
-   healed after every run — and the count-table (re)build behind it.
-   The only module that knows the count-cell encoding; see {!Maint.env}
+   healed after every run — and the count (re)build behind it. The
+   only module that knows the count-cell encoding; see {!Maint.env}
    for what [run] reads. *)
 
 open Maint
 
 (* ---- counting maintenance helpers ------------------------------- *)
 
-(* Does the rule read its own component positively (recursion)? *)
-let is_recursive comp_preds (r : Ast.rule) =
-  List.exists
-    (function
-      | Ast.Pos a -> Hashtbl.mem comp_preds a.Ast.pred
-      | Ast.Neg _ | Ast.Cmp _ -> false)
-    r.Ast.body
+(* A rule is recursive when it reads its own component positively.
+   Only derivations through a linear rule — exactly one in-component
+   atom — carry a usable supporter witness: with two in-component
+   atoms the well-founded level of a derivation is the max over both,
+   which a single witness cannot name — such derivations stay out of
+   [low] (an undercount, the safe direction). *)
+let is_recursive pr = pr.in_comp <> []
 
-(* The single in-component positive body atom of a linear recursive
-   rule, as (original position, predicate); [None] for exit rules and
-   for non-linear recursion. Only derivations through a linear rule
-   carry a usable supporter witness: with two in-component atoms the
-   well-founded level of a derivation is the max over both, which a
-   single witness cannot name — such derivations stay out of [low]
-   (an undercount, the safe direction). *)
-let linear_pos comp_preds (r : Ast.rule) =
-  let found = ref [] in
-  List.iteri
-    (fun i lit ->
-      match lit with
-      | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred ->
-        found := (i, a.Ast.pred) :: !found
-      | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-    r.Ast.body;
-  match !found with [ (i, p) ] -> Some (i, p) | _ -> None
-
-(* A rule's supporter-witness hook for {!Plan.exec_rule}, paired with a
-   reader of the level [level_of] gave the supporter of the derivation
-   just emitted — [max_int] for rules {!linear_pos} rejects. *)
-let witness comp_preds level_of (r : Ast.rule) =
-  match linear_pos comp_preds r with
-  | None -> (None, fun () -> max_int)
-  | Some (w, p) ->
-    let supr = ref max_int in
-    (Some (w, fun tup -> supr := level_of p tup), fun () -> !supr)
+let is_linear pr = match pr.in_comp with [ _ ] -> true | [] | _ :: _ :: _ -> false
 
 (* Is every recursive rule linear? Then every recursive derivation
    names its supporter, so the index can vouch for each tuple it
    levels, and the backward pool can start from the decrements. *)
-let all_linear comp_preds prs =
-  List.for_all
-    (fun pr ->
-      (not (is_recursive comp_preds pr.rule)) || linear_pos comp_preds pr.rule <> None)
-    prs
+let all_linear prs = List.for_all (fun pr -> (not (is_recursive pr)) || is_linear pr) prs
+
+(* a cell, not one of {!Relation}'s sentinels *)
+let real (cell : Relation.count_cell) = cell != Relation.absent && cell != Relation.no_cell
+
+(* The flags [run] keeps in [Relation.count_cell.mark], all clear
+   between rounds but [spare]'s, and between runs all of them:
+   - [touched]: on its head's [touched] list; the d-fields are live;
+   - [fresh]: a newborn candidate of the open round — [level] is the
+     least candidate level seen and [dlow] nets the derivations at it;
+   - [spare]: kept in its head's [newborn] table, not in a store slot;
+   - [listed]: a fresh candidate for a present tuple without a cell.
+   The healing pass numbers its members in [mark] instead. *)
+let touched = 1
+
+let fresh = 2
+
+let spare = 4
+
+let listed = 8
 
 module Levels = Set.Make (Int)
 
 (* One tuple of the healing pass's member set (see [run]'s [heal]):
    its cell, the level it entered with, the least level a certified
    witness allows ([key]), whether that level is final, the witness
-   of each of its derivations, and each derivation it witnesses. *)
+   cell of each of its derivations, and the head cell of each
+   derivation it witnesses. *)
 type heal_member = {
-  hpred : string;
-  htup : Relation.tuple;
-  hcell : Relation.count_cell;
+  h : head;
+  cell : Relation.count_cell;
   old_level : int;
   mutable key : int;
   mutable fin : bool;
-  mutable witnesses : (string * Relation.tuple * Relation.count_cell) list;
-  mutable consumers : (string * Relation.tuple * Relation.count_cell) list;
+  mutable witnesses : Relation.count_cell list;
+  mutable consumers : Relation.count_cell list;
 }
 
 (* Fire every rule at each in-component positive position whose
    predicate has tuples in [round], joining earlier positions against
-   [view] and later ones against [late_view]. [emit hpred], resolved
-   once per rule, receives each derivation's supporter level (see
-   [witness]) and head. The recount fixpoint and the cascade rounds
-   both enumerate through here. *)
-let fire_in_comp comp_preds ~level_of ~view ~late_view ~round ~work prs emit =
+   [view] and later ones against [late_view]. [emit pr], resolved once
+   per rule, receives each derivation's supporter level and head. A
+   linear rule's delta position is its one in-component atom, so the
+   supporter is the delta tuple itself, whose level [level_of h delta
+   tup] reads; other rules report [max_int]. The recount fixpoint and
+   the cascade rounds both enumerate through here. *)
+let fire_in_comp ~level_of ~view ~late_view ~round ~work prs emit =
   List.iter
     (fun pr ->
-      let r = pr.rule in
-      let witness, sup = witness comp_preds level_of r in
-      let emit = emit r.Ast.head.Ast.pred in
-      List.iteri
-        (fun i lit ->
-          match lit with
-          | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> (
-            match Hashtbl.find_opt round a.Ast.pred with
-            | Some delta when Relation.cardinality delta > 0 ->
-              Plan.exec_rule ?witness ~view ~late_view ~delta:(i, delta) ~work
-                ~on_derived:(fun h -> emit (sup ()) h)
+      let emit = emit pr and linear = is_linear pr in
+      List.iter
+        (fun (i, h) ->
+          match Hashtbl.find_opt round h.pred with
+          | Some delta when Relation.cardinality delta > 0 ->
+            if linear then begin
+              let sup = ref max_int in
+              Plan.exec_rule
+                ~witness:(i, fun tup -> sup := level_of h delta tup)
+                ~view ~late_view ~delta:(i, delta) ~work
+                ~on_derived:(fun t -> emit !sup t)
                 pr.ex
-            | Some _ | None -> ())
-          | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> ())
-        r.Ast.body)
+            end
+            else
+              Plan.exec_rule ~view ~late_view ~delta:(i, delta) ~work
+                ~on_derived:(fun t -> emit max_int t)
+                pr.ex
+          | Some _ | None -> ())
+        pr.in_comp)
     prs
 
-(* [pred]'s count table in a predicate-keyed table, created on first
-   use — as {!Maint.delta_rel} is for relations *)
-let counts_in tbl pred =
-  match Hashtbl.find_opt tbl pred with
-  | Some c -> c
-  | None ->
-    let c = Relation.counts_create () in
-    Hashtbl.add tbl pred c;
-    c
+(* supporter levels: off the head's store slot, or off the delta's
+   own slot, where deaths carry their dropped cells and applied
+   births their new ones. A tuple without a cell reads [max_int]
+   either way: {!Relation}'s sentinels are "unknown" *)
+let store_level h _ tup = (Relation.slot h.rel tup).Relation.level
 
-(* [tup]'s cell in [pred]'s table of a predicate-keyed count table *)
-let cell_in tbl pred tup =
-  match Hashtbl.find_opt tbl pred with Some c -> Relation.count_find c tup | None -> None
+let delta_level _ delta tup = (Relation.slot delta tup).Relation.level
 
-(* that cell's level, [max_int] when there is no cell *)
-let level_in tbl pred tup =
-  match cell_in tbl pred tup with Some cell -> cell.Relation.level | None -> max_int
+(* a present tuple's store cell, attached on first use; [absent] for
+   a tuple the store does not hold *)
+let attach h tup =
+  let cell = Relation.slot h.rel tup in
+  if cell == Relation.no_cell then begin
+    let cell = Relation.make_cell tup in
+    Relation.set_cell h.rel cell;
+    cell
+  end
+  else cell
 
-(* (Re)build a [Rules] component's derivation-count side tables — and
-   the well-founded support index — against [view], level-stratified:
+(* (Re)build a [Rules] component's derivation counts — and the
+   well-founded support index — against [view], level-stratified:
 
    - exit pass: each exit rule's base plan enumerates its derivations
      in one full join; heads get [exits] and level 0 (an exit
@@ -138,30 +134,25 @@ let level_in tbl pred tup =
      the next delta, so their consumers' derivations are still
      enumerated exactly once and the fixpoint resumes.
 
-   Attaches fresh tables and returns them keyed by head predicate; the
-   caller stamps them synced once store and counts agree. *)
-let recount_comp ctx (pc : prepared_comp) prs ~view ~work =
-  let is_rec = is_recursive pc.comp_preds in
-  let counts_of : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
+   The store must be a fixpoint of the rules under [view]: cells go
+   in the slots of present tuples only. Attaches fresh stamps and
+   returns them with their heads; the caller syncs them once store and
+   counts agree. *)
+let recount_comp (pc : prepared_comp) prs ~view ~work =
+  let stamps = List.map (fun h -> (h, Relation.counts_attach h.rel)) pc.heads in
   List.iter
     (fun pr ->
-      let pred = pr.rule.Ast.head.Ast.pred in
-      if not (Hashtbl.mem counts_of pred) then
-        Hashtbl.add counts_of pred (Relation.counts_attach (head_rel ctx pr.rule)))
-    prs;
-  List.iter
-    (fun pr ->
-      if not (is_rec pr.rule) then begin
-        let c = Hashtbl.find counts_of pr.rule.Ast.head.Ast.pred in
+      if not (is_recursive pr) then
         Plan.exec_rule ~view ~work
           ~on_derived:(fun tup ->
-            let cell = Relation.count_cell c tup in
-            cell.Relation.exits <- cell.Relation.exits + 1;
-            cell.Relation.level <- 0)
-          pr.ex
-      end)
+            let cell = attach pr.head tup in
+            if cell != Relation.absent then begin
+              cell.Relation.exits <- cell.Relation.exits + 1;
+              cell.Relation.level <- 0
+            end)
+          pr.ex)
     prs;
-  let rec_prs = List.filter (fun pr -> is_rec pr.rule) prs in
+  let rec_prs = List.filter is_recursive prs in
   if rec_prs <> [] then begin
     let leveled : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
     let pinned : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
@@ -182,16 +173,16 @@ let recount_comp ctx (pc : prepared_comp) prs ~view ~work =
     in
     (* round 1's delta: the exit-leveled tuples *)
     let round = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
-    Hashtbl.iter
-      (fun pred c ->
-        Relation.counts_iter
+    List.iter
+      (fun h ->
+        Relation.iter_slots
           (fun tup cell ->
             if cell.Relation.level = 0 then begin
-              ignore (add_to leveled pred tup);
-              ignore (add_to !round pred tup)
+              ignore (add_to leveled h.pred tup);
+              ignore (add_to !round h.pred tup)
             end)
-          c)
-      counts_of;
+          h.rel)
+      pc.heads;
     let r = ref 0 in
     let continue_ = ref true in
     while !continue_ do
@@ -200,78 +191,86 @@ let recount_comp ctx (pc : prepared_comp) prs ~view ~work =
         let cur = !round in
         let next = Hashtbl.create 4 in
         let late = overlay_view ~plus:no_overlay ~minus:cur leveled_view in
-        fire_in_comp pc.comp_preds ~level_of:(level_in counts_of) ~view:leveled_view
-          ~late_view:late ~round:cur ~work rec_prs (fun hpred ->
-            let c = Hashtbl.find counts_of hpred in
-            fun s h ->
-              let cell = Relation.count_cell c h in
-              cell.Relation.recs <- cell.Relation.recs + 1;
-              if cell.Relation.level < max_int then begin
-                if s < cell.Relation.level then cell.Relation.low <- cell.Relation.low + 1
-              end
-              else if not (mem_in pinned hpred h) then begin
-                (* first derivable this round: will get level [r];
-                   staged so it joins the leveled set only at round
-                   end *)
-                if s < !r then cell.Relation.low <- cell.Relation.low + 1;
-                ignore (add_to next hpred h)
+        fire_in_comp ~level_of:store_level ~view:leveled_view ~late_view:late ~round:cur
+          ~work rec_prs (fun pr ->
+            let h = pr.head in
+            fun s t ->
+              let cell = attach h t in
+              if cell != Relation.absent then begin
+                cell.Relation.recs <- cell.Relation.recs + 1;
+                if cell.Relation.level < max_int then begin
+                  if s < cell.Relation.level then cell.Relation.low <- cell.Relation.low + 1
+                end
+                else if not (mem_in pinned h.pred t) then begin
+                  (* first derivable this round: will get level [r];
+                     staged so it joins the leveled set only at round
+                     end *)
+                  if s < !r then cell.Relation.low <- cell.Relation.low + 1;
+                  ignore (add_to next h.pred t)
+                end
               end);
         (* staged fresh levels are assigned only now: the round's views
            must not see mid-round additions *)
-        Hashtbl.iter
-          (fun pred srel ->
-            let c = Hashtbl.find counts_of pred in
-            Relation.iter
-              (fun tup ->
-                (match Relation.count_find c tup with
-                | Some cell ->
-                  if cell.Relation.level = max_int then cell.Relation.level <- !r
-                | None -> ());
-                ignore (add_to leveled pred tup))
-              srel)
-          next;
+        List.iter
+          (fun h ->
+            iter_net next h.pred (fun tup ->
+                let cell = Relation.slot h.rel tup in
+                if real cell && cell.Relation.level = max_int then cell.Relation.level <- !r;
+                ignore (add_to leveled h.pred tup)))
+          pc.heads;
         round := next
       end
       else begin
         (* stalled: pin still-unleveled present tuples at level 0 *)
-        let fresh = Hashtbl.create 4 in
+        let pinned_now = Hashtbl.create 4 in
         let any = ref false in
-        Hashtbl.iter
-          (fun pred () ->
-            view.Matcher.iter pred (fun tup ->
-                if not (mem_in leveled pred tup) then begin
-                  ignore (add_to pinned pred tup);
-                  ignore (add_to leveled pred tup);
-                  ignore (add_to fresh pred tup);
+        List.iter
+          (fun h ->
+            view.Matcher.iter h.pred (fun tup ->
+                if not (mem_in leveled h.pred tup) then begin
+                  ignore (add_to pinned h.pred tup);
+                  ignore (add_to leveled h.pred tup);
+                  ignore (add_to pinned_now h.pred tup);
                   any := true
                 end))
-          pc.comp_preds;
-        if !any then round := fresh else continue_ := false
+          pc.heads;
+        if !any then round := pinned_now else continue_ := false
       end
     done
   end;
   (* a linear component's unvouched set: what the index cannot vouch
      for — only tuples leveled through pinned base facts *)
-  if all_linear pc.comp_preds prs then
-    Hashtbl.iter
-      (fun _ c ->
+  if all_linear prs then
+    List.iter
+      (fun (h, c) ->
         let u = ref [] in
         Relation.counts_iter
           (fun tup cell ->
             if cell.Relation.exits = 0 && cell.Relation.low = 0 then u := tup :: !u)
-          c;
+          h.rel;
         Relation.counts_set_unvouched c !u)
-      counts_of;
-  counts_of
+      stamps;
+  stamps
+
+(* the variables and constants of [args] under [env], written into
+   [buf] — top-level, so filling a witness allocates nothing *)
+let rec fill_args ~symbols buf env j = function
+  | [] -> ()
+  | t :: rest ->
+    buf.(j) <-
+      (match t with
+      | Ast.Var v -> List.assoc v env
+      | Ast.Const _ | Ast.Agg _ -> Option.get (Matcher.resolve_term ~symbols env t));
+    fill_args ~symbols buf env (j + 1) rest
 
 (* ---- counting maintenance (derivation counts + B/F search) ----
 
    The deletion-side replacement for DRed's overdelete/rederive:
-   per-tuple derivation counts (split exit/recursive) live in
-   {!Relation}'s side table and are maintained by signed delta
-   propagation — a tuple dies exactly when its count reaches zero,
-   so nothing is over-deleted and rederivation shrinks to a
-   backward check of the few decremented-but-surviving tuples
+   per-tuple derivation counts (split exit/recursive) live in the
+   relation's own tuple slots ({!Relation.slot}) and are maintained
+   by signed delta propagation — a tuple dies exactly when its count
+   reaches zero, so nothing is over-deleted and rederivation shrinks
+   to a backward check of the few decremented-but-surviving tuples
    without exit support. Every enumeration uses the telescoped
    split-view form: the delta literal at body position i joins
    positions j < i against the already-updated state and positions
@@ -284,6 +283,14 @@ let recount_comp ctx (pc : prepared_comp) prs ~view ~work =
    the store state that order implies: deaths/births already
    applied count as "early" state, the round's own delta restored/
    hidden via {!overlay_view} is the "late" state.
+
+   A derivation costs one slot lookup in its head relation, which
+   yields presence and cell at once, plus one for its witness. The
+   round's signed deltas accumulate in the cell's own d-fields and
+   the touched cells queue on their head's list, which [settle]
+   walks without hashing. Only tuples absent from the store (newborn
+   candidates and pending births) keep their cells in a side table,
+   the head's [newborn].
 
    The well-founded support index rides in the same cells: [level]
    is the recount fixpoint round of a tuple's first well-founded
@@ -310,208 +317,186 @@ let recount_comp ctx (pc : prepared_comp) prs ~view ~work =
    Attribution is witness-based: every enumeration of a linear
    recursive rule extracts the tuple its single in-component atom
    matched ({!Plan.run}'s [witness]) and classifies the derivation
-   against the head's level, looking supporter levels of tuples
-   killed earlier in the run up in a morgue. Non-linear
-   derivations never enter [low]: it may undercount (costing a
-   probe), never overcount (which would be unsound). *)
+   against the head's level; a tuple killed earlier in the run
+   carries its dropped cell, and so its level, in the death round
+   that enumerates through it. Non-linear derivations never enter
+   [low]: it may undercount (costing a probe), never overcount
+   (which would be unsound). *)
 let run env =
   let { ctx; pc; rules = prs; work; ring; phase_begin; phase_end } = env in
-  let d = ctx.d and comp_preds = pc.comp_preds in
-  let rec_rule = is_recursive comp_preds in
-  let recursive = List.exists (fun pr -> rec_rule pr.rule) prs in
-  let linear = recursive && all_linear comp_preds prs in
-  let heads : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
+  let d = ctx.d and heads = pc.heads in
+  let recursive = List.exists is_recursive prs in
+  let linear = recursive && all_linear prs in
+  (* the scratch a raising run may have left behind *)
   List.iter
-    (fun pr ->
-      let pred = pr.rule.Ast.head.Ast.pred in
-      if not (Hashtbl.mem heads pred) then Hashtbl.add heads pred (head_rel ctx pr.rule))
-    prs;
+    (fun h ->
+      h.touched <- [];
+      List.iter Relation.clear [ h.newborn; h.births; h.dec; h.born ])
+    heads;
   (* counts: trust them only if stamped at the relations' current
      versions; any other mutation path (DRed, Eval, direct edits)
-     bumped the version, so rebuild against the pre-update state.
-     Comp relations are untouched at this point and upstream deltas
-     cancel out under the old view, so the rebuild is exact. *)
-  let stale =
-    Hashtbl.fold
-      (fun _ rel acc -> acc || Relation.counts_synced rel = None)
-      heads false
+     bumped the version, and a raising run left its stamps unsynced,
+     so rebuild against the pre-update state. Comp relations are
+     untouched at this point and upstream deltas cancel out under the
+     old view, so the rebuild is exact. *)
+  let stale = List.exists (fun h -> Relation.counts_synced h.rel = None) heads in
+  let stamps =
+    if stale then recount_comp pc prs ~view:ctx.old_view ~work
+    else List.map (fun h -> (h, Option.get (Relation.counts_synced h.rel))) heads
   in
-  let counts_of =
-    if stale then recount_comp ctx pc prs ~view:ctx.old_view ~work
+  List.iter (fun (_, c) -> Relation.counts_unsync c) stamps;
+  (* [dec] accumulates, over the whole run, every tuple that lost a
+     derivation (recursive comps only) — in a linear component only
+     the losses of an exit derivation or of a [low] entry, the only
+     ones that can leave a tuple unvouched. It feeds the backward
+     phase's trigger and pool and the healing pass. *)
+  let newborn h present tup =
+    let cell = Relation.slot h.newborn tup in
+    if cell != Relation.absent then cell
     else begin
-      let tbl = Hashtbl.create 4 in
-      Hashtbl.iter
-        (fun pred rel ->
-          match Relation.counts_synced rel with
-          | Some c -> Hashtbl.add tbl pred c
-          | None -> assert false)
-        heads;
-      tbl
+      let cell = Relation.make_cell tup in
+      cell.Relation.mark <- (if present then fresh lor spare lor listed else fresh lor spare);
+      ignore (Relation.add_cell h.newborn cell);
+      cell
     end
   in
-  (* morgue: levels of tuples this run killed, so later death
-     attribution can still classify derivations through them. One
-     run is enough scope — across batches every surviving
-     derivation's body tuples are alive, their levels in live
-     cells. (Reuses [Relation.counts] as a tuple-keyed map.) *)
-  let morgue : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
-  let morgue_put pred tup level =
-    if level < max_int then
-      (Relation.count_cell (counts_in morgue pred) tup).Relation.level <- level
-  in
-  let canon_cell = cell_in counts_of in
-  (* a supporter's level: its live cell's, else the morgue's, else
-     unknown. Base facts listed for derived predicates carry no
-     cell and so always read [max_int] — everywhere, so births and
-     deaths through them classify identically (neither touches
-     [low]). *)
-  let sup_level pred tup =
-    match canon_cell pred tup with
-    | Some cell -> cell.Relation.level
-    | None -> level_in morgue pred tup
-  in
-  (* scratch signed count deltas of the round being enumerated;
-     [dec_touched] accumulates, over the whole run, every tuple that
-     lost a derivation (recursive comps only) — in a linear component
-     only the losses of an exit derivation or of a [low] entry, the
-     only ones that can leave a tuple unvouched. It feeds the
-     backward phase's trigger and pool and the healing pass. *)
-  let sc : (string, Relation.counts) Hashtbl.t = Hashtbl.create 4 in
-  let dec_touched : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-  let bump pred exit sign sup tup =
-    let cell = Relation.count_cell (counts_in sc pred) tup in
-    if exit then cell.Relation.exits <- cell.Relation.exits + sign
-    else cell.Relation.recs <- cell.Relation.recs + sign;
-    (* index attribution. The canonical store is frozen while a
-       round enumerates, so the encoding branches on whether the
-       tuple already has a canonical cell: existing cells
-       accumulate a signed [low] delta (scratch [level] stays
-       [max_int]; the merge treats equal levels additively), while
-       an uncelled tuple is a newborn candidate — scratch [level]
-       takes the least candidate level seen this round (0 for an
-       exit derivation, supporter + 1 for a leveled linear one)
-       and [low] nets the signed recursive derivations attaining
-       it. The sign matters: a derivation that is born and dies
-       within one batch (its delta literals enumerated in both
-       directions, as when an edge is added while a negated fact
-       that blocks it is added too) meets both signs at the same
-       candidate level, and must leave no [low] entry behind. When
-       all contributions at the least level cancel, the newborn
-       keeps that level with [low = 0] — unvouched, never
-       overcounted. *)
+  let bump h exit sign sup tup =
+    let cell = Relation.slot h.rel tup in
+    let cell =
+      if cell == Relation.absent then newborn h false tup
+      else if cell == Relation.no_cell then newborn h true tup
+      else cell
+    in
+    if cell.Relation.mark land touched = 0 then begin
+      cell.Relation.mark <- cell.Relation.mark lor touched;
+      h.touched <- cell :: h.touched
+    end;
+    if exit then cell.Relation.dexits <- cell.Relation.dexits + sign
+    else cell.Relation.drecs <- cell.Relation.drecs + sign;
+    (* index attribution. The store is frozen while a round
+       enumerates, so the encoding branches on whether the tuple
+       already has a cell of its own: such a cell accumulates a
+       signed [low] delta in [dlow], while a fresh candidate (a tuple
+       without one) is a newborn — its [level] takes the least
+       candidate level seen this round (0 for an exit derivation,
+       supporter + 1 for a leveled linear one) and [dlow] nets the
+       signed recursive derivations attaining it. The sign matters: a
+       derivation that is born and dies within one batch (its delta
+       literals enumerated in both directions, as when an edge is
+       added while a negated fact that blocks it is added too) meets
+       both signs at the same candidate level, and must leave no
+       [low] entry behind. When all contributions at the least level
+       cancel, the newborn keeps that level with [low = 0] —
+       unvouched, never overcounted. *)
     let counted =
-      match canon_cell pred tup with
-      | Some ccell ->
-        let counted = (not exit) && sup < ccell.Relation.level in
-        if counted then cell.Relation.low <- cell.Relation.low + sign;
+      if cell.Relation.mark land fresh = 0 then begin
+        let counted = (not exit) && sup < cell.Relation.level in
+        if counted then cell.Relation.dlow <- cell.Relation.dlow + sign;
         counted
-      | None ->
+      end
+      else begin
         if exit then begin
           if sign > 0 && cell.Relation.level > 0 then begin
             cell.Relation.level <- 0;
-            cell.Relation.low <- 0
+            cell.Relation.dlow <- 0
           end
         end
         else if sup < max_int then begin
           let cand = sup + 1 in
           if cand < cell.Relation.level then begin
             cell.Relation.level <- cand;
-            cell.Relation.low <- sign
+            cell.Relation.dlow <- sign
           end
           else if cand = cell.Relation.level then
-            cell.Relation.low <- cell.Relation.low + sign
+            cell.Relation.dlow <- cell.Relation.dlow + sign
         end;
         false
+      end
     in
     if sign < 0 && recursive && (exit || counted || not linear) then
-      ignore (add_to dec_touched pred tup)
+      ignore (Relation.add h.dec tup)
   in
-  let pending_births = ref (Hashtbl.create 4 : (string, Relation.t) Hashtbl.t) in
-  let take_births () =
-    let b = !pending_births in
-    pending_births := Hashtbl.create 4;
-    b
-  in
-  (* a cell whose tuple lost all support leaves its level in the morgue *)
-  let drop_cell pred c tup level =
-    morgue_put pred tup level;
-    Relation.count_drop c tup
-  in
-  (* a present tuple's death: its cell dropped, the tuple removed from
-     the store and recorded, and queued in [deaths] for the next
+  (* a present tuple's death: removed from the store and recorded, its
+     cell (and so its level) going with it into [deaths] for the next
      cascade round *)
-  let kill deaths pred c rel tup level =
-    drop_cell pred c tup level;
-    ignore (Relation.remove rel tup);
-    record_remove d pred ~arity:(Relation.arity rel) tup;
-    ignore (add_to deaths pred tup)
+  let kill deaths h (cell : Relation.count_cell) =
+    let arity = Relation.arity h.rel in
+    ignore (Relation.remove h.rel cell.Relation.key);
+    record_remove d h.pred ~arity cell.Relation.key;
+    ignore (Relation.add_cell (delta_rel deaths h.pred ~arity) cell)
   in
-  (* Apply a round's net signed deltas to the counts. Deaths (a
-     present tuple's total reaching zero) are applied to the store
-     immediately and returned for the next cascade round; births
-     (positive support for an absent tuple) are only queued — they
-     are applied after all deletion-side work, so the backward
-     search never sees half-inserted state. Decrements aimed at a
-     tuple with no cell are support through something this batch
-     already killed: discarded, like the increments such a tuple's
-     own count would have carried. *)
+  let discard h (cell : Relation.count_cell) =
+    ignore (Relation.remove h.newborn cell.Relation.key)
+  in
+  (* merge a round's [low] delta into a cell; [low] stays within
+     [0, recs] — the clamps only absorb attribution the index
+     deliberately undercounts (e.g. a decrement whose birth predated
+     the index), never inflate it *)
+  let merge_low (cell : Relation.count_cell) dlow =
+    let low = cell.Relation.low + dlow in
+    let low = if low < 0 then 0 else low in
+    cell.Relation.low <- (if low > cell.Relation.recs then cell.Relation.recs else low)
+  in
+  (* Apply a round's net signed deltas to the counts, one touched cell
+     at a time in first-touch order. Deaths (a present tuple's total
+     reaching zero) are applied to the store immediately and returned
+     for the next cascade round; births (positive support for an
+     absent tuple) are only queued — they are applied after all
+     deletion-side work, so the backward search never sees
+     half-inserted state. Decrements aimed at a tuple with no cell
+     are support through something this batch already killed:
+     discarded, like the increments such a tuple's own count would
+     have carried. *)
   let settle () =
     let deaths : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-    (* merge the scratch [low] delta into a live cell; [low] stays
-       within [0, recs] — the clamps only absorb attribution the
-       index deliberately undercounts (e.g. a decrement whose birth
-       predated the index), never inflate it *)
-    let merge_low (cell : Relation.count_cell) dlow =
-      let low = cell.Relation.low + dlow in
-      let low = if low < 0 then 0 else low in
-      cell.Relation.low <-
-        (if low > cell.Relation.recs then cell.Relation.recs else low)
+    let settle_cell h (cell : Relation.count_cell) =
+      let dex = cell.Relation.dexits and drec = cell.Relation.drecs in
+      let dlow = cell.Relation.dlow and m = cell.Relation.mark in
+      cell.Relation.dexits <- 0;
+      cell.Relation.drecs <- 0;
+      cell.Relation.dlow <- 0;
+      cell.Relation.mark <- m land spare;
+      if m land fresh <> 0 then begin
+        (* a newborn candidate takes the round's net as its counts. A
+           present one is a base fact listed for this derived
+           predicate: new derivations attach the cell to its slot,
+           stray decrements are bogus and keep the fact pinned. An
+           absent one with positive support is a birth. *)
+        if dex + drec > 0 then begin
+          cell.Relation.exits <- dex;
+          cell.Relation.recs <- drec;
+          let l = if dlow < 0 then 0 else dlow in
+          cell.Relation.low <- (if l > drec then drec else l);
+          if m land listed <> 0 then begin
+            discard h cell;
+            cell.Relation.mark <- 0;
+            Relation.set_cell h.rel cell;
+            (* a listed fact the index never leveled: suspect it like
+               any other unvouched tuple *)
+            if linear then ignore (Relation.add h.dec cell.Relation.key)
+          end
+          else ignore (Relation.add h.births cell.Relation.key)
+        end
+        else discard h cell
+      end
+      else if dex <> 0 || drec <> 0 || dlow <> 0 then begin
+        cell.Relation.exits <- cell.Relation.exits + dex;
+        cell.Relation.recs <- cell.Relation.recs + drec;
+        merge_low cell dlow;
+        let present = m land spare = 0 in
+        if Relation.count_total cell > 0 then begin
+          if not present then ignore (Relation.add h.births cell.Relation.key)
+        end
+        else if present then kill deaths h cell
+        else discard h cell
+      end
     in
-    let fresh_cell c tup (dcell : Relation.count_cell) dex drec =
-      let cell = Relation.count_cell c tup in
-      cell.Relation.exits <- dex;
-      cell.Relation.recs <- drec;
-      cell.Relation.level <- dcell.Relation.level;
-      let l = if dcell.Relation.low < 0 then 0 else dcell.Relation.low in
-      cell.Relation.low <- (if l > drec then drec else l)
-    in
-    Hashtbl.iter
-      (fun pred (round_counts : Relation.counts) ->
-        let rel = Hashtbl.find heads pred in
-        let c = Hashtbl.find counts_of pred in
-        let birth tup = ignore (add_to !pending_births pred tup) in
-        Relation.counts_iter
-          (fun tup dcell ->
-            let dex = dcell.Relation.exits and drec = dcell.Relation.recs in
-            if dex <> 0 || drec <> 0 || dcell.Relation.low <> 0 then begin
-              let present = Relation.mem rel tup in
-              match Relation.count_find c tup with
-              | Some cell ->
-                cell.Relation.exits <- cell.Relation.exits + dex;
-                cell.Relation.recs <- cell.Relation.recs + drec;
-                merge_low cell dcell.Relation.low;
-                if Relation.count_total cell > 0 then (if not present then birth tup)
-                else if present then kill deaths pred c rel tup cell.Relation.level
-                else drop_cell pred c tup cell.Relation.level
-              | None ->
-                (* present but never counted: a base fact listed
-                   for this derived predicate. New derivations
-                   attach a cell (with the newborn level the
-                   scratch collected); stray decrements are bogus
-                   and keep the fact pinned. Absent and uncounted,
-                   positive support makes it a birth. *)
-                if dex + drec > 0 then begin
-                  fresh_cell c tup dcell dex drec;
-                  if not present then birth tup
-                  else if linear then
-                    (* a listed fact the index never leveled: suspect it
-                       like any other unvouched tuple *)
-                    ignore (add_to dec_touched pred tup)
-                end
-            end)
-          round_counts)
-      sc;
-    Hashtbl.reset sc;
+    List.iter
+      (fun h ->
+        let cells = List.rev h.touched in
+        h.touched <- [];
+        List.iter (settle_cell h) cells)
+      heads;
     deaths
   in
   (* one in-component cascade round: the delta (this round's deaths
@@ -519,12 +504,13 @@ let run env =
      its in-component positions; [pre] is the pre-round state for
      the late positions. For a linear rule the delta position is
      its only in-component atom, so the witness is the delta tuple
-     itself; its level is read at emission time. Only scratch
-     counts are written, so the non-deferred executor is safe. *)
+     itself, its level on the cell the delta carries. Only cells'
+     scratch and the [newborn] tables are written, so the
+     non-deferred executor is safe. *)
   let enumerate_in_comp ~sign ~round ~pre =
     (* in-comp delta position ⇒ recursive rule: [exit] is false *)
-    fire_in_comp comp_preds ~level_of:sup_level ~view:ctx.new_view ~late_view:pre
-      ~round ~work prs (fun hpred -> bump hpred false sign)
+    fire_in_comp ~level_of:delta_level ~view:ctx.new_view ~late_view:pre ~round ~work prs
+      (fun pr -> bump pr.head false sign)
   in
   let cascade_deaths deaths0 =
     phase_begin ();
@@ -550,34 +536,33 @@ let run env =
      enter the suspect pool. In a component whose recursive rules
      are all linear the pool is seeded from the decrements: the
      present exits = 0 tuples that lost an exit derivation or a
-     [low] entry this run, plus the tables' unvouched tuples.
-     Every other present exits = 0 tuple kept all its [low]
-     entries and, by the invariant the healing pass restores at
-     the end of each run, has [low >= 1]: it is index-vouched, so
-     it stands or falls with the lower-level supporters its entries
-     name, which the drain resolves first — an unfounded cycle
-     cannot vouch for itself, since levels strictly fall along the
-     entries. The hidden-peer rule below treats such a tuple
-     exactly as a vouched pool member. A component with a
-     non-linear recursive rule has derivations the index cannot
-     name, so its pool stays every present exits = 0 tuple — a
-     superset of any unfounded set, where a not-yet-suspected peer
-     is itself suspect and hidden until resolved.
+     [low] entry this run, plus the unvouched tuples. Every other
+     present exits = 0 tuple kept all its [low] entries and, by the
+     invariant the healing pass restores at the end of each run, has
+     [low >= 1]: it is index-vouched, so it stands or falls with the
+     lower-level supporters its entries name, which the drain
+     resolves first — an unfounded cycle cannot vouch for itself,
+     since levels strictly fall along the entries. The hidden-peer
+     rule below treats such a tuple exactly as a vouched pool
+     member. A component with a non-linear recursive rule has
+     derivations the index cannot name, so its pool stays every
+     present exits = 0 tuple — a superset of any unfounded set,
+     where a not-yet-suspected peer is itself suspect and hidden
+     until resolved.
 
      Within the pool the well-founded support index replaces most
      probes with an O(1) check. Suspects resolve in ascending
      cell-level order. A probe failure condemns the suspect and
      debits every consumer derivation the index counted through
      it (the linear-rule matches where it is the strictly-lower-
-     level witness) in a side ledger — the condemned tuple's level
-     certificate is stale, so consumers must not rely on it. A
-     suspect whose [low] minus its debt is positive is proven
-     without evaluation: each surviving [low] entry names a
-     supporter at a strictly lower level, every strictly-lower
-     suspect was already resolved (debts filed) by the drain
-     order, so that supporter is either outside the pool or
-     proven, and induction on levels grounds the chain in exit
-     support. The debt can overshoot when [low] undercounted —
+     level witness) — the condemned tuple's level certificate is
+     stale, so consumers must not rely on it. A suspect whose [low]
+     minus its debt is positive is proven without evaluation: each
+     surviving [low] entry names a supporter at a strictly lower
+     level, every strictly-lower suspect was already resolved (debts
+     filed) by the drain order, so that supporter is either outside
+     the pool or proven, and induction on levels grounds the chain in
+     exit support. The debt can overshoot when [low] undercounted —
      that costs a probe, never soundness.
 
      Peers whose probe failed only because a later-proven suspect
@@ -605,7 +590,17 @@ let run env =
       r.Ast.head.Ast.args;
     if !ok then Some !env else None
   in
-  let rec_prs = List.filter (fun pr -> rec_rule pr.rule) prs in
+  (* a component predicate's head, memoized on physical string
+     equality: probes ask about one predicate many times in a row *)
+  let memo_pred = ref "" and memo_head = ref None in
+  let head_of pred =
+    if pred != !memo_pred then begin
+      memo_pred := pred;
+      memo_head := List.find_opt (fun h -> String.equal h.pred pred) heads
+    end;
+    !memo_head
+  in
+  let rec_prs = List.filter is_recursive prs in
   (* goal-directed body order, fixed once per component: positives
      ascending by live cardinality so the probe hits the small
      relation first (edge before path, in transitive-closure
@@ -627,10 +622,10 @@ let run env =
     List.map (fun pr -> (pr, sorted pr)) rec_prs
   in
   let exception Proved in
-  let provable ~hide pred tup =
+  let provable ~hide h tup =
     List.exists
       (fun (pr, body) ->
-        pr.rule.Ast.head.Ast.pred = pred
+        pr.head == h
         &&
         match head_env pr.rule tup with
         | None -> false
@@ -644,23 +639,30 @@ let run env =
       probe_prs
   in
   let o1_hits = ref 0 and full_probes = ref 0 in
-  (* linear recursive rules with their in-component atom position:
-     the only derivations the level index counts, hence the only
-     ones a condemnation needs to debit *)
+  (* linear recursive rules with their in-component atom: the only
+     derivations the level index counts, hence the only ones a
+     condemnation needs to debit *)
   let lin_prs =
     List.filter_map
-      (fun pr ->
-        if rec_rule pr.rule then
-          match linear_pos comp_preds pr.rule with
-          | Some (i, p) -> Some (pr, i, p)
-          | None -> None
-        else None)
+      (fun pr -> match pr.in_comp with [ (i, wh) ] -> Some (pr, i, wh) | _ -> None)
       prs
+  in
+  (* every derivation whose witness is [h]'s tuple [tup], for
+     [on_derived] to see the head of *)
+  let consumers h tup on_derived =
+    Relation.clear h.single;
+    ignore (Relation.add h.single tup);
+    List.iter
+      (fun (pr, i, wh) ->
+        if wh == h then
+          Plan.exec_rule ~view:ctx.new_view ~delta:(i, h.single) ~work
+            ~on_derived:(on_derived pr.head) pr.ex)
+      lin_prs
   in
   let backward_prove () =
     (* Linear component: the seeds are the present [exits = 0]
-       tuples of [dec_touched] — those the index no longer vouches
-       for ([low = 0]) need a probe, the rest are held for the O(1)
+       tuples of [dec] — those the index no longer vouches for
+       ([low = 0]) need a probe, the rest are held for the O(1)
        tally — plus the unvouched tuples the index could not vouch
        for after the last run. Every other present [exits = 0] tuple
        kept each [low] entry it had, and with [low >= 1] for all of
@@ -670,42 +672,35 @@ let run env =
     let probe_seeds = ref [] and vouched = ref [] in
     let triggered =
       if linear then begin
-        let seed pred tup =
-          match canon_cell pred tup with
-          | Some cell
-            when cell.Relation.exits = 0 && Relation.mem (Hashtbl.find heads pred) tup ->
-            if cell.Relation.low = 0 then probe_seeds := (pred, tup, cell) :: !probe_seeds
+        let seed h tup =
+          let cell = Relation.slot h.rel tup in
+          if real cell && cell.Relation.exits = 0 then
+            if cell.Relation.low = 0 then probe_seeds := (h, cell) :: !probe_seeds
             else vouched := cell :: !vouched
-          | Some _ | None -> ()
         in
-        Hashtbl.iter (fun pred srel -> Relation.iter (seed pred) srel) dec_touched;
-        Hashtbl.iter
-          (fun pred c ->
+        List.iter (fun h -> Relation.iter (seed h) h.dec) heads;
+        List.iter
+          (fun (h, c) ->
             List.iter
-              (fun tup -> if not (mem_in dec_touched pred tup) then seed pred tup)
+              (fun tup -> if not (Relation.mem h.dec tup) then seed h tup)
               (Relation.counts_unvouched c))
-          counts_of;
+          stamps;
         !probe_seeds <> []
       end
-      else begin
+      else
         (* otherwise some present tuple must have lost a derivation
            and be left without exit support — only then can anything
            have become unfounded *)
-        let triggered = ref false in
-        Hashtbl.iter
-          (fun pred srel ->
-            if not !triggered then
-              let rel = Hashtbl.find heads pred in
-              Relation.iter
-                (fun tup ->
-                  if (not !triggered) && Relation.mem rel tup then
-                    match canon_cell pred tup with
-                    | Some cell when cell.Relation.exits = 0 -> triggered := true
-                    | Some _ | None -> ())
-                srel)
-          dec_touched;
-        !triggered
-      end
+        List.exists
+          (fun h ->
+            Relation.fold
+              (fun found tup ->
+                found
+                ||
+                let cell = Relation.slot h.rel tup in
+                real cell && cell.Relation.exits = 0)
+              false h.dec)
+          heads
     in
     if not triggered then begin
       o1_hits := !o1_hits + List.length !vouched;
@@ -725,42 +720,34 @@ let run env =
          or not (always strictly above the drain frontier, so
          ascending order is preserved — [pending_levels] keeps the
          not-yet-drained level set sorted). Each entry carries its
-         cell to spare re-hashing at resolution. *)
-      let buckets :
-          (int, (string * Relation.tuple * Relation.count_cell) list ref) Hashtbl.t
-          =
+         cell, whose key is its tuple. *)
+      let buckets : (int, (head * Relation.count_cell) list ref) Hashtbl.t =
         Hashtbl.create 64
       in
       let pending_levels = ref Levels.empty in
       let suspects = ref 0 and probe_admitted = ref 0 in
-      let admit pred tup cell =
+      let admit h (cell : Relation.count_cell) =
         incr probe_admitted;
         let lvl = cell.Relation.level in
         (match Hashtbl.find_opt buckets lvl with
-        | Some l -> l := (pred, tup, cell) :: !l
-        | None -> Hashtbl.replace buckets lvl (ref [ (pred, tup, cell) ]));
+        | Some l -> l := (h, cell) :: !l
+        | None -> Hashtbl.replace buckets lvl (ref [ (h, cell) ]));
         pending_levels := Levels.add lvl !pending_levels
       in
-      (* the present-check guards against queued births (in counts,
-         not yet in the store); with none pending, counts ⊆ store
-         — [settle] drops the cell of anything it removes — and
-         the per-tuple membership hash is skipped wholesale *)
-      let check_mem = any_live !pending_births in
-      if linear then
-        List.iter (fun (pred, tup, cell) -> admit pred tup cell) (List.rev !probe_seeds)
+      (* only present tuples hold store cells: queued births live in
+         the heads' [newborn] tables and stay out of the pool *)
+      if linear then List.iter (fun (h, cell) -> admit h cell) (List.rev !probe_seeds)
       else
-        Hashtbl.iter
-          (fun pred c ->
-            let rel = Hashtbl.find heads pred in
-            Relation.counts_iter
-              (fun tup cell ->
-                if cell.Relation.exits = 0 && ((not check_mem) || Relation.mem rel tup)
-                then begin
+        List.iter
+          (fun h ->
+            Relation.iter_slots
+              (fun _ cell ->
+                if cell != Relation.no_cell && cell.Relation.exits = 0 then begin
                   incr suspects;
-                  if cell.Relation.low = 0 then admit pred tup cell
+                  if cell.Relation.low = 0 then admit h cell
                 end)
-              c)
-          counts_of;
+              h.rel)
+          heads;
       (* debts are filed straight into the consumer's cell ([debt]
          field): [low - debt] is the count of index entries still
          safe to rely on, read as field arithmetic — no side-ledger
@@ -769,44 +756,25 @@ let run env =
          cells persist across batches and must come back clean. *)
       let debited : Relation.count_cell list ref = ref [] in
       let condemned : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-      let condemn pred tup lvl =
+      let condemn h (cell : Relation.count_cell) =
         (* first failure only: debit every consumer derivation the
            level index counted through this tuple (linear rules
            where it is the strictly-lower-level witness). A level
            of max_int never entered any [low], so there is nothing
            to debit. *)
-        if
-          lvl < max_int
-          && add_to condemned pred tup
-        then begin
-          let singleton = Relation.create ~arity:(Array.length tup) in
-          ignore (Relation.add singleton tup);
-          List.iter
-            (fun (pr, i, p) ->
-              if p = pred then
-                let hpred = pr.rule.Ast.head.Ast.pred in
-                Plan.exec_rule ~view:ctx.new_view ~delta:(i, singleton) ~work
-                  ~on_derived:(fun h ->
-                    match canon_cell hpred h with
-                    | Some hc
-                      when lvl < hc.Relation.level && hc.Relation.exits = 0 ->
-                      if hc.Relation.debt = 0 then debited := hc :: !debited;
-                      hc.Relation.debt <- hc.Relation.debt + 1;
-                      (* the debit that exhausts [low] turns an
-                         index-vouched consumer into a probe case:
-                         it joins its level bucket now (its level is
-                         strictly above the frontier). Pending
-                         births carry cells but are absent from the
-                         store and must stay out of the pool. *)
-                      if
-                        hc.Relation.debt = hc.Relation.low
-                        && ((not check_mem)
-                           || Relation.mem (Hashtbl.find heads hpred) h)
-                      then admit hpred (Array.copy h) hc
-                    | Some _ | None -> ())
-                  pr.ex)
-            lin_prs
-        end
+        let lvl = cell.Relation.level in
+        if lvl < max_int && add_to condemned h.pred cell.Relation.key then
+          consumers h cell.Relation.key (fun ch hd ->
+              let hc = Relation.slot ch.rel hd in
+              if real hc && lvl < hc.Relation.level && hc.Relation.exits = 0 then begin
+                if hc.Relation.debt = 0 then debited := hc :: !debited;
+                hc.Relation.debt <- hc.Relation.debt + 1;
+                (* the debit that exhausts [low] turns an
+                   index-vouched consumer into a probe case: it
+                   joins its level bucket now (its level is
+                   strictly above the frontier) *)
+                if hc.Relation.debt = hc.Relation.low then admit ch hc
+              end)
       in
       (* frontier visibility. The pool is never materialized as a
          hidden-tuple relation: a suspect's fate is read straight
@@ -828,47 +796,43 @@ let run env =
       let failed : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
       let probe_proven : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
       let frontier = ref min_int in
-      (* probes ask about one predicate many times in a row; a
-         physical-equality memo spares the string hash per
-         candidate the index bucket hands out *)
-      let memo_pred = ref "" and memo_counts = ref None in
-      let counts_for pred =
-        if pred == !memo_pred then !memo_counts
-        else begin
-          memo_pred := pred;
-          memo_counts := Hashtbl.find_opt counts_of pred;
-          !memo_counts
-        end
+      let hidden h (cell : Relation.count_cell) =
+        cell != Relation.no_cell
+        && cell.Relation.exits = 0
+        &&
+        let lvl = cell.Relation.level in
+        if lvl > !frontier then true
+        else if lvl < !frontier then mem_in failed h.pred cell.Relation.key
+        else
+          not
+            (cell.Relation.low - cell.Relation.debt > 0
+            || mem_in probe_proven h.pred cell.Relation.key)
       in
-      let hidden pred tup =
-        match counts_for pred with
-        | None -> false
-        | Some c -> (
-          match Relation.count_find c tup with
-          | None -> false
-          | Some cell ->
-            cell.Relation.exits = 0
-            &&
-            let lvl = cell.Relation.level in
-            if lvl > !frontier then true
-            else if lvl < !frontier then mem_in failed pred tup
-            else
-              not
-                (cell.Relation.low - cell.Relation.debt > 0
-                || mem_in probe_proven pred tup))
-      in
+      (* the live view with the hidden suspects taken out; a
+         component tuple's slot answers presence and fate at once *)
       let hide =
         let base = ctx.new_view in
         {
           Matcher.mem =
-            (fun p tup -> base.Matcher.mem p tup && not (hidden p tup));
+            (fun p tup ->
+              match head_of p with
+              | None -> base.Matcher.mem p tup
+              | Some h ->
+                let cell = Relation.slot h.rel tup in
+                cell != Relation.absent && not (hidden h cell));
           iter_matching =
             (fun p ~col ~value f ->
-              base.Matcher.iter_matching p ~col ~value (fun t ->
-                  if not (hidden p t) then f t));
+              match head_of p with
+              | None -> base.Matcher.iter_matching p ~col ~value f
+              | Some h ->
+                Relation.iter_matching_cells h.rel ~col ~value (fun t cell ->
+                    if not (hidden h cell) then f t));
           iter =
             (fun p f ->
-              base.Matcher.iter p (fun t -> if not (hidden p t) then f t));
+              match head_of p with
+              | None -> base.Matcher.iter p f
+              | Some h ->
+                Relation.iter_slots (fun t cell -> if not (hidden h cell) then f t) h.rel);
         }
       in
       (* drain ascending. Every bucket entry needs its probe — the
@@ -886,13 +850,13 @@ let run env =
           pending_levels := Levels.remove lvl !pending_levels;
           frontier := lvl;
           List.iter
-            (fun (pred, tup, cell) ->
+            (fun (h, (cell : Relation.count_cell)) ->
               incr full_probes;
-              if provable ~hide pred tup then
-                ignore (add_to probe_proven pred tup)
+              let tup = cell.Relation.key in
+              if provable ~hide h tup then ignore (add_to probe_proven h.pred tup)
               else begin
-                ignore (add_to failed pred tup);
-                condemn pred tup cell.Relation.level
+                ignore (add_to failed h.pred tup);
+                condemn h cell
               end)
             !(Hashtbl.find buckets lvl);
           drain ()
@@ -913,15 +877,17 @@ let run env =
          is supported only through the failed set itself. The O(1)
          check cannot fire anew — [low] is fixed and debts only
          grow — so these are full probes, counted as such. *)
+      let head_named pred = Option.get (head_of pred) in
       let retry = ref true in
       while !retry do
         retry := false;
         let pending = ref [] in
         Hashtbl.iter
           (fun pred u ->
+            let h = head_named pred in
             Relation.iter
               (fun tup ->
-                pending := (level_in counts_of pred tup, pred, tup) :: !pending)
+                pending := ((Relation.slot h.rel tup).Relation.level, pred, tup) :: !pending)
               u)
           failed;
         List.iter
@@ -929,7 +895,7 @@ let run env =
             let u = Hashtbl.find failed pred in
             if Relation.mem u tup then begin
               incr full_probes;
-              if provable ~hide pred tup then begin
+              if provable ~hide (head_named pred) tup then begin
                 ignore (Relation.remove u tup);
                 ignore (add_to probe_proven pred tup);
                 retry := true
@@ -943,12 +909,8 @@ let run env =
         (fun pred u ->
           if Relation.cardinality u > 0 then begin
             any := true;
-            let rel = Hashtbl.find heads pred in
-            let c = Hashtbl.find counts_of pred in
-            Relation.iter
-              (fun tup ->
-                kill deaths pred c rel tup (level_in counts_of pred tup))
-              u
+            let h = head_named pred in
+            Relation.iter (fun tup -> kill deaths h (Relation.slot h.rel tup)) u
           end)
         failed;
       (* unwind the debts — cells outlive this call *)
@@ -956,42 +918,43 @@ let run env =
       if !any then Some deaths else None
     end
   in
-  let apply_births pending =
+  let apply_births () =
     let applied : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-    Hashtbl.iter
-      (fun pred r ->
-        if Relation.cardinality r > 0 then begin
-          let rel = Hashtbl.find heads pred in
-          let c = Hashtbl.find counts_of pred in
+    List.iter
+      (fun h ->
+        if Relation.cardinality h.births > 0 then begin
+          let arity = Relation.arity h.rel in
           Relation.iter
             (fun tup ->
               (* re-check: support queued earlier may have been
-                 cancelled by later decrements *)
-              match Relation.count_find c tup with
-              | Some cell when Relation.count_total cell > 0 ->
-                if Relation.add rel tup then begin
-                  record_add d pred ~arity:(Relation.arity rel) tup;
-                  ignore (add_to applied pred tup)
+                 cancelled by later decrements, the cell discarded *)
+              let cell = Relation.slot h.newborn tup in
+              if cell != Relation.absent && Relation.count_total cell > 0 then begin
+                discard h cell;
+                cell.Relation.mark <- 0;
+                if Relation.add_cell h.rel cell then begin
+                  record_add d h.pred ~arity tup;
+                  ignore (Relation.add_cell (delta_rel applied h.pred ~arity) cell)
                 end
-              | Some _ | None -> ())
-            r
+              end)
+            h.births;
+          Relation.clear h.births
         end)
-      pending;
+      heads;
     applied
   in
-  let born : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
   let rec birth_rounds round =
     if any_live round then begin
       if linear then
-        Hashtbl.iter
-          (fun pred r -> Relation.iter (fun tup -> ignore (add_to born pred tup)) r)
-          round;
+        List.iter
+          (fun h -> iter_net round h.pred (fun tup -> ignore (Relation.add h.born tup)))
+          heads;
       let pre = overlay_view ~plus:no_overlay ~minus:round ctx.new_view in
       enumerate_in_comp ~sign:1 ~round ~pre;
       (* increments only: settle can queue further births but can
          produce no deaths *)
       ignore (settle ());
-      birth_rounds (apply_births (take_births ()))
+      birth_rounds (apply_births ())
     end
   in
   (* Healing (linear components, after the births). The backward
@@ -1001,7 +964,7 @@ let run env =
      pinned fact, or a consumer whose last lower witness died left
      with [low = 0] and would otherwise go unsuspected forever. The
      pass re-levels such tuples so they are vouched for again, and
-     lists the ones it cannot reach in the tables' unvouched sets,
+     lists the ones it cannot reach in the stamps' unvouched sets,
      which the next backward phase suspects.
 
      - Members: the candidates (touched this run or listed unvouched,
@@ -1009,7 +972,8 @@ let run env =
        consumers, every tuple whose [low] entries all run through a
        member — its certificate rests on an unvouched tuple. The
        closure files its debits in [debt], as the backward phase's
-       condemnation does; a member's cell has [debt = low].
+       condemnation does; a member's cell has [debt = low]. A cell's
+       [mark] holds its member number (1-based; 0 for none).
      - Levels: Dijkstra from the certified tuples (non-members with a
        level). A member's key is one more than the least level of a
        certified or finalized witness of one of its derivations; the
@@ -1027,120 +991,98 @@ let run env =
 
      Returns the number of members re-leveled (finalized). *)
   let heal () =
-    let members : (string * Relation.tuple, heal_member) Hashtbl.t = Hashtbl.create 16 in
-    let order = ref [] in
+    let order = ref [] and count = ref 0 in
     let queue = Queue.create () in
-    let enlist hpred htup hcell =
-      if not (Hashtbl.mem members (hpred, htup)) then begin
+    let enlist h (cell : Relation.count_cell) =
+      if cell.Relation.mark = 0 then begin
         let m =
           {
-            hpred;
-            htup;
-            hcell;
-            old_level = hcell.Relation.level;
+            h;
+            cell;
+            old_level = cell.Relation.level;
             key = max_int;
             fin = false;
             witnesses = [];
             consumers = [];
           }
         in
-        Hashtbl.add members (hpred, htup) m;
+        incr count;
+        cell.Relation.mark <- !count;
         order := m :: !order;
         Queue.add m queue
       end
     in
-    let candidate pred tup =
-      match canon_cell pred tup with
-      | Some cell
-        when cell.Relation.exits = 0
-             && cell.Relation.low = 0
-             && Relation.mem (Hashtbl.find heads pred) tup ->
-        enlist pred tup cell
-      | Some _ | None -> ()
+    let candidate h tup =
+      let cell = Relation.slot h.rel tup in
+      if real cell && cell.Relation.exits = 0 && cell.Relation.low = 0 then enlist h cell
     in
-    Hashtbl.iter (fun pred r -> Relation.iter (candidate pred) r) dec_touched;
-    Hashtbl.iter (fun pred r -> Relation.iter (candidate pred) r) born;
-    Hashtbl.iter
-      (fun pred c -> List.iter (candidate pred) (Relation.counts_unvouched c))
-      counts_of;
+    List.iter (fun h -> Relation.iter (candidate h) h.dec) heads;
+    List.iter (fun h -> Relation.iter (candidate h) h.born) heads;
+    List.iter
+      (fun (h, c) -> List.iter (candidate h) (Relation.counts_unvouched c))
+      stamps;
     (* member closure over consumers, recording every consumer edge *)
     let debited : Relation.count_cell list ref = ref [] in
     while not (Queue.is_empty queue) do
       let m = Queue.pop queue in
-      let singleton = Relation.create ~arity:(Array.length m.htup) in
-      ignore (Relation.add singleton m.htup);
-      List.iter
-        (fun (pr, i, p) ->
-          if p = m.hpred then
-            let cpred = pr.rule.Ast.head.Ast.pred in
-            Plan.exec_rule ~view:ctx.new_view ~delta:(i, singleton) ~work
-              ~on_derived:(fun h ->
-                match canon_cell cpred h with
-                | None -> ()
-                | Some cc ->
-                  let h = Array.copy h in
-                  m.consumers <- (cpred, h, cc) :: m.consumers;
-                  if
-                    m.old_level < cc.Relation.level
-                    && cc.Relation.exits = 0
-                    && cc.Relation.low > cc.Relation.debt
-                  then begin
-                    if cc.Relation.debt = 0 then debited := cc :: !debited;
-                    cc.Relation.debt <- cc.Relation.debt + 1;
-                    if cc.Relation.debt = cc.Relation.low then enlist cpred h cc
-                  end)
-              pr.ex)
-        lin_prs
+      consumers m.h m.cell.Relation.key (fun ch hd ->
+          let cc = Relation.slot ch.rel hd in
+          if real cc then begin
+            m.consumers <- cc :: m.consumers;
+            if
+              m.old_level < cc.Relation.level
+              && cc.Relation.exits = 0
+              && cc.Relation.low > cc.Relation.debt
+            then begin
+              if cc.Relation.debt = 0 then debited := cc :: !debited;
+              cc.Relation.debt <- cc.Relation.debt + 1;
+              if cc.Relation.debt = cc.Relation.low then enlist ch cc
+            end
+          end)
     done;
     let order = List.rev !order in
-    let member pred tup (cell : Relation.count_cell) =
-      if cell.Relation.exits > 0 || cell.Relation.low > cell.Relation.debt then None
-      else Hashtbl.find_opt members (pred, tup)
+    let members = Array.of_list order in
+    (* the member a cell belongs to, numbered from 1; 0 for none *)
+    let member (cell : Relation.count_cell) =
+      if cell.Relation.exits > 0 || cell.Relation.low > cell.Relation.debt then 0
+      else cell.Relation.mark
     in
     (* certified witness level, [max_int] when none can be relied on *)
-    let certified (pred, tup, (cell : Relation.count_cell)) =
-      match member pred tup cell with
-      | Some w when not w.fin -> max_int
-      | Some _ | None -> cell.Relation.level
+    let certified (cell : Relation.count_cell) =
+      let w = member cell in
+      if w > 0 && not members.(w - 1).fin then max_int else cell.Relation.level
     in
     (* every derivation of a member, with its witness: a goal-directed
        enumeration of the probe bodies, reading the witness off the
-       rule's one in-component atom *)
+       rule's one in-component atom into a reused buffer *)
     let witness_prs =
       List.map
         (fun (pr, body) ->
-          ( pr,
-            body,
+          let a =
             List.find_map
               (function
-                | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred -> Some a
+                | Ast.Pos a when Hashtbl.mem pc.comp_preds a.Ast.pred -> Some a
                 | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> None)
               body
-            |> Option.get ))
+            |> Option.get
+          in
+          let wh = Option.get (head_of a.Ast.pred) in
+          (pr, body, a, wh, Array.make (Relation.arity wh.rel) 0))
         probe_prs
     in
     List.iter
       (fun m ->
         List.iter
-          (fun (pr, body, a) ->
-            if pr.rule.Ast.head.Ast.pred = m.hpred then
-              match head_env pr.rule m.htup with
+          (fun (pr, body, a, wh, buf) ->
+            if pr.head == m.h then
+              match head_env pr.rule m.cell.Relation.key with
               | None -> ()
               | Some env ->
                 Matcher.eval_body ~symbols:ctx.symbols ~view:ctx.new_view ~env ~work
                   ~on_env:(fun env ->
-                    let w =
-                      Array.of_list
-                        (List.map
-                           (fun t ->
-                             match Matcher.resolve_term ~symbols:ctx.symbols env t with
-                             | Some v -> v
-                             | None -> assert false)
-                           a.Ast.args)
-                    in
-                    match canon_cell a.Ast.pred w with
-                    | Some wc -> m.witnesses <- (a.Ast.pred, w, wc) :: m.witnesses
-                    | None -> ())
+                    fill_args ~symbols:ctx.symbols buf env 0 a.Ast.args;
+                    let wc = Relation.slot wh.rel buf in
+                    if real wc then m.witnesses <- wc :: m.witnesses)
                   body)
           witness_prs)
       order;
@@ -1177,14 +1119,13 @@ let run env =
               m.fin <- true;
               incr healed;
               let lvl = max m.old_level k in
-              m.hcell.Relation.level <- lvl;
+              m.cell.Relation.level <- lvl;
               (* a tuple never leveled witnesses no [low] entry *)
               if lvl < max_int then
                 List.iter
-                  (fun (cpred, h, cc) ->
-                    match member cpred h cc with
-                    | Some c when not c.fin -> push c (lvl + 1)
-                    | Some _ | None -> ())
+                  (fun cc ->
+                    let c = member cc in
+                    if c > 0 && not members.(c - 1).fin then push members.(c - 1) (lvl + 1))
                   m.consumers
             end)
           (List.rev !l);
@@ -1193,37 +1134,37 @@ let run env =
     finalize ();
     List.iter
       (fun m ->
-        let lvl = m.hcell.Relation.level in
+        let lvl = m.cell.Relation.level in
         if lvl > m.old_level then
           List.iter
-            (fun (cpred, h, (cc : Relation.count_cell)) ->
+            (fun (cc : Relation.count_cell) ->
               if
                 m.old_level < cc.Relation.level
                 && cc.Relation.level <= lvl
-                && member cpred h cc = None
+                && member cc = 0
                 && cc.Relation.low > 0
               then cc.Relation.low <- cc.Relation.low - 1)
             m.consumers)
       order;
-    let unvouched = Hashtbl.create 4 in
     List.iter
       (fun m ->
-        let lvl = m.hcell.Relation.level in
-        m.hcell.Relation.low <-
+        let lvl = m.cell.Relation.level in
+        m.cell.Relation.low <-
           List.fold_left
-            (fun n (_, _, (wc : Relation.count_cell)) ->
-              if wc.Relation.level < lvl then n + 1 else n)
-            0 m.witnesses;
-        if m.hcell.Relation.low = 0 then
-          Hashtbl.replace unvouched m.hpred
-            (m.htup :: Option.value ~default:[] (Hashtbl.find_opt unvouched m.hpred)))
+            (fun n (wc : Relation.count_cell) -> if wc.Relation.level < lvl then n + 1 else n)
+            0 m.witnesses)
       order;
-    List.iter (fun (c : Relation.count_cell) -> c.Relation.debt <- 0) !debited;
-    Hashtbl.iter
-      (fun pred c ->
+    List.iter
+      (fun (h, c) ->
         Relation.counts_set_unvouched c
-          (Option.value ~default:[] (Hashtbl.find_opt unvouched pred)))
-      counts_of;
+          (List.fold_left
+             (fun acc m ->
+               if m.h == h && m.cell.Relation.low = 0 then m.cell.Relation.key :: acc
+               else acc)
+             [] order))
+      stamps;
+    List.iter (fun m -> m.cell.Relation.mark <- 0) order;
+    List.iter (fun (c : Relation.count_cell) -> c.Relation.debt <- 0) !debited;
     !healed
   in
   begin
@@ -1237,18 +1178,23 @@ let run env =
     phase_begin ();
     List.iter
       (fun pr ->
-        let r = pr.rule in
-        let hpred = r.Ast.head.Ast.pred in
-        let exit = not (rec_rule r) in
+        let r = pr.rule and h = pr.head in
+        let exit = not (is_recursive pr) in
         (* a recursive rule's in-comp atom is an ordinary Match
            step here (the delta is external), which is what the
            witness mechanism is for; flipped plans keep body
-           positions, so the same witness serves them *)
-        let witness, sup = witness comp_preds sup_level r in
+           positions, so the same witness serves them. The store
+           is the round's state of the component, so the witness
+           level is its store cell's *)
+        let sup = ref max_int in
+        let witness =
+          match pr.in_comp with
+          | [ (w, wh) ] -> Some (w, fun tup -> sup := (Relation.slot wh.rel tup).Relation.level)
+          | [] | _ :: _ :: _ -> None
+        in
         let exec ex delta sign =
-          Plan.exec_rule ?witness ~view:ctx.new_view ~late_view:ctx.old_view
-            ~delta ~work
-            ~on_derived:(fun h -> bump hpred exit sign (sup ()) h)
+          Plan.exec_rule ?witness ~view:ctx.new_view ~late_view:ctx.old_view ~delta ~work
+            ~on_derived:(fun t -> bump h exit sign !sup t)
             ex
         in
         List.iteri
@@ -1257,7 +1203,7 @@ let run env =
               (fun (tbl, sign) ->
                 match lit with
                 | Ast.Pos a
-                  when (not (Hashtbl.mem comp_preds a.Ast.pred)) && nonempty tbl a.Ast.pred
+                  when (not (Hashtbl.mem pc.comp_preds a.Ast.pred)) && nonempty tbl a.Ast.pred
                   ->
                   exec pr.ex (i, Hashtbl.find tbl a.Ast.pred) sign
                 | Ast.Neg a when nonempty tbl a.Ast.pred ->
@@ -1284,8 +1230,8 @@ let run env =
            keeps its witnessing derivation and a positive count,
            and exit counts are untouched (exit-rule bodies hold no
            component predicates). Nothing new becomes unfounded:
-           what the cascade adds to [dec_touched] matters only to
-           the healing pass. *)
+           what the cascade adds to [dec] matters only to the
+           healing pass. *)
         cascade_deaths deaths);
       if Obs.Ring.enabled ring then begin
         Obs.Ring.emit ring ~kind:Obs.Event.cnt_o1_hit ~a:!o1_hits ~b:pc.comp;
@@ -1293,7 +1239,7 @@ let run env =
       end
     end;
     phase_begin ();
-    birth_rounds (apply_births (take_births ()));
+    birth_rounds (apply_births ());
     phase_end Obs.Event.cnt_forward;
     if linear then begin
       phase_begin ();
@@ -1302,19 +1248,14 @@ let run env =
       if Obs.Ring.enabled ring then
         Obs.Ring.emit ring ~kind:Obs.Event.cnt_heal ~a:healed ~b:pc.comp
     end;
-    Hashtbl.iter (fun _ rel -> Relation.counts_sync rel) heads
+    List.iter (fun h -> Relation.counts_sync h.rel) heads
   end
 
-(* Build and stamp one component's count tables against the live
-   database, for {!Incremental.prime}: one full-join pass per rule. *)
+(* Build and stamp one component's counts against the live database,
+   for {!Incremental.prime}: one full-join pass per rule. *)
 let prime ctx pc ~work =
   match pc.body with
   | Extensional | Aggregate_rule _ -> ()
   | Rules prs ->
-    ignore (recount_comp ctx pc prs ~view:ctx.new_view ~work);
-    Array.iter
-      (fun p ->
-        match Database.find ctx.db ctx.anal.Stratify.predicates.(p) with
-        | Some rel -> Relation.counts_sync rel
-        | None -> ())
-      pc.members
+    ignore (recount_comp pc prs ~view:ctx.new_view ~work);
+    List.iter (fun h -> Relation.counts_sync h.rel) pc.heads

@@ -123,7 +123,7 @@ let prepare ?(engine = Plan.default_engine) ?(maint = Dred) ?(sanitize = false)
     symbols;
     card;
     epoch;
-    prepared = Array.init n (prepare_comp ~anal ~make_exec);
+    prepared = Array.init n (prepare_comp ~db ~anal ~make_exec);
     order = Stratify.scc_order anal;
     sources =
       Array.of_list
@@ -323,7 +323,7 @@ let assemble_report (s : session) (ctx : ctx) slots =
         end)
       ctx.d.removed;
     Hashtbl.fold (fun pred (added, removed) acc -> { pred; added; removed } :: acc) tbl []
-    |> List.sort (fun a b -> String.compare a.pred b.pred)
+    |> List.sort (fun (a : pred_change) b -> String.compare a.pred b.pred)
   in
   { changes; activity; analysis = ctx.anal; deltas = ctx.d }
 
@@ -371,7 +371,7 @@ let run_serial_walk ~obs (s : session) ctx =
   Array.iter (fun c -> slots.(c) <- Some (process_comp ~ring s ctx s.prepared.(c))) s.order;
   assemble_report s ctx slots
 
-(* Build and stamp the counting side tables of every derived component
+(* Build and stamp the derivation counts of every derived component
    against the database's current (materialized) contents — one full-
    join pass per rule. Callers run this once after {!Eval}
    materialization so the first [~maint:Counting] update doesn't pay

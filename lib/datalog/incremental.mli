@@ -28,8 +28,9 @@
     most of those in O(1), and is healed after every run so the next
     backward search can start from the decrements — while forward
     propagation restarts only from genuinely dead tuples.
-    Counts live in a side table stamped with the relation version
-    ({!Relation.counts_synced}); they are rebuilt transparently when
+    Counts live in the relation's own tuple slots, stamped with the
+    relation version ({!Relation.counts_synced}); they are rebuilt
+    transparently when
     stale (first use, or after DRed/Eval touched the relation), or
     ahead of time with {!prime}.
 
@@ -81,7 +82,7 @@ type maint = Dred | Counting | Auto
 (** Maintenance algorithm. All restore exactly the same database; they
     differ in how deletions are paid for. [Counting] requires the
     compiled engine ({!Plan.Compiled}); aggregate components use the
-    same recompute-and-diff under either. The count side tables carry
+    same recompute-and-diff under either. The count cells carry
     the {e well-founded support index} — each tuple's first-derivation
     fixpoint round ({!Relation.count_cell.level}) and its count of
     surviving strictly-lower-level supporters ([low]) — which lets the
@@ -241,7 +242,7 @@ val replans : session -> int
     changed (see {!apply}); first compilations are not counted. *)
 
 val prime : ?engine:Plan.engine -> Database.t -> Ast.program -> int
-(** Build and version-stamp the derivation-count side tables of every
+(** Build and version-stamp the derivation counts of every
     derived predicate against the database's current (materialized)
     contents — one full-join pass per rule, over a session prepared
     for [~maint:Counting]; returns the tuples examined. Optional: the

@@ -148,10 +148,32 @@ type ctx = {
    flipped-positive variant of each negated literal — shared by phases
    A and C. *)
 
+(* One predicate of a [Rules] component, resolved once per session:
+   its store relation, and the counting engine's per-predicate
+   scratch — a table of the cells of tuples not (yet) in the store,
+   the pending births, the tuples that lost a derivation, the births
+   applied, a one-tuple delta and the cells a round touched. Every
+   counting run starts by emptying them, and reuses rather than
+   recreates them. *)
+type head = {
+  pred : string;
+  rel : Relation.t;
+  newborn : Relation.t;
+  births : Relation.t;
+  dec : Relation.t;
+  born : Relation.t;
+  single : Relation.t;
+  mutable touched : Relation.count_cell list;
+}
+
 type prepared_rule = {
   rule : Ast.rule;
   ex : Plan.exec;
   flipped : (int * Ast.rule * Plan.exec) list;  (* keyed by negated body position *)
+  head : head;
+  in_comp : (int * head) list;
+      (* the positive body atoms of the rule's own component, in body
+         order: position and predicate *)
 }
 
 type comp_body =
@@ -163,11 +185,28 @@ type prepared_comp = {
   comp : int;
   members : int array;
   comp_preds : (string, unit) Hashtbl.t;
+  heads : head list;  (* one per member of a [Rules] component, else none *)
   tag : string;  (* sanitizer owner/writer tag: names the component *)
   body : comp_body;
 }
 
-let prepare_comp ~anal ~make_exec comp =
+let make_head db pred =
+  let rel = Option.get (Database.find db pred) in
+  let scratch () = Relation.create ~arity:(Relation.arity rel) in
+  {
+    pred;
+    rel;
+    newborn = scratch ();
+    births = scratch ();
+    dec = scratch ();
+    born = scratch ();
+    single = scratch ();
+    touched = [];
+  }
+
+(* [db] has every predicate of the program registered
+   ({!Matcher.register}) *)
+let prepare_comp ~db ~anal ~make_exec comp =
   let members = anal.Stratify.condensation.Dag.Scc.members.(comp) in
   let comp_preds = Hashtbl.create 4 in
   Array.iter
@@ -180,27 +219,41 @@ let prepare_comp ~anal ~make_exec comp =
             (fun p -> anal.Stratify.predicates.(p))
             (Array.to_list members)))
   in
-  let body =
+  let heads, body =
     match anal.Stratify.comp_rules.(comp) with
-    | [] -> Extensional
-    | [ r ] when Ast.rule_is_aggregate r -> Aggregate_rule r
+    | [] -> ([], Extensional)
+    | [ r ] when Ast.rule_is_aggregate r -> ([], Aggregate_rule r)
     | rules ->
-      Rules
-        (List.map
-           (fun (r : Ast.rule) ->
-             let flipped =
-               List.mapi (fun i lit -> (i, lit)) r.Ast.body
-               |> List.filter_map (fun (i, lit) ->
-                      match lit with
-                      | Ast.Neg _ ->
-                        let fr = flip_negation r i in
-                        Some (i, fr, make_exec fr)
-                      | Ast.Pos _ | Ast.Cmp _ -> None)
-             in
-             { rule = r; ex = make_exec r; flipped })
-           rules)
+      let heads =
+        Array.to_list members |> List.map (fun p -> make_head db anal.Stratify.predicates.(p))
+      in
+      let head_of pred = List.find (fun h -> String.equal h.pred pred) heads in
+      ( heads,
+        Rules
+          (List.map
+             (fun (r : Ast.rule) ->
+               let flipped =
+                 List.mapi (fun i lit -> (i, lit)) r.Ast.body
+                 |> List.filter_map (fun (i, lit) ->
+                        match lit with
+                        | Ast.Neg _ ->
+                          let fr = flip_negation r i in
+                          Some (i, fr, make_exec fr)
+                        | Ast.Pos _ | Ast.Cmp _ -> None)
+               in
+               let in_comp =
+                 List.mapi (fun i lit -> (i, lit)) r.Ast.body
+                 |> List.filter_map (fun (i, lit) ->
+                        match lit with
+                        | Ast.Pos a when Hashtbl.mem comp_preds a.Ast.pred ->
+                          Some (i, head_of a.Ast.pred)
+                        | Ast.Pos _ | Ast.Neg _ | Ast.Cmp _ -> None)
+               in
+               let head = head_of r.Ast.head.Ast.pred in
+               { rule = r; ex = make_exec r; flipped; head; in_comp })
+             rules) )
   in
-  { comp; members; comp_preds; tag; body }
+  { comp; members; comp_preds; heads; tag; body }
 
 (* Compile (or re-plan, see {!Plan.executor}) every plan a component's
    phases could reach: the base plan (phase B), a delta plan per

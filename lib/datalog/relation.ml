@@ -1,17 +1,18 @@
 type tuple = int array
 
+let rec eq_from (a : tuple) (b : tuple) i n =
+  i = n || (Array.unsafe_get a i = Array.unsafe_get b i && eq_from a b (i + 1) n)
+
 module Tuple_tbl = Hashtbl.Make (struct
   type t = tuple
 
   (* Monomorphic element-wise comparison: polymorphic [=] on arrays
      walks the generic structural-equality runtime path per tuple
-     probe. *)
+     probe. [eq_from] is top-level so a comparison allocates no
+     closure. *)
   let equal a b =
     let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec eq i = i = n || (Array.unsafe_get a i = Array.unsafe_get b i && eq (i + 1)) in
-    eq 0
+    n = Array.length b && eq_from a b 0 n
 
   (* FNV-1a over the int elements directly. The previous
      [Hashtbl.hash (Array.to_list a)] allocated a list per lookup and
@@ -28,14 +29,18 @@ module Tuple_tbl = Hashtbl.Make (struct
     !h land max_int
 end)
 
-(* ---- derivation-count side table (counting maintenance) ----
+(* ---- derivation counts (counting maintenance) ----
 
-   Per-tuple derivation counts for {!Incremental}'s counting engine,
-   kept in a side table next to the tuple store rather than inside it:
-   the non-counting hot path ([add]/[remove]/[mem]/probes) never reads
-   or writes the field, so the DRed engine pays nothing for its
-   existence. Counts are split into [exits] (derivations by rules with
-   no same-component body atom — acyclic support by construction) and
+   Per-tuple derivation counts for {!Incremental}'s counting engine
+   live in the relation's own tuple slot: the value the tuple table
+   (and every index bucket) maps a tuple to is its count cell. A
+   relation the counting engine does not maintain maps every tuple to
+   the one shared sentinel [no_cell], so DRed, {!Eval}, snapshots and
+   queries allocate nothing and look nothing up for counts. In a
+   counted relation, [no_cell] marks a present tuple without counts: a
+   base fact listed for a derived predicate, which no rule derives.
+   Counts are split into [exits] (derivations by rules with no
+   same-component body atom — acyclic support by construction) and
    [recs] (derivations by recursive rules); the backward phase uses the
    split to skip tuples that are exit-supported.
 
@@ -54,7 +59,7 @@ end)
    counted) but must never overcount, because [exits = 0 && low > 0]
    exempts a suspect from the full backward probe. [unvouched] lists
    the present [exits = 0] tuples the index could not vouch for
-   ([low = 0]) when the table was last made consistent: the next
+   ([low = 0]) when the counts were last made consistent: the next
    backward phase must suspect them whatever the batch touched.
 
    [synced_version] records the relation version the counts were last
@@ -63,22 +68,40 @@ end)
    silently trusted. *)
 
 type count_cell = {
+  key : tuple;
   mutable exits : int;
   mutable recs : int;
   mutable level : int;
   mutable low : int;
   mutable debt : int;
-      (* backward-phase scratch: [low] entries condemned this call.
-         Zero between calls — the phase unwinds what it filed. Living
-         in the cell keeps the O(1) well-foundedness check free of
-         side-table hashing. *)
+  mutable dexits : int;
+  mutable drecs : int;
+  mutable dlow : int;
+  mutable mark : int;
 }
 
-type counts = {
-  cells : count_cell Tuple_tbl.t;
-  mutable synced_version : int;
-  mutable unvouched : tuple list;
-}
+let fresh_cell key =
+  {
+    key;
+    exits = 0;
+    recs = 0;
+    level = max_int;
+    low = 0;
+    debt = 0;
+    dexits = 0;
+    drecs = 0;
+    dlow = 0;
+    mark = 0;
+  }
+
+(* the two sentinels: never written, and distinguished by [==] only *)
+let no_cell = fresh_cell [||]
+
+let absent = fresh_cell [||]
+
+let make_cell tup = fresh_cell (Array.copy tup)
+
+type counts = { mutable synced_version : int; mutable unvouched : tuple list }
 
 (* ---- write-set sanitizer ----------------------------------------
 
@@ -99,12 +122,12 @@ let sanitize_writer_key : string option Domain.DLS.key =
 
 type t = {
   arity : int;
-  tuples : unit Tuple_tbl.t;
+  tuples : count_cell Tuple_tbl.t;  (* each tuple's slot holds its cell *)
   mutable owner : (string * string) option;
       (* (relation name, owner tag): mutations outside a matching
          [Sanitize.with_writer] scope raise [Sanitize_violation] *)
   mutable counts : counts option;
-  indexes : (int, unit Tuple_tbl.t) Hashtbl.t option Atomic.t array;
+  indexes : (int, count_cell Tuple_tbl.t) Hashtbl.t option Atomic.t array;
       (* indexes.(col), built lazily; kept consistent once built. Each
          slot is an [Atomic.t] so a lazy build on a relation shared
          read-only across domains publishes a *fully constructed*
@@ -176,12 +199,12 @@ let bucket_of idx value =
     Hashtbl.add idx value b;
     b
 
-let index_add t tup =
+let index_add t tup cell =
   Array.iteri
     (fun col slot ->
       match Atomic.get slot with
       | None -> ()
-      | Some idx -> Tuple_tbl.replace (bucket_of idx tup.(col)) tup ())
+      | Some idx -> Tuple_tbl.replace (bucket_of idx tup.(col)) tup cell)
     t.indexes
 
 let index_remove t tup =
@@ -195,17 +218,22 @@ let index_remove t tup =
         | None -> ()))
     t.indexes
 
-let add t tup =
+(* [own] makes the caller's array one the relation may keep *)
+let insert t tup ~own cell =
   check t tup;
   sanitize_check t;
   if Tuple_tbl.mem t.tuples tup then false
   else begin
-    let tup = Array.copy tup in
+    let tup = own tup in
     t.version <- t.version + 1;
-    Tuple_tbl.replace t.tuples tup ();
-    index_add t tup;
+    Tuple_tbl.replace t.tuples tup cell;
+    index_add t tup cell;
     true
   end
+
+let add t tup = insert t tup ~own:Array.copy no_cell
+
+let add_cell t cell = insert t cell.key ~own:Fun.id cell
 
 let remove t tup =
   check t tup;
@@ -229,7 +257,7 @@ let guard t v0 =
 let iter f t =
   let v0 = t.version in
   Tuple_tbl.iter
-    (fun tup () ->
+    (fun tup _ ->
       guard t v0;
       f tup)
     t.tuples
@@ -237,7 +265,7 @@ let iter f t =
 let fold f acc t =
   let v0 = t.version in
   Tuple_tbl.fold
-    (fun tup () acc ->
+    (fun tup _ acc ->
       guard t v0;
       f acc tup)
     t.tuples acc
@@ -258,19 +286,37 @@ let clear t =
 
 (* ---- count operations --------------------------------------------
 
-   All mutation of counts is single-owner, like the store itself. The
-   cells table is keyed by copies of the tuples (a caller's scratch
-   array must not alias a key), mirroring [add]. *)
+   All mutation of counts is single-owner, like the store itself. A
+   cell's [key] is the array its slot is keyed by: [make_cell] copies
+   the caller's tuple, as [add] does. *)
 
-let counts_create () =
-  { cells = Tuple_tbl.create 64; synced_version = min_int; unvouched = [] }
+let slot t tup =
+  check t tup;
+  match Tuple_tbl.find t.tuples tup with cell -> cell | exception Not_found -> absent
+
+let set_cell t cell =
+  let tup = cell.key in
+  if not (Tuple_tbl.mem t.tuples tup) then invalid_arg "Relation.set_cell: tuple absent";
+  Tuple_tbl.replace t.tuples tup cell;
+  index_add t tup cell
+
+let some_no_cell = Some no_cell
+
+let reset_cells t =
+  let none _ _ = some_no_cell in
+  Tuple_tbl.filter_map_inplace none t.tuples;
+  Array.iter
+    (fun slot ->
+      match Atomic.get slot with
+      | None -> ()
+      | Some idx -> Hashtbl.iter (fun _ b -> Tuple_tbl.filter_map_inplace none b) idx)
+    t.indexes
 
 let counts_attach t =
-  let c = counts_create () in
+  reset_cells t;
+  let c = { synced_version = min_int; unvouched = [] } in
   t.counts <- Some c;
   c
-
-let counts_detach t = t.counts <- None
 
 let counts_synced t =
   match t.counts with
@@ -282,65 +328,77 @@ let counts_sync t =
   | Some c -> c.synced_version <- t.version
   | None -> ()
 
+let counts_unsync c = c.synced_version <- min_int
+
 let counts_unvouched c = c.unvouched
 
 let counts_set_unvouched c tups = c.unvouched <- tups
 
-let count_find c tup = Tuple_tbl.find_opt c.cells tup
-
-let count_cell c tup =
-  match Tuple_tbl.find_opt c.cells tup with
-  | Some cell -> cell
-  | None ->
-    let cell = { exits = 0; recs = 0; level = max_int; low = 0; debt = 0 } in
-    Tuple_tbl.replace c.cells (Array.copy tup) cell;
-    cell
+let count_find t tup =
+  let cell = slot t tup in
+  if cell == absent || cell == no_cell then None else Some cell
 
 let count_total cell = cell.exits + cell.recs
 
-let count_drop c tup = Tuple_tbl.remove c.cells tup
+let iter_slots f t =
+  let v0 = t.version in
+  Tuple_tbl.iter
+    (fun tup cell ->
+      guard t v0;
+      f tup cell)
+    t.tuples
 
-let counts_iter f c = Tuple_tbl.iter f c.cells
-
-let counts_cardinality c = Tuple_tbl.length c.cells
+let counts_iter f t = iter_slots (fun tup cell -> if cell != no_cell then f tup cell) t
 
 (* Build fully, publish atomically: a sibling domain either sees [None]
    (and builds its own complete copy) or a finished index — never a
    hashtable under construction. *)
 let build_index t col =
   let idx = Hashtbl.create 64 in
-  iter (fun tup -> Tuple_tbl.replace (bucket_of idx tup.(col)) tup ()) t;
+  Tuple_tbl.iter (fun tup cell -> Tuple_tbl.replace (bucket_of idx tup.(col)) tup cell) t.tuples;
   Atomic.set t.indexes.(col) (Some idx);
   idx
+
+(* [value]'s bucket in the index of column [col], built on first use;
+   [fn] names the caller in the bad-column error *)
+let bucket fn t ~col ~value =
+  if col < 0 || col >= t.arity then invalid_arg ("Relation." ^ fn ^ ": bad column");
+  let idx =
+    match Atomic.get t.indexes.(col) with Some idx -> idx | None -> build_index t col
+  in
+  Hashtbl.find_opt idx value
 
 (* The probe hot path: hand matching tuples to [f] straight out of the
    index bucket, no intermediate list. *)
 let iter_matching t ~col ~value f =
-  if col < 0 || col >= t.arity then invalid_arg "Relation.iter_matching: bad column";
-  let idx =
-    match Atomic.get t.indexes.(col) with Some idx -> idx | None -> build_index t col
-  in
-  match Hashtbl.find_opt idx value with
+  match bucket "iter_matching" t ~col ~value with
   | None -> ()
   | Some b ->
     let v0 = t.version in
     Tuple_tbl.iter
-      (fun tup () ->
+      (fun tup _ ->
         guard t v0;
         f tup)
       b
 
+let iter_matching_cells t ~col ~value f =
+  match bucket "iter_matching_cells" t ~col ~value with
+  | None -> ()
+  | Some b ->
+    let v0 = t.version in
+    Tuple_tbl.iter
+      (fun tup cell ->
+        guard t v0;
+        f tup cell)
+      b
+
 let fold_matching t ~col ~value f acc =
-  if col < 0 || col >= t.arity then invalid_arg "Relation.fold_matching: bad column";
-  let idx =
-    match Atomic.get t.indexes.(col) with Some idx -> idx | None -> build_index t col
-  in
-  match Hashtbl.find_opt idx value with
+  match bucket "fold_matching" t ~col ~value with
   | None -> acc
   | Some b ->
     let v0 = t.version in
     Tuple_tbl.fold
-      (fun tup () acc ->
+      (fun tup _ acc ->
         guard t v0;
         f acc tup)
       b acc

@@ -69,13 +69,17 @@ val choose_probe_col : t -> bound:(int -> bool) -> int option
 (** {2 Derivation counts}
 
     Per-tuple derivation counts for {!Incremental}'s counting
-    maintenance engine, held in a side table next to the tuple store:
-    the non-counting path ([add]/[remove]/[mem]/probes) never touches
-    them, so DRed maintenance pays nothing for their existence. Counts
-    are split per tuple into [exits] — derivations by {e exit} rules
-    (no body atom in the head's own SCC, hence acyclic support) — and
-    [recs], derivations by recursive rules; the counting engine's
-    backward phase uses the split to skip exit-supported tuples.
+    maintenance engine, kept in the relation's own tuple slot: the
+    value the tuple table and every index bucket map a tuple to is its
+    {!count_cell}, so one lookup answers both "is it present" and "what
+    are its counts" ({!slot}). A relation the counting engine does not
+    maintain maps every tuple to the shared sentinel {!no_cell}, so the
+    non-counting path ([add]/[remove]/[mem]/probes, {!copy}) allocates
+    nothing and looks nothing up for counts. Counts are split per tuple
+    into [exits] — derivations by {e exit} rules (no body atom in the
+    head's own SCC, hence acyclic support) — and [recs], derivations
+    by recursive rules; the counting engine's backward phase uses the
+    split to skip exit-supported tuples.
 
     [level] and [low] form the {e well-founded support index}. [level]
     is the stratified-fixpoint round of the tuple's first well-founded
@@ -96,9 +100,11 @@ val choose_probe_col : t -> bound:(int -> bool) -> int option
     relation version the counts were made consistent with, and any
     later mutation outside the counting engine (which bumps the
     version) makes {!counts_synced} return [None], forcing a rebuild
-    instead of trusting stale counts. {!clear} drops the side table. *)
+    instead of trusting stale counts. {!copy} carries no cells and no
+    stamp; {!clear} drops both. *)
 
 type count_cell = {
+  key : tuple;  (** the tuple, as the slot holding the cell is keyed *)
   mutable exits : int;
   mutable recs : int;
   mutable level : int;
@@ -109,51 +115,95 @@ type count_cell = {
           calls — the phase resets what it filed. In the cell rather
           than a side ledger so the O(1) well-foundedness check
           ([exits = 0 && low - debt > 0]) is pure field arithmetic. *)
+  mutable dexits : int;
+  mutable drecs : int;
+  mutable dlow : int;
+      (** round scratch: the signed [exits]/[recs]/[low] deltas the
+          counting engine's running round has accumulated for the
+          tuple, merged into the counts when the round settles. Zero
+          between rounds. *)
+  mutable mark : int;  (** the counting engine's scratch flags; zero between runs *)
 }
 
-type counts
+val no_cell : count_cell
+(** The value of a tuple without counts: every tuple of a relation the
+    counting engine does not maintain, and in one it does, a present
+    base fact that no rule derives. Shared and never written. Its
+    [level] is [max_int] ("unknown"). *)
 
-val counts_create : unit -> counts
-(** A free-standing count table (starts unsynced); used for scratch
-    accumulation of signed count deltas. *)
+val absent : count_cell
+(** What {!slot} answers for a tuple not in the relation. Shared and
+    never written; [level = max_int]. Tell it apart from {!no_cell}
+    and from real cells with [==]. *)
+
+val make_cell : tuple -> count_cell
+(** A fresh cell for the tuple (counts zero, [level = max_int]); the
+    key is copied, as in {!add}. *)
+
+val slot : t -> tuple -> count_cell
+(** One lookup: the tuple's cell, {!no_cell} if it is present without
+    one, {!absent} if it is not present. *)
+
+val add_cell : t -> count_cell -> bool
+(** {!add} of the cell's [key], with the cell in its slot. The key
+    array becomes the relation's own (no copy): it must not be mutated
+    later. [true] iff the tuple was new. *)
+
+val set_cell : t -> count_cell -> unit
+(** Put the cell in the slot of its (present) [key], replacing
+    whatever cell was there. Not a mutation of the tuple set: the
+    version is unchanged.
+    @raise Invalid_argument if the key is absent. *)
+
+val iter_slots : (tuple -> count_cell -> unit) -> t -> unit
+(** {!iter}, handing out each tuple's slot value with it. *)
+
+val iter_matching_cells :
+  t -> col:int -> value:int -> (tuple -> count_cell -> unit) -> unit
+(** {!iter_matching}, handing out each tuple's slot value with it. *)
+
+type counts
+(** A counted relation's stamp: the version its cells were made
+    consistent with, and its unvouched tuples. *)
 
 val counts_attach : t -> counts
-(** Replace the relation's count table with a fresh empty one (not yet
-    synced) and return it. *)
-
-val counts_detach : t -> unit
+(** Start counting the relation afresh: every slot goes back to
+    {!no_cell}, and a new, not yet synced stamp replaces the old one
+    and is returned. *)
 
 val counts_synced : t -> counts option
-(** The attached count table, but only if it was synced at the
-    relation's current version; [None] when absent or stale. *)
+(** The relation's stamp, but only if it was synced at the relation's
+    current version; [None] when the relation is not counted or its
+    cells are stale. *)
 
 val counts_sync : t -> unit
-(** Stamp the attached count table as consistent with the relation's
-    current contents. No-op when no table is attached. *)
+(** Stamp the cells as consistent with the relation's current
+    contents. No-op on a relation that is not counted. *)
+
+val counts_unsync : counts -> unit
+(** Mark the stamp unsynced until the next {!counts_sync}: the
+    counting engine opens each run with it, so a run that raises
+    leaves cells that the next run rebuilds rather than trusts. *)
 
 val counts_unvouched : counts -> tuple list
-(** The present [exits = 0] tuples whose [low] was [0] when the table
-    was last made consistent — those the index cannot vouch for, which
-    the next backward phase must suspect. Empty for a fresh table. *)
+(** The present [exits = 0] tuples whose [low] was [0] when the cells
+    were last made consistent — those the index cannot vouch for,
+    which the next backward phase must suspect. Empty for a fresh
+    stamp. *)
 
 val counts_set_unvouched : counts -> tuple list -> unit
 (** Replace that list; the counting engine's healing pass sets it at
     the end of every run of a linear component. *)
 
-val count_cell : counts -> tuple -> count_cell
-(** Find or create the cell for a tuple (counts zero, [level = max_int],
-    [low = 0]); the key is copied on insert, as in {!add}. *)
-
-val count_find : counts -> tuple -> count_cell option
+val count_find : t -> tuple -> count_cell option
+(** The tuple's cell; [None] when it is absent or has none. Whether
+    the cells are current is {!counts_synced}'s to say. *)
 
 val count_total : count_cell -> int
 (** [exits + recs]. *)
 
-val count_drop : counts -> tuple -> unit
-
-val counts_iter : (tuple -> count_cell -> unit) -> counts -> unit
-
-val counts_cardinality : counts -> int
+val counts_iter : (tuple -> count_cell -> unit) -> t -> unit
+(** Every present tuple that has a cell, with it. *)
 
 type relation = t
 

@@ -99,6 +99,8 @@ let maint t = t.maint
 let domains t = t.domains
 let db t = t.session.db
 
+let snapshot_relation t pred = Hashtbl.find_opt t.snapshot pred
+
 let snapshot_facts t =
   Hashtbl.fold
     (fun _ rel acc -> acc + Datalog.Relation.cardinality rel)

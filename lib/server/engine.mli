@@ -131,6 +131,10 @@ val query : t -> string -> (Datalog.Ast.atom list * int, string) result
     mismatch, aggregate terms. Safe while a commit is inflight — the
     snapshot changes only when the client thread publishes. *)
 
+val snapshot_relation : t -> string -> Datalog.Relation.t option
+(** The published snapshot's relation for a predicate, for checks:
+    callers must not mutate it. *)
+
 val db : t -> Datalog.Database.t
 (** The live database — for parity checks against a reference run.
     Callers must {!await} first: the background commit mutates it. *)

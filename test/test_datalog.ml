@@ -162,6 +162,27 @@ let relation_hash_semantics () =
   done;
   check_int "final cardinality" (Ref.cardinal !reference) (Datalog.Relation.cardinality r)
 
+(* Tuple equality is a top-level loop, so a probe allocates no
+   comparison closure: membership of a present pair costs no minor
+   words at all. Native code only — bytecode boxes freely. *)
+let relation_mem_allocates_nothing () =
+  let r = Datalog.Relation.create ~arity:2 in
+  for i = 0 to 99 do
+    ignore (Datalog.Relation.add r [| i; i + 1 |])
+  done;
+  let tup = [| 7; 8 |] in
+  let minor_words_of n =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (Sys.opaque_identity (Datalog.Relation.mem r tup))
+    done;
+    Gc.minor_words () -. w0
+  in
+  check_bool "present" true (Datalog.Relation.mem r tup);
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check (float 0.)) "minor words of 10,000 mem calls" (minor_words_of 0)
+      (minor_words_of 10_000)
+
 let relation_qcheck =
   QCheck.Test.make ~name:"relation: behaves like a set with index" ~count:300
     QCheck.(list (pair bool (pair (int_bound 5) (int_bound 5))))
@@ -1250,7 +1271,7 @@ let count_cells fields db =
          let cells =
            match Datalog.Relation.counts_synced rel with
            | None -> None
-           | Some c ->
+           | Some _ ->
              let acc = ref [] in
              Datalog.Relation.counts_iter
                (fun tup cell ->
@@ -1259,7 +1280,7 @@ let count_cells fields db =
                        (Datalog.Database.tuple_to_atom db name tup),
                      fields cell )
                    :: !acc)
-               c;
+               rel;
              Some (List.sort compare !acc)
          in
          (name, cells))
@@ -1268,13 +1289,43 @@ let count_cells fields db =
 (* The count invariant: after any maintained stream, every relation's
    derivation counts equal the counts a fresh [prime] computes on a
    from-scratch twin — incremental bookkeeping never drifts from the
-   ground truth. And after every batch the support index of each
-   linear recursive component vouches ([low >= 1]) for every present
+   ground truth. After every batch the support index of each linear
+   recursive component vouches ([low >= 1]) for every present
    [exits = 0] tuple it does not list as unvouched — the invariant the
-   backward phase's decrement-seeded pool rests on. *)
+   backward phase's decrement-seeded pool rests on. And cells live
+   where their tuples do: each present tuple of a counted relation has
+   a cell with support ([exits + recs > 0]) unless it is a listed
+   fact, and no tuple the batch removed keeps one. *)
 let counting_counts_invariant_qcheck =
   let counts_of =
     count_cells (fun (cell : Datalog.Relation.count_cell) -> (cell.exits, cell.recs))
+  in
+  let housed program db (report : Datalog.Incremental.report) =
+    let listed pred tup =
+      List.exists
+        (fun (r : Datalog.Ast.rule) ->
+          Datalog.Ast.rule_is_fact r
+          && r.head.pred = pred
+          && Datalog.Database.intern_atom db r.head = tup)
+        program
+    in
+    List.for_all
+      (fun (pred, rel) ->
+        Datalog.Relation.counts_synced rel = None
+        || Datalog.Relation.fold
+             (fun ok tup ->
+               ok
+               &&
+               match Datalog.Relation.count_find rel tup with
+               | Some cell -> Datalog.Relation.count_total cell > 0
+               | None -> listed pred tup)
+             true rel
+           &&
+           let gone = ref true in
+           Datalog.Incremental.iter_removed report.deltas pred (fun tup ->
+               if Datalog.Relation.count_find rel tup <> None then gone := false);
+           !gone)
+      (Datalog.Database.predicates db)
   in
   let vouched analysis db =
     Array.for_all
@@ -1297,7 +1348,7 @@ let counting_counts_invariant_qcheck =
                          && Datalog.Relation.mem rel tup
                          && not (List.mem tup unvouched)
                        then ok := false)
-                     c;
+                     rel;
                    !ok))
              ci.members)
       analysis.Datalog.Analyze.comps
@@ -1336,11 +1387,11 @@ let counting_counts_invariant_qcheck =
         in
         let dels = List.filteri (fun i _ -> i < Prelude.Rng.int rng 3) !live in
         live := List.filter (fun f -> not (List.mem f dels)) !live @ adds;
-        ignore
-          (apply ~engine:Datalog.Plan.Compiled
-             ~maint:Datalog.Incremental.Counting cnt program
-             ~additions:(List.map atom adds) ~deletions:(List.map atom dels));
-        if not (vouched analysis cnt) then ok := false
+        let report =
+          apply ~engine:Datalog.Plan.Compiled ~maint:Datalog.Incremental.Counting cnt
+            program ~additions:(List.map atom adds) ~deletions:(List.map atom dels)
+        in
+        if not (vouched analysis cnt && housed program cnt report) then ok := false
       done;
       let scratch = load !live in
       ignore (Datalog.Incremental.prime scratch program);
@@ -1364,8 +1415,8 @@ let counting_diamond_counts () =
     let rel = Option.get (Datalog.Database.find db "path") in
     match Datalog.Relation.counts_synced rel with
     | None -> None
-    | Some c ->
-      Datalog.Relation.count_find c
+    | Some _ ->
+      Datalog.Relation.count_find rel
         (Datalog.Database.intern_atom db
            (atom (Printf.sprintf {|path("%s","%s")|} x y)))
   in
@@ -1436,6 +1487,54 @@ let counting_survives_dred_interleaving () =
     steps;
   check_bool "interleaved engines agree" true
     (Datalog.Eval.databases_agree scratch db = Ok ())
+
+(* Count cells live in the slots of the relation the counting engine
+   maintains and nowhere else: a copy of it (or of the database) holds
+   the tuples without cells or a stamp, and a relation DRed maintains
+   never gets either. *)
+let counting_cells_stay_home () =
+  let program =
+    parse
+      {|edge("a","b"). edge("b","c"). edge("c","d").
+        path(X,Y) :- edge(X,Y).
+        path(X,Z) :- path(X,Y), edge(Y,Z).|}
+  in
+  let load () =
+    let db = Datalog.Database.create () in
+    let _ = Datalog.Eval.run ~engine:Datalog.Plan.Compiled db program in
+    db
+  in
+  let cells rel =
+    let n = ref 0 in
+    Datalog.Relation.counts_iter (fun _ _ -> incr n) rel;
+    !n
+  in
+  let uncounted what rel =
+    check_bool (what ^ ": not synced") true (Datalog.Relation.counts_synced rel = None);
+    check_int (what ^ ": no cells") 0 (cells rel);
+    check_bool (what ^ ": no cell found") true
+      (List.for_all
+         (fun tup -> Datalog.Relation.count_find rel tup = None)
+         (Datalog.Relation.to_list rel))
+  in
+  let db = load () in
+  ignore (Datalog.Incremental.prime db program);
+  ignore
+    (apply ~maint:Datalog.Incremental.Counting db program
+       ~additions:[ atom {|edge("d","e")|} ] ~deletions:[ atom {|edge("a","b")|} ]);
+  let path db = Option.get (Datalog.Database.find db "path") in
+  check_bool "counted: synced" true (Datalog.Relation.counts_synced (path db) <> None);
+  check_int "counted: a cell per tuple" (Datalog.Relation.cardinality (path db))
+    (cells (path db));
+  uncounted "Relation.copy" (Datalog.Relation.copy (path db));
+  uncounted "Database.copy" (path (Datalog.Database.copy db));
+  let dred = load () in
+  ignore
+    (apply ~maint:Datalog.Incremental.Dred dred program
+       ~additions:[ atom {|edge("d","e")|} ] ~deletions:[ atom {|edge("a","b")|} ]);
+  uncounted "DRed-maintained" (path dred);
+  check_int "DRed and counting agree" (Datalog.Relation.cardinality (path db))
+    (Datalog.Relation.cardinality (path dred))
 
 (* Regression: an unfounded cycle must not survive the backward
    search. After deleting the sole exit fact, p("a") and p("b") support
@@ -1557,8 +1656,8 @@ let counting_level_index_qcheck =
     let rel = Option.get (Datalog.Database.find db "path") in
     match Datalog.Relation.counts_synced rel with
     | None -> None
-    | Some c ->
-      Datalog.Relation.count_find c
+    | Some _ ->
+      Datalog.Relation.count_find rel
         (Datalog.Database.intern_atom db
            (atom (Printf.sprintf {|path("n%d","n%d")|} x z)))
   in
@@ -2499,6 +2598,7 @@ let () =
           test `Quick "symbol interning" symbol_interning;
           test `Quick "relation ops and indexes" relation_ops;
           test `Quick "tuple hash preserves set semantics" relation_hash_semantics;
+          test `Quick "mem allocates nothing" relation_mem_allocates_nothing;
           test `Quick "database arity clash" database_arity_clash;
           test `Quick "database facts" database_facts;
         ]
@@ -2596,6 +2696,7 @@ let () =
           test `Quick "unfounded cycle removed" counting_unfounded_cycle;
           test `Quick "stale counts rebuilt after DRed interleaving"
             counting_survives_dred_interleaving;
+          test `Quick "cells only in the counted relation" counting_cells_stay_home;
           test `Quick "unsupported configurations rejected"
             counting_rejects_unsupported;
           test `Quick "support index does not decay" counting_index_does_not_decay;

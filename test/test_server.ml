@@ -152,6 +152,28 @@ let deletion_maintains () =
   check_string "only the direct edge survives" "path(\"a\", \"b\")"
     (String.concat " " facts)
 
+(* The snapshot queries read is a copy: counting commits keep their
+   count cells in the live database's relations, and the published
+   relations carry neither cells nor a count stamp. *)
+let snapshot_has_no_cells () =
+  let e = make_engine ~maint:Datalog.Incremental.Counting () in
+  ignore (Server.Engine.submit e `Insert "edge(\"d\", \"e\")");
+  ignore (Server.Engine.submit e `Remove "edge(\"a\", \"b\")");
+  ignore (Server.Engine.commit e);
+  let cells rel =
+    let n = ref 0 in
+    Datalog.Relation.counts_iter (fun _ _ -> incr n) rel;
+    !n
+  in
+  let live = Option.get (Datalog.Database.find (Server.Engine.db e) "path") in
+  check_bool "live path is counted" true (Datalog.Relation.counts_synced live <> None);
+  check_int "a cell per live path tuple" (Datalog.Relation.cardinality live) (cells live);
+  let snap = Option.get (Server.Engine.snapshot_relation e "path") in
+  check_int "snapshot equals live" (Datalog.Relation.cardinality live)
+    (Datalog.Relation.cardinality snap);
+  check_bool "snapshot not counted" true (Datalog.Relation.counts_synced snap = None);
+  check_int "snapshot has no cells" 0 (cells snap)
+
 (* ---- engine: coalescing ---- *)
 
 let async_coalesces () =
@@ -510,6 +532,7 @@ let () =
           test `Quick "last-wins batch dedup" submit_last_wins;
           test `Quick "commits advance epochs" commit_advances_epochs;
           test `Quick "deletion maintains" deletion_maintains;
+          test `Quick "snapshot carries no count cells" snapshot_has_no_cells;
           test `Quick "async commits coalesce" async_coalesces;
           test `Quick "snapshot isolation mid-flight" snapshot_isolation;
           test `Quick "commit domain survives a raising job"
