@@ -8,7 +8,8 @@
      activation raced by two completing parents, scheduler-gated claim,
      run-once invariant;
    - [steal_vs_pop]: the *real* {!Parallel.Wbuf} code — an owner
-     pushing and popping batches while a thief probes and steals; the
+     pushing a batch and popping it one task at a time (as the
+     executor drains) while a thief probes and steals; the
      happens-before checker verifies the ring's spinlock discipline,
      the final check that no task is lost or duplicated;
    - [park_wake]: the eventcount parking protocol (events/parked pair,
@@ -125,13 +126,11 @@ let steal_vs_pop =
           if p = 0 then begin
             let pushed = Parallel.Wbuf.push_batch buf tasks 0 4 in
             assert (pushed = 4);
-            let tmp = Array.make 2 0 in
+            (* the executor's owner drain: one task per pop *)
             let rec drain () =
-              let k = Parallel.Wbuf.pop_batch buf tmp 2 in
-              if k > 0 then begin
-                for i = 0 to k - 1 do
-                  got.(0) <- tmp.(i) :: got.(0)
-                done;
+              let u = Parallel.Wbuf.pop buf in
+              if u >= 0 then begin
+                got.(0) <- u :: got.(0);
                 drain ()
               end
             in

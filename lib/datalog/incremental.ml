@@ -416,11 +416,14 @@ let prime ?engine db program =
 
    When the conservative activation wavefront holds fewer than
    [serial_threshold] tasks, dispatching them through the executor
-   costs more than the update itself, and such updates run the plain
-   serial walk instead. The value was sized (wide-48tc bench: 0.87x at
-   2 domains for a 96-task trace on a small host) when every run also
-   spawned and joined its worker domains and re-paid the program-sized
-   setup; it has not been re-tuned since. *)
+   gains nothing, and such updates run the plain serial walk instead.
+   Sized by a sweep on wide-48tc's independent closures (k touched
+   groups, a wavefront of 2k tasks, one edge added then removed per
+   group; median of 400 updates each way, 2 domains against the serial
+   walk, on a 2-core host), four sweeps: 2 tasks ran 0.84-0.92x of
+   serial, 4 tasks 0.99-1.23x, 6 tasks 0.97-1.16x, 8 tasks 1.11-1.17x,
+   and 10-24 tasks 0.98-1.66x (one 16-task point below 1). Eight is
+   the smallest wavefront that won in every sweep. *)
 
 let serial_task_threshold = 8
 

@@ -19,7 +19,7 @@ let delta_rel tbl pred ~arity =
   match Hashtbl.find_opt tbl pred with
   | Some r -> r
   | None ->
-    let r = Relation.create ~arity in
+    let r = Relation.create_small ~arity in
     Hashtbl.add tbl pred r;
     r
 

@@ -145,16 +145,21 @@ type t = {
          compare against this counter to fail fast instead. *)
 }
 
-let create ~arity =
+let create_sized ~size ~arity =
   if arity < 0 then invalid_arg "Relation.create: negative arity";
   {
     arity;
-    tuples = Tuple_tbl.create 64;
+    tuples = Tuple_tbl.create size;
     owner = None;
     counts = None;
     indexes = Array.init (max arity 1) (fun _ -> Atomic.make None);
     version = 0;
   }
+
+let create ~arity = create_sized ~size:64 ~arity
+
+(* [Hashtbl]'s least initial size *)
+let create_small ~arity = create_sized ~size:16 ~arity
 
 let arity t = t.arity
 

@@ -7,6 +7,11 @@ type t
 
 val create : arity:int -> t
 
+val create_small : arity:int -> t
+(** A relation expected to stay small (an update's per-predicate
+    delta, most of which stay empty): its tuple table starts at a
+    quarter of {!create}'s size, and grows as usual. *)
+
 val arity : t -> int
 
 val cardinality : t -> int

@@ -385,16 +385,15 @@ let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
     (* drain the private ring with no shared-state checks at all: every
        task in it is already claimed, and failure/termination are
        re-examined once the ring is empty (a bounded delay). Tasks come
-       out a small batch per lock round-trip — large enough to amortize
-       the ring spinlock to noise, small enough that thieves still see
-       most of the ring *)
-    let dq = Array.make 32 0 in
+       out one per lock round-trip, so everything not yet running stays
+       in the ring where an idle peer can steal it: one refill often
+       holds a whole level, and popping it in bulk would leave the
+       level to this worker while its peer parks. The spinlock costs
+       tens of nanoseconds per task. *)
     let rec drain () =
-      let k = Wbuf.pop_batch buf dq 32 in
-      if k > 0 then begin
-        for i = 0 to k - 1 do
-          execute_task (Array.unsafe_get dq i)
-        done;
+      let u = Wbuf.pop buf in
+      if u >= 0 then begin
+        execute_task u;
         drain ()
       end
     in
@@ -492,12 +491,15 @@ let run ?(domains = 4) ?(work_unit = 1e-4) ?(batch = 64) ?run_task
     in
     loop ()
   in
-  (* Enter dispatch with an empty minor heap: setup (scheduler
-     precompute, work table) leaves megabytes of garbage behind, and a
-     minor collection once the workers run is a stop-the-world event
-     that must interrupt every one of them — collect while the crew is
-     still parked instead. *)
-  Gc.minor ();
+  (* A simulated-duration run enters dispatch with an empty minor heap:
+     its setup (scheduler precompute, work table) on a large trace
+     leaves megabytes of garbage behind, and a minor collection once the
+     workers run is a stop-the-world event that must interrupt every
+     one of them — collect while the crew is still parked instead. A
+     [run_task] run is one maintenance commit whose setup garbage is
+     small; there the forced collection would itself be a
+     stop-the-world handshake on every commit. *)
+  if Option.is_none run_task then Gc.minor ();
   (* a worker that raises (a scheduler bug, not a task body: those go
      through [fail] already) must not leave its peers parked forever —
      the crew's barrier waits for all of them *)

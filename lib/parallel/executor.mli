@@ -71,9 +71,10 @@ val run :
     reused by later runs, so a run spawns no domain once the pool holds
     a crew of its size. Concurrent runs borrow distinct crews. Idle
     crews park and do not keep the process alive.
-    [batch] (default 16, rounded up to a power of two) bounds both the
+    [batch] (default 64, rounded up to a power of two) bounds both the
     per-worker ready-buffer and the number of tasks pulled from the
-    scheduler per critical section.
+    scheduler per critical section. A worker runs its buffer one task
+    at a time, so the tasks it has not started stay stealable.
 
     [run_task] replaces the simulated spin entirely: when given, task
     [u]'s body is [run_task ~wid u] executed on worker domain [wid]

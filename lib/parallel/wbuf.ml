@@ -102,21 +102,6 @@ let pop t =
   release t;
   r
 
-(* Owner only. Pop up to [max] tasks from the front into
-   [tasks.(0 .. n-1)], returning [n]. One lock round-trip amortized
-   over the whole batch; keep [max] modest so most of the ring stays
-   visible to thieves. *)
-let pop_batch t tasks max =
-  acquire t;
-  let n = min max (len_locked t) in
-  let head = Vatomic.Plain.get t.head in
-  for i = 0 to n - 1 do
-    tasks.(i) <- t.slots.((head + i) land t.mask)
-  done;
-  Vatomic.Plain.set t.head (head + n);
-  release t;
-  n
-
 (* Steal the front half (at least one) of [victim] into [tasks],
    returning the count. Called by a thief; [tasks] must have room for
    [capacity victim] entries. Locks only the victim — the thief's own

@@ -1,9 +1,10 @@
 (** Per-worker bounded ready-buffer with stealing.
 
     Each executor worker owns one ring; it refills it in batches from
-    the scheduler (one lock round-trip per batch) and drains it without
-    touching the scheduler lock at all. Idle workers steal the front
-    half of a peer's ring before falling back to the scheduler.
+    the scheduler (one lock round-trip per batch) and pops it one task
+    at a time without touching the scheduler lock, so the tasks it has
+    not started stay stealable. Idle workers steal the front half of a
+    peer's ring before falling back to the scheduler.
 
     All operations take the ring's private test-and-set spinlock for a
     few instructions; the ring is safe for one owner plus any number of
@@ -30,11 +31,6 @@ val pop : t -> int
 (** Pop the oldest entry, or [-1] if the ring is empty (task ids are
     node ids, always non-negative; the sentinel keeps the owner's
     per-task fast path allocation-free). Owner only. *)
-
-val pop_batch : t -> int array -> int -> int
-(** [pop_batch t tasks max] pops up to [max] of the oldest entries
-    into [tasks.(0 .. n-1)], returning [n] — one lock round-trip for
-    the whole batch. Owner only. *)
 
 val steal_into : t -> int array -> int
 (** [steal_into victim scratch] transfers the oldest half (at least

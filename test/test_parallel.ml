@@ -246,6 +246,39 @@ let run_task_bodies_execute_once () =
      previous body's write before running *)
   Array.iteri (fun u p -> check_int (Printf.sprintf "prefix at %d" u) u p) prefix
 
+(* One refill can hand a whole level to one worker; the tasks it has
+   not started must stay in its ring for the idle peer to steal. Four
+   independent bodies each wait (at most 1 s) for a second body to be
+   running beside them: one that sees it proves two tasks of the level
+   overlapped. A worker that drained its ring privately would run all
+   four alone, each timing out. *)
+let run_task_level_overlaps () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  let graph = Dag.Graph.of_edges ~nodes:4 [||] in
+  let trace =
+    Workload.Trace.create ~name:"independent-4" ~graph
+      ~kind:(Array.make 4 Workload.Trace.Task)
+      ~shape:(Array.make 4 Workload.Trace.Unit)
+      ~initial:[| 0; 1; 2; 3 |] ~edge_changed:[||]
+  in
+  let running = Atomic.make 0 in
+  let overlapped = Atomic.make false in
+  let run_task ~wid:_ _ =
+    Atomic.incr running;
+    let deadline = Prelude.Mclock.now () +. 1.0 in
+    while Atomic.get running < 2 && Prelude.Mclock.now () < deadline do
+      Domain.cpu_relax ()
+    done;
+    if Atomic.get running >= 2 then Atomic.set overlapped true;
+    Atomic.decr running
+  in
+  let r =
+    Parallel.Executor.run ~domains:2 ~work_unit:0.0 ~run_task
+      ~sched:Sched.Level_based.factory trace
+  in
+  check_int "all tasks executed" 4 r.Parallel.Executor.tasks_executed;
+  check_bool "two bodies of one level ran at once" true (Atomic.get overlapped)
+
 let run_task_failure_propagates () =
   let trace = Workload.Pathological.deep_chain ~n:4 in
   let run_task ~wid:_ u = if u = 2 then failwith "boom" in
@@ -505,6 +538,7 @@ let () =
         [
           test `Quick "bodies execute once, ordered" run_task_bodies_execute_once;
           test `Quick "body failure propagates" run_task_failure_propagates;
+          test `Quick "a level's tasks overlap on two domains" run_task_level_overlaps;
         ] );
       ( "maintenance",
         [
