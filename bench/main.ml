@@ -844,7 +844,7 @@ let mc_run ?(obs = Obs.Trace.disabled) ~maint program steps =
   let prime_s =
     if maint <> Datalog.Incremental.Dred then begin
       let t0 = Unix.gettimeofday () in
-      ignore (Datalog.Incremental.prime ~engine db program);
+      ignore (Datalog.Incremental.prime db program);
       Unix.gettimeofday () -. t0
     end
     else 0.0

@@ -126,6 +126,7 @@ let rule_effects ~engine (r : Ast.rule) =
 let union_sorted ls = List.sort_uniq String.compare (List.concat ls)
 
 let run ?(engine = Plan.default_engine) ~anal (program : Ast.program) =
+  let program = Ast.shadow_listed_facts program in
   let cond = anal.Stratify.condensation in
   let ncomp = cond.Dag.Scc.count in
   let comp_of name = comp_of_anal anal name in
@@ -268,7 +269,8 @@ let run ?(engine = Plan.default_engine) ~anal (program : Ast.program) =
   in
   { anal; engine; rules = rule_infos; comps }
 
-let program ?engine (p : Ast.program) = run ?engine ~anal:(Stratify.analyze p) p
+let program ?engine (p : Ast.program) =
+  run ?engine ~anal:(Stratify.analyze (Ast.shadow_listed_facts p)) p
 
 let verify t =
   Array.fold_left

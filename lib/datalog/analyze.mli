@@ -74,7 +74,8 @@ type t = {
 }
 
 val run : ?engine:Plan.engine -> anal:Stratify.t -> Ast.program -> t
-(** Analyze [program] against an existing stratification. [engine]
+(** Analyze [program], after {!Ast.shadow_listed_facts}, against an
+    existing stratification of that rewritten program. [engine]
     (default {!Plan.default_engine}) determines whether effect sets are
     extracted from compiled plans and whether the advisor may pick
     Counting (the counting engine requires compiled plans, so under

@@ -73,6 +73,28 @@ let range_restricted r =
   in
   no_body_aggregates && head_ok && body_ok
 
+(* Listed facts of a derived predicate [p] move to the extensional
+   [p'listed], read back by the exit rule [p(X0..Xn) :- p'listed(X0..Xn)].
+   The quote keeps the shadow out of the lexer's reach. *)
+let shadow_listed_facts program =
+  let derived = Hashtbl.create 16 in
+  List.iter (fun r -> if r.body <> [] then Hashtbl.replace derived r.head.pred ()) program;
+  let exits = ref [] in
+  let shadow r =
+    let pred = r.head.pred in
+    if rule_is_fact r && Hashtbl.mem derived pred then begin
+      let listed = pred ^ "'listed" in
+      if not (List.exists (fun e -> e.head.pred = pred) !exits) then begin
+        let args = List.mapi (fun i _ -> Var ("X" ^ string_of_int i)) r.head.args in
+        exits := { head = { pred; args }; body = [ Pos { pred = listed; args } ] } :: !exits
+      end;
+      { r with head = { r.head with pred = listed } }
+    end
+    else r
+  in
+  let shadowed = List.map shadow program in
+  if !exits = [] then program else shadowed @ List.rev !exits
+
 let pp_const ppf = function
   | Sym s -> Format.fprintf ppf "%S" s
   | Int i -> Format.pp_print_int ppf i

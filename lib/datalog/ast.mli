@@ -59,6 +59,17 @@ val range_restricted : rule -> bool
     negation or comparison appears in some positive body atom (facts:
     head must be ground). Aggregate terms may only appear in heads. *)
 
+val shadow_listed_facts : program -> program
+(** The program with every listed fact of a derived predicate [p] (one
+    that some rule with a body defines) moved to the extensional
+    predicate [p'listed], which no parsed program, update or query can
+    name, plus one exit rule [p(X0, ..., Xn) :- p'listed(X0, ..., Xn)]
+    per such [p]. The facts stay in the materialization, but as
+    derivations: maintenance keeps them as extensional support through
+    any update. Idempotent; a program listing no such facts comes back
+    unchanged. {!Eval}, {!Incremental} and {!Analyze} apply it to every
+    program they are given. *)
+
 val pp_agg : Format.formatter -> agg -> unit
 
 val pp_const : Format.formatter -> const -> unit

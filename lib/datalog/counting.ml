@@ -23,24 +23,18 @@ let is_linear pr = match pr.in_comp with [ _ ] -> true | [] | _ :: _ :: _ -> fal
    levels, and the backward pool can start from the decrements. *)
 let all_linear prs = List.for_all (fun pr -> (not (is_recursive pr)) || is_linear pr) prs
 
-(* a cell, not one of {!Relation}'s sentinels *)
-let real (cell : Relation.count_cell) = cell != Relation.absent && cell != Relation.no_cell
-
 (* The flags [run] keeps in [Relation.count_cell.mark], all clear
    between rounds but [spare]'s, and between runs all of them:
    - [touched]: on its head's [touched] list; the d-fields are live;
    - [fresh]: a newborn candidate of the open round — [level] is the
      least candidate level seen and [dlow] nets the derivations at it;
-   - [spare]: kept in its head's [newborn] table, not in a store slot;
-   - [listed]: a fresh candidate for a present tuple without a cell.
+   - [spare]: kept in its head's [newborn] table, not in a store slot.
    The healing pass numbers its members in [mark] instead. *)
 let touched = 1
 
 let fresh = 2
 
 let spare = 4
-
-let listed = 8
 
 module Levels = Set.Make (Int)
 
@@ -123,23 +117,17 @@ let attach h tup =
      is counted exactly once — giving exact [recs] and, as a
      byproduct, iteration levels: a tuple first derivable in round [r]
      gets level [r]. [low] counts the derivations of linear rules
-     whose witness supporter has a *cell* level strictly below the
-     head's level; pinned supporters (no cell) and non-linear rules
-     contribute nothing, so [low] may undercount but never overcounts;
-   - stall: when the deltas dry up with component tuples still
-     unleveled, their support runs through base facts listed for
-     derived predicates (which no rule re-derives). All still-unleveled
-     present tuples are pinned at level 0 — without cells, so the
-     settle path keeps treating such base facts defensively — and join
-     the next delta, so their consumers' derivations are still
-     enumerated exactly once and the fixpoint resumes.
+     whose witness supporter has a level strictly below the head's;
+     non-linear rules contribute nothing, so [low] may undercount but
+     never overcounts.
 
-   The store must be a fixpoint of the rules under [view]: cells go
-   in the slots of present tuples only. Attaches fresh stamps and
-   returns them with their heads; the caller syncs them once store and
-   counts agree. *)
+   The store must be a fixpoint of the rules under [view], so every
+   present tuple is derived, gets a cell and is leveled once the
+   deltas dry up: in a linear component each tuple first leveled in
+   round [r] has a witness at [r - 1], hence [low >= 1]. Attaches
+   fresh stamps; the caller syncs them once store and counts agree. *)
 let recount_comp (pc : prepared_comp) prs ~view ~work =
-  let stamps = List.map (fun h -> (h, Relation.counts_attach h.rel)) pc.heads in
+  List.iter (fun h -> Relation.counts_attach h.rel) pc.heads;
   List.iter
     (fun pr ->
       if not (is_recursive pr) then
@@ -155,7 +143,6 @@ let recount_comp (pc : prepared_comp) prs ~view ~work =
   let rec_prs = List.filter is_recursive prs in
   if rec_prs <> [] then begin
     let leveled : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
-    let pinned : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
     let in_comp p = Hashtbl.mem pc.comp_preds p in
     let leveled_view =
       {
@@ -184,73 +171,40 @@ let recount_comp (pc : prepared_comp) prs ~view ~work =
           h.rel)
       pc.heads;
     let r = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      if any_live !round then begin
-        incr r;
-        let cur = !round in
-        let next = Hashtbl.create 4 in
-        let late = overlay_view ~plus:no_overlay ~minus:cur leveled_view in
-        fire_in_comp ~level_of:store_level ~view:leveled_view ~late_view:late ~round:cur
-          ~work rec_prs (fun pr ->
-            let h = pr.head in
-            fun s t ->
-              let cell = attach h t in
-              if cell != Relation.absent then begin
-                cell.Relation.recs <- cell.Relation.recs + 1;
-                if cell.Relation.level < max_int then begin
-                  if s < cell.Relation.level then cell.Relation.low <- cell.Relation.low + 1
-                end
-                else if not (mem_in pinned h.pred t) then begin
-                  (* first derivable this round: will get level [r];
-                     staged so it joins the leveled set only at round
-                     end *)
-                  if s < !r then cell.Relation.low <- cell.Relation.low + 1;
-                  ignore (add_to next h.pred t)
-                end
-              end);
-        (* staged fresh levels are assigned only now: the round's views
-           must not see mid-round additions *)
-        List.iter
-          (fun h ->
-            iter_net next h.pred (fun tup ->
-                let cell = Relation.slot h.rel tup in
-                if real cell && cell.Relation.level = max_int then cell.Relation.level <- !r;
-                ignore (add_to leveled h.pred tup)))
-          pc.heads;
-        round := next
-      end
-      else begin
-        (* stalled: pin still-unleveled present tuples at level 0 *)
-        let pinned_now = Hashtbl.create 4 in
-        let any = ref false in
-        List.iter
-          (fun h ->
-            view.Matcher.iter h.pred (fun tup ->
-                if not (mem_in leveled h.pred tup) then begin
-                  ignore (add_to pinned h.pred tup);
-                  ignore (add_to leveled h.pred tup);
-                  ignore (add_to pinned_now h.pred tup);
-                  any := true
-                end))
-          pc.heads;
-        if !any then round := pinned_now else continue_ := false
-      end
+    while any_live !round do
+      incr r;
+      let cur = !round in
+      let next = Hashtbl.create 4 in
+      let late = overlay_view ~plus:no_overlay ~minus:cur leveled_view in
+      fire_in_comp ~level_of:store_level ~view:leveled_view ~late_view:late ~round:cur ~work
+        rec_prs (fun pr ->
+          let h = pr.head in
+          fun s t ->
+            let cell = attach h t in
+            if cell != Relation.absent then begin
+              cell.Relation.recs <- cell.Relation.recs + 1;
+              if cell.Relation.level < max_int then begin
+                if s < cell.Relation.level then cell.Relation.low <- cell.Relation.low + 1
+              end
+              else begin
+                (* first derivable this round: will get level [r];
+                   staged so it joins the leveled set only at round
+                   end *)
+                if s < !r then cell.Relation.low <- cell.Relation.low + 1;
+                ignore (add_to next h.pred t)
+              end
+            end);
+      (* staged fresh levels are assigned only now: the round's views
+         must not see mid-round additions *)
+      List.iter
+        (fun h ->
+          iter_net next h.pred (fun tup ->
+              (Relation.slot h.rel tup).Relation.level <- !r;
+              ignore (add_to leveled h.pred tup)))
+        pc.heads;
+      round := next
     done
-  end;
-  (* a linear component's unvouched set: what the index cannot vouch
-     for — only tuples leveled through pinned base facts *)
-  if all_linear prs then
-    List.iter
-      (fun (h, c) ->
-        let u = ref [] in
-        Relation.counts_iter
-          (fun tup cell ->
-            if cell.Relation.exits = 0 && cell.Relation.low = 0 then u := tup :: !u)
-          h.rel;
-        Relation.counts_set_unvouched c !u)
-      stamps;
-  stamps
+  end
 
 (* the variables and constants of [args] under [env], written into
    [buf] — top-level, so filling a witness allocates nothing *)
@@ -300,12 +254,11 @@ let rec fill_args ~symbols buf env j = function
    it) and [low] counts surviving linear-rule derivations whose
    witness supporter sits at a strictly lower level. In a linear
    component the healing pass ends every run with [low >= 1] for
-   each present exits = 0 tuple, or lists the tuple unvouched, so
-   the next run's backward pool starts from the decrements instead
-   of the whole component. The backward search pops its suspects in
-   ascending level order and condemns each failed probe by filing
-   a debt against every consumer derivation the index counted
-   through it; a suspect with [exits = 0] but [low] minus its debt
+   each present exits = 0 tuple, so the next run's backward pool
+   starts from the decrements instead of the whole component. The
+   backward search pops its suspects in ascending level order and
+   condemns each failed probe by filing a debt against every
+   consumer derivation the index counted through it; a suspect with [exits = 0] but [low] minus its debt
    positive is then proven without any body re-evaluation — every
    supporter a surviving [low] entry can name sits at a strictly
    lower level, so it was resolved (and, if condemned, debited)
@@ -339,34 +292,29 @@ let run env =
      so rebuild against the pre-update state. Comp relations are
      untouched at this point and upstream deltas cancel out under the
      old view, so the rebuild is exact. *)
-  let stale = List.exists (fun h -> Relation.counts_synced h.rel = None) heads in
-  let stamps =
-    if stale then recount_comp pc prs ~view:ctx.old_view ~work
-    else List.map (fun h -> (h, Option.get (Relation.counts_synced h.rel))) heads
-  in
-  List.iter (fun (_, c) -> Relation.counts_unsync c) stamps;
+  if List.exists (fun h -> Relation.counts_synced h.rel = None) heads then
+    recount_comp pc prs ~view:ctx.old_view ~work;
+  List.iter (fun h -> Relation.counts_unsync h.rel) heads;
   (* [dec] accumulates, over the whole run, every tuple that lost a
      derivation (recursive comps only) — in a linear component only
      the losses of an exit derivation or of a [low] entry, the only
      ones that can leave a tuple unvouched. It feeds the backward
      phase's trigger and pool and the healing pass. *)
-  let newborn h present tup =
+  let newborn h tup =
     let cell = Relation.slot h.newborn tup in
     if cell != Relation.absent then cell
     else begin
       let cell = Relation.make_cell tup in
-      cell.Relation.mark <- (if present then fresh lor spare lor listed else fresh lor spare);
+      cell.Relation.mark <- fresh lor spare;
       ignore (Relation.add_cell h.newborn cell);
       cell
     end
   in
+  (* every present tuple of a counted relation has a cell of its own
+     (see {!recount_comp}), so only an absent one needs a newborn *)
   let bump h exit sign sup tup =
     let cell = Relation.slot h.rel tup in
-    let cell =
-      if cell == Relation.absent then newborn h false tup
-      else if cell == Relation.no_cell then newborn h true tup
-      else cell
-    in
+    let cell = if cell == Relation.absent then newborn h tup else cell in
     if cell.Relation.mark land touched = 0 then begin
       cell.Relation.mark <- cell.Relation.mark lor touched;
       h.touched <- cell :: h.touched
@@ -457,25 +405,14 @@ let run env =
       cell.Relation.dlow <- 0;
       cell.Relation.mark <- m land spare;
       if m land fresh <> 0 then begin
-        (* a newborn candidate takes the round's net as its counts. A
-           present one is a base fact listed for this derived
-           predicate: new derivations attach the cell to its slot,
-           stray decrements are bogus and keep the fact pinned. An
-           absent one with positive support is a birth. *)
+        (* a newborn candidate takes the round's net as its counts;
+           with positive support it is a birth *)
         if dex + drec > 0 then begin
           cell.Relation.exits <- dex;
           cell.Relation.recs <- drec;
           let l = if dlow < 0 then 0 else dlow in
           cell.Relation.low <- (if l > drec then drec else l);
-          if m land listed <> 0 then begin
-            discard h cell;
-            cell.Relation.mark <- 0;
-            Relation.set_cell h.rel cell;
-            (* a listed fact the index never leveled: suspect it like
-               any other unvouched tuple *)
-            if linear then ignore (Relation.add h.dec cell.Relation.key)
-          end
-          else ignore (Relation.add h.births cell.Relation.key)
+          ignore (Relation.add h.births cell.Relation.key)
         end
         else discard h cell
       end
@@ -536,10 +473,9 @@ let run env =
      enter the suspect pool. In a component whose recursive rules
      are all linear the pool is seeded from the decrements: the
      present exits = 0 tuples that lost an exit derivation or a
-     [low] entry this run, plus the unvouched tuples. Every other
-     present exits = 0 tuple kept all its [low] entries and, by the
-     invariant the healing pass restores at the end of each run, has
-     [low >= 1]: it is index-vouched, so it stands or falls with the
+     [low] entry this run. Every other present exits = 0 tuple kept
+     all its [low] entries and, by the invariant the healing pass
+     restores at the end of each run, has [low >= 1]: it is index-vouched, so it stands or falls with the
      lower-level supporters its entries name, which the drain
      resolves first — an unfounded cycle cannot vouch for itself,
      since levels strictly fall along the entries. The hidden-peer
@@ -663,28 +599,21 @@ let run env =
     (* Linear component: the seeds are the present [exits = 0]
        tuples of [dec] — those the index no longer vouches for
        ([low = 0]) need a probe, the rest are held for the O(1)
-       tally — plus the unvouched tuples the index could not vouch
-       for after the last run. Every other present [exits = 0] tuple
-       kept each [low] entry it had, and with [low >= 1] for all of
-       them a chain of strictly lower witnesses grounds each in exit
-       support — nothing can be unfounded unless a seed needs a probe
-       or some tuple is unvouched. The scan is O(touched). *)
+       tally. Every other present [exits = 0] tuple kept each [low]
+       entry it had, and with [low >= 1] for all of them a chain of
+       strictly lower witnesses grounds each in exit support —
+       nothing can be unfounded unless a seed needs a probe. The scan
+       is O(touched). *)
     let probe_seeds = ref [] and vouched = ref [] in
     let triggered =
       if linear then begin
         let seed h tup =
           let cell = Relation.slot h.rel tup in
-          if real cell && cell.Relation.exits = 0 then
+          if cell != Relation.absent && cell.Relation.exits = 0 then
             if cell.Relation.low = 0 then probe_seeds := (h, cell) :: !probe_seeds
             else vouched := cell :: !vouched
         in
         List.iter (fun h -> Relation.iter (seed h) h.dec) heads;
-        List.iter
-          (fun (h, c) ->
-            List.iter
-              (fun tup -> if not (Relation.mem h.dec tup) then seed h tup)
-              (Relation.counts_unvouched c))
-          stamps;
         !probe_seeds <> []
       end
       else
@@ -698,7 +627,7 @@ let run env =
                 found
                 ||
                 let cell = Relation.slot h.rel tup in
-                real cell && cell.Relation.exits = 0)
+                cell != Relation.absent && cell.Relation.exits = 0)
               false h.dec)
           heads
     in
@@ -742,7 +671,7 @@ let run env =
           (fun h ->
             Relation.iter_slots
               (fun _ cell ->
-                if cell != Relation.no_cell && cell.Relation.exits = 0 then begin
+                if cell.Relation.exits = 0 then begin
                   incr suspects;
                   if cell.Relation.low = 0 then admit h cell
                 end)
@@ -766,7 +695,8 @@ let run env =
         if lvl < max_int && add_to condemned h.pred cell.Relation.key then
           consumers h cell.Relation.key (fun ch hd ->
               let hc = Relation.slot ch.rel hd in
-              if real hc && lvl < hc.Relation.level && hc.Relation.exits = 0 then begin
+              if hc != Relation.absent && lvl < hc.Relation.level && hc.Relation.exits = 0
+              then begin
                 if hc.Relation.debt = 0 then debited := hc :: !debited;
                 hc.Relation.debt <- hc.Relation.debt + 1;
                 (* the debit that exhausts [low] turns an
@@ -780,7 +710,7 @@ let run env =
          hidden-tuple relation: a suspect's fate is read straight
          off its cell against the drain frontier, so the O(1) path
          writes nothing at all. With [frontier] at level L:
-           - exits > 0, or no cell: visible (never a suspect);
+           - exits > 0: visible (never a suspect);
            - level > L: hidden (unresolved — the ascending drain
              has not reached it);
            - level < L: resolved — hidden iff its probe failed;
@@ -797,8 +727,7 @@ let run env =
       let probe_proven : (string, Relation.t) Hashtbl.t = Hashtbl.create 4 in
       let frontier = ref min_int in
       let hidden h (cell : Relation.count_cell) =
-        cell != Relation.no_cell
-        && cell.Relation.exits = 0
+        cell.Relation.exits = 0
         &&
         let lvl = cell.Relation.level in
         if lvl > !frontier then true
@@ -960,17 +889,15 @@ let run env =
   (* Healing (linear components, after the births). The backward
      pool is seeded from the decrements, which is sound only while the
      index vouches ([low >= 1]) for every present [exits = 0] tuple
-     outside the pool: a tuple a probe proved, a newborn through a
-     pinned fact, or a consumer whose last lower witness died left
-     with [low = 0] and would otherwise go unsuspected forever. The
-     pass re-levels such tuples so they are vouched for again, and
-     lists the ones it cannot reach in the stamps' unvouched sets,
-     which the next backward phase suspects.
+     outside the pool: a tuple a probe proved, or a consumer whose
+     last lower witness died, is left with [low = 0] and would
+     otherwise go unsuspected forever. The pass re-levels such tuples
+     so they are vouched for again.
 
-     - Members: the candidates (touched this run or listed unvouched,
-       still present, [exits = 0], [low = 0]) and, closed under
-       consumers, every tuple whose [low] entries all run through a
-       member — its certificate rests on an unvouched tuple. The
+     - Members: the candidates (touched this run, still present,
+       [exits = 0], [low = 0]) and, closed under consumers, every
+       tuple whose [low] entries all run through a member — its
+       certificate rests on a tuple the index does not vouch for. The
        closure files its debits in [debt], as the backward phase's
        condemnation does; a member's cell has [debt = low]. A cell's
        [mark] holds its member number (1-based; 0 for none).
@@ -985,9 +912,9 @@ let run env =
        that counted it ([old < level <= new]) — such an entry was
        debited in the closure, so the consumer keeps [low >= 1] —
        and every member's [low] is recounted from its derivations
-       at the final levels. Members left at [low = 0] (no certified
-       derivation: support through pinned base facts) are listed
-       unvouched.
+       at the final levels. Every member is present, so it has a
+       well-founded derivation and finalizes through its witness,
+       which ends strictly below it: [low >= 1].
 
      Returns the number of members re-leveled (finalized). *)
   let heal () =
@@ -1014,20 +941,18 @@ let run env =
     in
     let candidate h tup =
       let cell = Relation.slot h.rel tup in
-      if real cell && cell.Relation.exits = 0 && cell.Relation.low = 0 then enlist h cell
+      if cell != Relation.absent && cell.Relation.exits = 0 && cell.Relation.low = 0 then
+        enlist h cell
     in
     List.iter (fun h -> Relation.iter (candidate h) h.dec) heads;
     List.iter (fun h -> Relation.iter (candidate h) h.born) heads;
-    List.iter
-      (fun (h, c) -> List.iter (candidate h) (Relation.counts_unvouched c))
-      stamps;
     (* member closure over consumers, recording every consumer edge *)
     let debited : Relation.count_cell list ref = ref [] in
     while not (Queue.is_empty queue) do
       let m = Queue.pop queue in
       consumers m.h m.cell.Relation.key (fun ch hd ->
           let cc = Relation.slot ch.rel hd in
-          if real cc then begin
+          if cc != Relation.absent then begin
             m.consumers <- cc :: m.consumers;
             if
               m.old_level < cc.Relation.level
@@ -1082,7 +1007,7 @@ let run env =
                   ~on_env:(fun env ->
                     fill_args ~symbols:ctx.symbols buf env 0 a.Ast.args;
                     let wc = Relation.slot wh.rel buf in
-                    if real wc then m.witnesses <- wc :: m.witnesses)
+                    if wc != Relation.absent then m.witnesses <- wc :: m.witnesses)
                   body)
           witness_prs)
       order;
@@ -1154,15 +1079,6 @@ let run env =
             (fun n (wc : Relation.count_cell) -> if wc.Relation.level < lvl then n + 1 else n)
             0 m.witnesses)
       order;
-    List.iter
-      (fun (h, c) ->
-        Relation.counts_set_unvouched c
-          (List.fold_left
-             (fun acc m ->
-               if m.h == h && m.cell.Relation.low = 0 then m.cell.Relation.key :: acc
-               else acc)
-             [] order))
-      stamps;
     List.iter (fun m -> m.cell.Relation.mark <- 0) order;
     List.iter (fun (c : Relation.count_cell) -> c.Relation.debt <- 0) !debited;
     !healed
@@ -1257,5 +1173,5 @@ let prime ctx pc ~work =
   match pc.body with
   | Extensional | Aggregate_rule _ -> ()
   | Rules prs ->
-    ignore (recount_comp pc prs ~view:ctx.new_view ~work);
+    recount_comp pc prs ~view:ctx.new_view ~work;
     List.iter (fun h -> Relation.counts_sync h.rel) pc.heads

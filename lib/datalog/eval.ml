@@ -127,6 +127,7 @@ let run ?(engine = Plan.default_engine) ?(lint = false) db program =
   (* programs built as Ast values bypass the parser's range-restriction
      gate; [~lint] closes that hole with named-variable evidence *)
   if lint then Lint.enforce program;
+  let program = Ast.shadow_listed_facts program in
   Aggregate.validate program;
   let anal = Stratify.analyze program in
   Matcher.register db program;
@@ -138,6 +139,7 @@ let run ?(engine = Plan.default_engine) ?(lint = false) db program =
   (anal, stats)
 
 let run_naive db program =
+  let program = Ast.shadow_listed_facts program in
   Aggregate.validate program;
   let anal = Stratify.analyze program in
   Matcher.register db program;

@@ -20,7 +20,9 @@ val run :
   Ast.program ->
   Stratify.t * comp_stats list
 (** Materialize every derived predicate into [db]. Facts in the program
-    are inserted first. Returns the dependency analysis (reusable) and
+    are inserted first, those of derived predicates into their
+    extensional shadows ({!Ast.shadow_listed_facts}). Returns the
+    dependency analysis of the rewritten program (reusable) and
     per-component statistics in evaluation order. [engine] (default
     {!Plan.Compiled}) selects compiled plans or the interpretive
     oracle; both produce identical databases. [lint] (default off)

@@ -92,6 +92,7 @@ let prepare ?(engine = Plan.default_engine) ?(maint = Dred) ?(sanitize = false)
        interpretive oracle has no split-view mode)"
   (* Auto resolves to DRed everywhere under the interpretive engine *)
   | (Counting | Dred | Auto), _ -> ());
+  let program = Ast.shadow_listed_facts program in
   Aggregate.validate program;
   let anal = Stratify.analyze program in
   let strategy = resolve_strategies ~engine anal program maint in
@@ -377,8 +378,8 @@ let run_serial_walk ~obs (s : session) ctx =
    materialization so the first [~maint:Counting] update doesn't pay
    the rebuild inside the measured batch; skipping it is still correct,
    merely slower once. *)
-let prime ?engine db program =
-  let s = prepare ?engine ~maint:Counting db program in
+let prime db program =
+  let s = prepare ~maint:Counting db program in
   let ctx = update_ctx s in
   let work = ref 0 in
   Array.iter (fun c -> Counting.prime ctx s.prepared.(c) ~work) s.order;

@@ -117,9 +117,13 @@ val prepare :
   session
 (** Prepare [program] for maintaining [db], which must hold a completed
     materialization of it (via {!Eval.run}) by the first {!apply}.
-    Paid once, in time linear in the program: aggregate validation and
-    {!Stratify.analyze}, the resolved per-component strategies
-    ([maint], default {!Dred}; see {!maint}), {!Matcher.register}, one
+    Paid once, in time linear in the program: the listed facts of
+    derived predicates move to their hidden extensional shadows
+    ({!Ast.shadow_listed_facts}, as {!Eval.run} moved them), so
+    maintenance keeps such a fact through any update as the support of
+    one exit rule; then aggregate validation and {!Stratify.analyze},
+    the resolved per-component strategies ([maint], default {!Dred};
+    see {!maint}), {!Matcher.register}, one
     prepared component per condensation node with its rule executors
     (plans compile lazily, on first use), the condensation as the
     executor's task-DAG skeleton with its LevelBased levels, and the
@@ -241,14 +245,14 @@ val replans : session -> int
 (** Plans the session re-compiled because their cardinality order
     changed (see {!apply}); first compilations are not counted. *)
 
-val prime : ?engine:Plan.engine -> Database.t -> Ast.program -> int
+val prime : Database.t -> Ast.program -> int
 (** Build and version-stamp the derivation counts of every
     derived predicate against the database's current (materialized)
     contents — one full-join pass per rule, over a session prepared
-    for [~maint:Counting]; returns the tuples examined. Optional: the
+    for [~maint:Counting] with the compiled engine; returns the tuples
+    examined. Optional: the
     first counting apply rebuilds stale counts itself; priming just
     moves that cost out of the update. Counts are per program: priming
     with one program and maintaining with another is only safe if the
     database was touched in between (the version stamp then forces a
-    rebuild).
-    @raise Invalid_argument with the interpretive engine. *)
+    rebuild). *)

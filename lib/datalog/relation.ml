@@ -36,11 +36,12 @@ end)
    (and every index bucket) maps a tuple to is its count cell. A
    relation the counting engine does not maintain maps every tuple to
    the one shared sentinel [no_cell], so DRed, {!Eval}, snapshots and
-   queries allocate nothing and look nothing up for counts. In a
-   counted relation, [no_cell] marks a present tuple without counts: a
-   base fact listed for a derived predicate, which no rule derives.
-   Counts are split into [exits] (derivations by rules with no
-   same-component body atom — acyclic support by construction) and
+   queries allocate nothing and look nothing up for counts. A counted
+   relation gives every present tuple a cell of its own: all its
+   tuples are derived ({!Ast.shadow_listed_facts} turns a listed fact
+   of a derived predicate into an exit derivation). Counts are split
+   into [exits] (derivations by rules with no same-component body
+   atom — acyclic support by construction) and
    [recs] (derivations by recursive rules); the backward phase uses the
    split to skip tuples that are exit-supported.
 
@@ -57,10 +58,7 @@ end)
    recursive derivations whose supporter is known to sit at a strictly
    lower level; it may undercount (unknown supporters are never
    counted) but must never overcount, because [exits = 0 && low > 0]
-   exempts a suspect from the full backward probe. [unvouched] lists
-   the present [exits = 0] tuples the index could not vouch for
-   ([low = 0]) when the counts were last made consistent: the next
-   backward phase must suspect them whatever the batch touched.
+   exempts a suspect from the full backward probe.
 
    [synced_version] records the relation version the counts were last
    consistent with: any mutation outside the counting engine bumps the
@@ -101,7 +99,7 @@ let absent = fresh_cell [||]
 
 let make_cell tup = fresh_cell (Array.copy tup)
 
-type counts = { mutable synced_version : int; mutable unvouched : tuple list }
+type counts = { mutable synced_version : int }
 
 (* ---- write-set sanitizer ----------------------------------------
 
@@ -319,9 +317,7 @@ let reset_cells t =
 
 let counts_attach t =
   reset_cells t;
-  let c = { synced_version = min_int; unvouched = [] } in
-  t.counts <- Some c;
-  c
+  t.counts <- Some { synced_version = min_int }
 
 let counts_synced t =
   match t.counts with
@@ -333,11 +329,10 @@ let counts_sync t =
   | Some c -> c.synced_version <- t.version
   | None -> ()
 
-let counts_unsync c = c.synced_version <- min_int
-
-let counts_unvouched c = c.unvouched
-
-let counts_set_unvouched c tups = c.unvouched <- tups
+let counts_unsync t =
+  match t.counts with
+  | Some c -> c.synced_version <- min_int
+  | None -> ()
 
 let count_find t tup =
   let cell = slot t tup in

@@ -132,8 +132,11 @@ type count_cell = {
 
 val no_cell : count_cell
 (** The value of a tuple without counts: every tuple of a relation the
-    counting engine does not maintain, and in one it does, a present
-    base fact that no rule derives. Shared and never written. Its
+    counting engine does not maintain. A counted relation gives each
+    present tuple a cell of its own, since all its tuples are derived
+    (a listed fact of a derived predicate is the derivation of an exit
+    rule from its extensional shadow, {!Ast.shadow_listed_facts}).
+    Shared and never written. Its
     [level] is [max_int] ("unknown"). *)
 
 val absent : count_cell
@@ -169,12 +172,12 @@ val iter_matching_cells :
 
 type counts
 (** A counted relation's stamp: the version its cells were made
-    consistent with, and its unvouched tuples. *)
+    consistent with. *)
 
-val counts_attach : t -> counts
+val counts_attach : t -> unit
 (** Start counting the relation afresh: every slot goes back to
-    {!no_cell}, and a new, not yet synced stamp replaces the old one
-    and is returned. *)
+    {!no_cell}, and a new, not yet synced stamp replaces the old
+    one. *)
 
 val counts_synced : t -> counts option
 (** The relation's stamp, but only if it was synced at the relation's
@@ -185,20 +188,11 @@ val counts_sync : t -> unit
 (** Stamp the cells as consistent with the relation's current
     contents. No-op on a relation that is not counted. *)
 
-val counts_unsync : counts -> unit
+val counts_unsync : t -> unit
 (** Mark the stamp unsynced until the next {!counts_sync}: the
     counting engine opens each run with it, so a run that raises
-    leaves cells that the next run rebuilds rather than trusts. *)
-
-val counts_unvouched : counts -> tuple list
-(** The present [exits = 0] tuples whose [low] was [0] when the cells
-    were last made consistent — those the index cannot vouch for,
-    which the next backward phase must suspect. Empty for a fresh
-    stamp. *)
-
-val counts_set_unvouched : counts -> tuple list -> unit
-(** Replace that list; the counting engine's healing pass sets it at
-    the end of every run of a linear component. *)
+    leaves cells that the next run rebuilds rather than trusts. No-op
+    on a relation that is not counted. *)
 
 val count_find : t -> tuple -> count_cell option
 (** The tuple's cell; [None] when it is absent or has none. Whether

@@ -90,6 +90,21 @@ let datalog_session () =
     [ "materialized"; "update changed"; {|reach("a", 3)|} ];
   Sys.remove tmp
 
+(* A fact listed for a derived predicate outlives the deletion of the
+   base fact that also derives it, under either maintenance engine. *)
+let datalog_keeps_listed_derived_fact () =
+  let tmp = Filename.temp_file "cli" ".dl" in
+  let oc = open_out tmp in
+  output_string oc {|p(X,Y) :- e(X,Y). p("a","b"). e("a","b").|};
+  close_out oc;
+  List.iter
+    (fun maint ->
+      expect_ok
+        [ "datalog"; tmp; "--maint"; maint; "--del"; {|e("a","b")|}; "-q"; "p"; "-q"; "e" ]
+        [ "p: 1 facts"; {|p("a", "b")|}; "e: 0 facts" ])
+    [ "dred"; "counting" ];
+  Sys.remove tmp
+
 let datalog_lint () =
   let tmp = Filename.temp_file "cli" ".dl" in
   let oc = open_out tmp in
@@ -286,5 +301,7 @@ let () =
             serve_async_domains_exits_promptly;
           test `Quick "unknown scheduler fails" unknown_scheduler_fails;
           test `Quick "bad trace spec fails" bad_trace_fails;
+          test `Quick "datalog keeps a listed derived fact"
+            datalog_keeps_listed_derived_fact;
         ] );
     ]

@@ -152,6 +152,25 @@ let deletion_maintains () =
   check_string "only the direct edge survives" "path(\"a\", \"b\")"
     (String.concat " " facts)
 
+(* A fact the program lists for a derived predicate survives the
+   deletion of the base fact that also derives it, in the published
+   snapshot, under both engines. *)
+let listed_derived_fact_survives () =
+  List.iter
+    (fun maint ->
+      let e =
+        make_engine ~maint ~source:{|p(X,Y) :- e(X,Y). p("a","b"). e("a","b").|} ()
+      in
+      check_bool "remove admitted" true
+        (Server.Engine.submit e `Remove {|e("a","b")|} = Ok ());
+      ignore (Server.Engine.commit e);
+      let facts, epoch = facts_of e "p(X,Y)" in
+      check_int "published epoch 1" 1 epoch;
+      check_string "the listed fact stays" {|p("a", "b")|} (String.concat " " facts);
+      let base, _ = facts_of e "e(X,Y)" in
+      check_int "the base fact is gone" 0 (List.length base))
+    [ Datalog.Incremental.Dred; Datalog.Incremental.Counting ]
+
 (* The snapshot queries read is a copy: counting commits keep their
    count cells in the live database's relations, and the published
    relations carry neither cells nor a count stamp. *)
@@ -540,6 +559,7 @@ let () =
           test `Quick "query patterns" query_patterns;
           test `Quick "snapshot tracks the live database" snapshot_tracks_live_db;
           test `Quick "indexed answers equal scanned" indexed_matches_scanned;
+          test `Quick "listed derived fact survives a commit" listed_derived_fact_survives;
         ] );
       ( "repl",
         [
